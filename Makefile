@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-core vet bench proptest fuzz covgate load-smoke bench-compare diag-selftest pprof-smoke policy-smoke vm-smoke ci
+.PHONY: build test race race-core vet bench proptest fuzz covgate load-smoke bench-compare bench-module diag-selftest pprof-smoke policy-smoke vm-smoke ci-fast ci
 
 build:
 	$(GO) build ./...
@@ -12,9 +12,10 @@ race:
 	$(GO) test -race ./...
 
 # race-core runs the race detector over just the packages that exercise
-# the parallel block executor and the seal path — the fast feedback loop
-# while iterating on scheduler or mempool code, and the fail-fast first
-# stage of ci's race coverage.
+# block execution and the seal path (including the sealer + follower +
+# lock-free producers + unlocked State readers stress test) — the fast
+# feedback loop while iterating on state or mempool code, and the
+# fail-fast first stage of ci's race coverage.
 race-core:
 	$(GO) test -race ./internal/ledger/... ./internal/market/...
 
@@ -26,7 +27,7 @@ bench:
 
 # proptest runs the fixed-seed property-harness smoke: deterministic
 # randomized histories checked against the global ledger invariants and
-# the three-way differential replay oracle. Reproduce a failure with
+# the five-mode differential replay oracle. Reproduce a failure with
 # PDS2_PROPTEST_SEED=<seed> PDS2_PROPTEST_OPS=<ops> (see README).
 proptest:
 	$(GO) test ./internal/proptest/ -count=1
@@ -61,8 +62,15 @@ load-smoke:
 bench-compare:
 	./scripts/bench_compare.sh
 
+# bench-module vets and tests the nested benchmark module (its own
+# go.mod, `replace pds2 => ../`). The root `go build ./... && go test
+# ./...` neither builds nor tests it, so a change to an internal API the
+# benchmark calls would otherwise only fail when the benchmark is run.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
 # diag-selftest spins up a node with pprof, metrics history and the
-# runtime sampler enabled, drives parallel-execution traffic, captures
+# runtime sampler enabled, drives transfer traffic, captures
 # a flight-recorder bundle over the real HTTP API and asserts it is
 # complete: every artifact present and parseable, a dense
 # mempool-depth history series, and CPU samples labeled by component.
@@ -84,7 +92,7 @@ policy-smoke:
 # test — the DSL re-expression of the declarative engine must produce
 # bit-identical decision records, events and consumption through a full
 # settled lifecycle — the VM three-layer denial and deploy-gate tests,
-# and the six-mode proptest replay (vm mode re-executes every deployed
+# and the five-mode proptest replay (vm mode re-executes every deployed
 # program under the reference interpreter), all under -race.
 vm-smoke:
 	$(GO) test -race -count=1 ./internal/vm/ ./internal/semantic/
@@ -99,37 +107,38 @@ pprof-smoke:
 	$(GO) test -race -count=1 ./internal/api/ -run 'TestPprof|TestMetricsHistory|TestMetricsAndTraceDisabled'
 	$(GO) test -race -count=1 ./internal/diag/
 
-# ci is the documented pre-PR gate: static checks, the full build, a
-# fail-fast race pass over the parallel-executor packages followed by
-# the full race-enabled test suite (including the telemetry
-# trace/log/health tests), a single-iteration smoke run of the ledger
-# block-pipeline, structured-log and parallel-execution benchmarks (the
-# parallel smoke asserts root equality with serial on every
-# configuration), the distributed-tracing self-test — the
-# two-node stitching demo must verify end to end — a seeded chaos
-# smoke (the quick E15 subset drives the full workload lifecycle
-# through fault-injected client and server and must converge), the
-# fixed-seed property-harness smoke with differential replay, the
-# usage-control policy smoke (three-layer enforcement, on-chain
-# decision events, offline replay, API round trips), the bytecode-VM
-# smoke (differential oracle agreement, built-in-policy bit-identical
-# equivalence, deploy gates) under -race, a short
-# randomized pass over each fuzz target, the pprof/history endpoint
-# smoke under -race, the diag flight-recorder self-test (capture a
-# bundle from a live node and assert every artifact is present,
-# parseable and component-labeled), a 30-second open-loop load smoke
-# against a self-hosted node (SLO-gated), the BENCH_*.json regression
-# diff, and the coverage ratchet.
-ci: vet build
+# ci-fast is the inner-loop gate (target: under two minutes): static
+# checks, the full build, the race pass over the execution and seal-path
+# packages, the fixed-seed property-harness smoke with differential
+# replay, the usage-control policy smoke (three-layer enforcement,
+# on-chain decision events, offline replay, API round trips) and the
+# bytecode-VM smoke (differential oracle agreement, built-in-policy
+# bit-identical equivalence, deploy gates) under -race.
+ci-fast: vet build
 	$(MAKE) race-core
-	$(GO) test -race ./...
-	$(GO) test -run NONE -bench 'BenchmarkImportBlock|BenchmarkMempool|BenchmarkLedger|BenchmarkLog' -benchtime=1x .
-	$(GO) test -run NONE -bench BenchmarkParallelExecute -benchtime=1x ./internal/ledger/
-	$(GO) run ./cmd/pds2 trace -self-test
-	$(GO) run ./cmd/pds2-experiments -quick -telemetry=false -run E15
 	$(MAKE) proptest
 	$(MAKE) policy-smoke
 	$(MAKE) vm-smoke
+
+# ci is the documented pre-PR gate: ci-fast, then the full race-enabled
+# test suite (including the telemetry trace/log/health tests), a
+# single-iteration smoke run of the ledger block-pipeline and
+# structured-log benchmarks, the nested benchmark module's own vet and
+# tests, the distributed-tracing self-test — the two-node stitching demo
+# must verify end to end — a seeded chaos smoke (the quick E15 subset
+# drives the full workload lifecycle through fault-injected client and
+# server and must converge), a short randomized pass over each fuzz
+# target, the pprof/history endpoint smoke under -race, the diag
+# flight-recorder self-test (capture a bundle from a live node and
+# assert every artifact is present, parseable and component-labeled), a
+# 30-second open-loop load smoke against a self-hosted node (SLO-gated),
+# the BENCH_*.json regression diff, and the coverage ratchet.
+ci: ci-fast
+	$(GO) test -race ./...
+	$(GO) test -run NONE -bench 'BenchmarkImportBlock|BenchmarkMempool|BenchmarkLedger|BenchmarkLog' -benchtime=1x .
+	$(MAKE) bench-module
+	$(GO) run ./cmd/pds2 trace -self-test
+	$(GO) run ./cmd/pds2-experiments -quick -telemetry=false -run E15
 	$(MAKE) fuzz
 	$(MAKE) pprof-smoke
 	$(MAKE) diag-selftest

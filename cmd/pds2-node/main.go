@@ -15,7 +15,7 @@
 // Observability: with -telemetry (the default) the node additionally
 // runs the Go runtime sampler (heap, GC pauses, goroutines, scheduler
 // latency gauges) and a bounded metrics-history ring sampled every
-// -history-ms, served at GET /metrics/history?window=30s. -pprof
+// -history-ms, served at GET /v1/metrics/history?window=30s. -pprof
 // mounts net/http/pprof at /debug/pprof/ — off by default because
 // profile endpoints leak internals; `pds2 diag -target <url>` captures
 // a full flight-recorder bundle from these endpoints in one shot.
@@ -33,7 +33,7 @@
 // reopens with at most the last torn append truncated away. The store
 // surfaces as the "chainstore" component in /healthz and /readyz.
 //
-// Structured logs are retained in a bounded ring served at GET /logs
+// Structured logs are retained in a bounded ring served at GET /v1/logs
 // and mirrored to stderr; -log-level takes a default level plus
 // per-component overrides (debug, info, warn, error, off). Component
 // health is served at GET /healthz (liveness: 503 only when unhealthy)
@@ -79,7 +79,7 @@ func main() {
 		blockMS   = flag.Int("block-ms", 500, "auto-seal interval in milliseconds (0 disables)")
 		fund      = flag.String("fund", "", "comma-separated genesis allocations addr:amount")
 		pool      = flag.Int("mempool", 0, "mempool capacity in transactions (0 selects the default)")
-		tel       = flag.Bool("telemetry", true, "collect metrics and traces (served at /metrics and /trace)")
+		tel       = flag.Bool("telemetry", true, "collect metrics and traces (served at /v1/metrics and /v1/trace)")
 		logSpec   = flag.String("log-level", "info", "structured-log spec: default level plus component overrides, e.g. info,ledger=debug,gossip=off")
 		nodeID    = flag.String("node-id", "", "node identity stamped on spans and log records (defaults to the listen address)")
 		drainMS   = flag.Int("drain-ms", 500, "how long to keep serving after /readyz goes down, before shutdown")
@@ -92,7 +92,7 @@ func main() {
 		pprofOn   = flag.Bool("pprof", false, "serve runtime profiles at /debug/pprof/ (goroutine, heap, mutex, block, cpu)")
 		mutexFrac = flag.Int("mutex-profile-fraction", 0, "mutex contention sampling rate 1/n (0 disables, 1 records all)")
 		blockRate = flag.Int("block-profile-rate-ns", 0, "block profile threshold in nanoseconds (0 disables, 1 records all)")
-		histMS    = flag.Int("history-ms", 250, "metrics history sampling interval in milliseconds (0 disables /metrics/history)")
+		histMS    = flag.Int("history-ms", 250, "metrics history sampling interval in milliseconds (0 disables /v1/metrics/history)")
 		histCap   = flag.Int("history-cap", telemetry.DefaultHistoryCapacity, "metrics history ring capacity in samples")
 	)
 	flag.Parse()

@@ -27,8 +27,8 @@ import (
 // snapshot and history, logs, traces, goroutine/heap/mutex/block
 // profiles, optionally a timed CPU profile — verifies its integrity,
 // and prints the artifact index. With -self-test it instead spins up a
-// self-hosted market node, drives parallel-execution traffic against
-// it, captures a bundle over its real HTTP API and asserts the
+// self-hosted market node, drives transfer traffic against it,
+// captures a bundle over its real HTTP API and asserts the
 // observability contract end to end (all artifacts present, history
 // dense enough, CPU samples labeled by component).
 func runDiag(args []string) {
@@ -125,12 +125,12 @@ const (
 
 // runDiagSelfTest is the CI teeth for the whole observability stack:
 // it hosts a real market node behind the real HTTP API with pprof,
-// history and the runtime sampler on, drives parallel-execution
-// traffic at it, captures a bundle remotely and fails loudly unless
-// the bundle proves (a) every artifact captured and verifies, (b) the
-// metrics history carries a dense mempool-depth series, (c) CPU
-// samples from the parallel executor are attributable by component
-// label, and (d) the runtime sampler populated its gauges.
+// history and the runtime sampler on, drives transfer traffic at it,
+// captures a bundle remotely and fails loudly unless the bundle proves
+// (a) every artifact captured and verifies, (b) the metrics history
+// carries a dense mempool-depth series, (c) CPU samples from the seal
+// path are attributable by component label, and (d) the runtime
+// sampler populated its gauges.
 func runDiagSelfTest(outDir string) {
 	telemetry.Default().Reset()
 	telemetry.Enable()
@@ -142,10 +142,8 @@ func runDiagSelfTest(outDir string) {
 	telemetry.SetProfileRates(100, 10_000) // mutex + block profiles have content
 	defer telemetry.SetProfileRates(0, 0)
 
-	// Fund enough distinct senders that every sealed block clears the
-	// parallel path with real fan-out. ExecWorkers is pinned above 1
-	// because the chain falls back to serial execution for a 1-worker
-	// pool — a 1-core CI box would otherwise never label a worker.
+	// Fund enough distinct senders that every sealed block carries real
+	// execution and root-hashing work for the CPU profile to sample.
 	const senders = 64
 	ids := make([]*identity.Identity, senders)
 	alloc := make(map[identity.Address]uint64, senders)
@@ -154,10 +152,8 @@ func runDiagSelfTest(outDir string) {
 		alloc[ids[i].Address()] = 1 << 40
 	}
 	m, err := market.New(market.Config{
-		Seed:             7,
-		GenesisAlloc:     alloc,
-		ExecWorkers:      4,
-		ParallelMinBatch: 1,
+		Seed:         7,
+		GenesisAlloc: alloc,
 	})
 	if err != nil {
 		fatalf("diag self-test: market: %v", err)
@@ -175,8 +171,8 @@ func runDiagSelfTest(outDir string) {
 	baseURL := "http://" + ln.Addr().String()
 
 	// Traffic driver: each round submits one transfer per sender and
-	// seals, so every block is a 64-lane parallel batch. It keeps
-	// running through the CPU-profile capture so worker samples land.
+	// seals, so every block is a 64-transfer batch. It keeps running
+	// through the CPU-profile capture so seal-path samples land.
 	stop := make(chan struct{})
 	driverDone := make(chan struct{})
 	go func() {
@@ -279,8 +275,9 @@ func checkRuntimeGauges(dir string) error {
 	return nil
 }
 
-// checkCPUProfileLabels asserts the CPU profile attributes parallel
-// executor workers by component. The pprof wire format is gzipped
+// checkCPUProfileLabels asserts the CPU profile attributes the seal
+// path (execution, root hashing, commit — what the driver spends its
+// time in) by component. The pprof wire format is gzipped
 // protobuf whose string table holds label keys and values verbatim, so
 // a full decode plus substring search proves the labels landed without
 // needing a protobuf parser.
@@ -297,9 +294,9 @@ func checkCPUProfileLabels(dir string) error {
 	if err != nil {
 		return fmt.Errorf("cpu.pprof: %w", err)
 	}
-	for _, want := range []string{telemetry.LabelComponent, "ledger.parallel.worker"} {
+	for _, want := range []string{telemetry.LabelComponent, "ledger.seal"} {
 		if !bytes.Contains(proto, []byte(want)) {
-			return fmt.Errorf("cpu profile carries no %q string — executor samples are unlabeled", want)
+			return fmt.Errorf("cpu profile carries no %q string — seal-path samples are unlabeled", want)
 		}
 	}
 	return nil

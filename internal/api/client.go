@@ -516,7 +516,7 @@ func (c *Client) LogsPage(ctx context.Context, component, after string, limit in
 	if limit > 0 {
 		lim = strconv.Itoa(limit)
 	}
-	err := c.get(ctx, listPath("/logs",
+	err := c.get(ctx, listPath("/v1/logs",
 		[2]string{"component", component}, [2]string{"after", after}, [2]string{"limit", lim}), &out)
 	return out, err
 }
@@ -559,13 +559,13 @@ func (c *Client) Healthz(ctx context.Context) (telemetry.HealthReport, error) {
 	return out, err
 }
 
-// Metrics fetches the node's telemetry snapshot (GET /metrics):
+// Metrics fetches the node's telemetry snapshot (GET /v1/metrics):
 // counters, gauges and histograms with p50/p95/p99. Load harnesses use
 // it to read server-side throughput counters around a run. The node
 // answers 503 while telemetry is disabled; that surfaces as an APIError.
 func (c *Client) Metrics(ctx context.Context) (telemetry.Snapshot, error) {
 	var out telemetry.Snapshot
-	err := c.get(ctx, "/metrics", &out)
+	err := c.get(ctx, "/v1/metrics", &out)
 	return out, err
 }
 
@@ -576,22 +576,22 @@ func (c *Client) BuildInfo(ctx context.Context) (telemetry.BuildInfo, error) {
 	return out, err
 }
 
-// Trace fetches the node's finished-span ring (GET /trace), oldest
+// Trace fetches the node's finished-span ring (GET /v1/trace), oldest
 // first. The Collector merges traces from many nodes into one set.
 func (c *Client) Trace(ctx context.Context) (telemetry.Trace, error) {
 	var out telemetry.Trace
-	err := c.get(ctx, "/trace", &out)
+	err := c.get(ctx, "/v1/trace", &out)
 	return out, err
 }
 
 // MetricsHistory fetches the node's metrics-history ring (GET
-// /metrics/history) — periodic registry snapshots turning every metric
+// /v1/metrics/history) — periodic registry snapshots turning every metric
 // into a time series. window trims to the trailing window (0 fetches
 // the whole ring). A node with history disabled answers a non-retryable
 // "disabled" APIError.
 func (c *Client) MetricsHistory(ctx context.Context, window time.Duration) (telemetry.HistoryDump, error) {
 	var out telemetry.HistoryDump
-	path := "/metrics/history"
+	path := "/v1/metrics/history"
 	if window > 0 {
 		path += "?window=" + window.String()
 	}

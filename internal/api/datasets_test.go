@@ -2,6 +2,7 @@ package api
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -225,57 +226,42 @@ func TestRouteTableMatchesREADME(t *testing.T) {
 	}
 }
 
-// TestV1OperationalAliases pins that the /v1/ spellings of the
-// operational endpoints behave exactly like the legacy paths — both the
-// happy path and the disabled-telemetry envelope.
-func TestV1OperationalAliases(t *testing.T) {
+// TestUnversionedOperationalRoutesGone pins the one-spelling rule: the
+// operational endpoints live only under /v1/, and their former
+// un-versioned paths answer the same uniform JSON 404 envelope as any
+// other unknown route — not a redirect, not ServeMux's plain text.
+func TestUnversionedOperationalRoutesGone(t *testing.T) {
 	srv, _, _ := testServer(t, false)
+	telemetry.Default().Reset()
+	telemetry.Enable()
+	defer telemetry.Disable()
 
-	fetch := func(path string) (int, string) {
-		t.Helper()
+	for _, path := range []string{"/metrics", "/metrics/history", "/trace", "/logs"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
 		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return resp.StatusCode, string(body)
-	}
-
-	// Telemetry disabled: both spellings answer the same stable envelope.
-	telemetry.Disable()
-	for _, pair := range [][2]string{
-		{"/metrics", "/v1/metrics"},
-		{"/metrics/history", "/v1/metrics/history"},
-		{"/trace", "/v1/trace"},
-	} {
-		legacyCode, legacyBody := fetch(pair[0])
-		aliasCode, aliasBody := fetch(pair[1])
-		if legacyCode != http.StatusServiceUnavailable {
-			t.Fatalf("%s: code %d while telemetry disabled", pair[0], legacyCode)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s: %d, want 404", path, resp.StatusCode)
 		}
-		if aliasCode != legacyCode || aliasBody != legacyBody {
-			t.Fatalf("%s (%d, %q) != %s (%d, %q)",
-				pair[1], aliasCode, aliasBody, pair[0], legacyCode, legacyBody)
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("GET %s: Content-Type %q", path, ct)
+		}
+		var e apiError
+		if err := json.Unmarshal(body, &e); err != nil || e.Error.Code == "" || e.Error.Message == "" || e.Error.Retryable {
+			t.Fatalf("GET %s: body %q is not a non-retryable JSON error envelope", path, body)
 		}
 	}
-
-	// Telemetry enabled: the aliases serve the same payloads.
-	telemetry.Default().Reset()
-	telemetry.Enable()
-	defer telemetry.Disable()
-	for _, pair := range [][2]string{
-		{"/metrics", "/v1/metrics"},
-		{"/trace", "/v1/trace"},
-		{"/logs", "/v1/logs"},
-	} {
-		legacyCode, _ := fetch(pair[0])
-		aliasCode, _ := fetch(pair[1])
-		if legacyCode != http.StatusOK || aliasCode != http.StatusOK {
-			t.Fatalf("%s=%d %s=%d, want 200s", pair[0], legacyCode, pair[1], aliasCode)
+	// The /v1/ spellings serve (history is off in this fixture; its /v1/
+	// path is covered by TestMetricsHistoryEndpoint).
+	for _, path := range []string{"/v1/metrics", "/v1/trace", "/v1/logs"} {
+		if code := getJSON(t, srv.URL+path, nil); code != http.StatusOK {
+			t.Fatalf("GET %s: %d, want 200", path, code)
 		}
 	}
 }

@@ -45,14 +45,17 @@ func TestMetricsHistoryEndpoint(t *testing.T) {
 	srv, _ := testServerHandle(t)
 	telemetry.G("ledger.mempool.depth").Set(7)
 
-	// Wait for the ring to accumulate a few ticks.
+	// Wait for the ring to accumulate a few ticks, the newest of them
+	// after the Set above (fixture set-up already ticked the ring).
 	deadline := time.Now().Add(2 * time.Second)
 	var dump telemetry.HistoryDump
+	var series []telemetry.SeriesPoint
 	for time.Now().Before(deadline) {
-		if code := getJSON(t, srv.URL+"/metrics/history", &dump); code != http.StatusOK {
-			t.Fatalf("GET /metrics/history: %d", code)
+		if code := getJSON(t, srv.URL+"/v1/metrics/history", &dump); code != http.StatusOK {
+			t.Fatalf("GET /v1/metrics/history: %d", code)
 		}
-		if len(dump.Samples) >= 3 {
+		series = dump.Series("ledger.mempool.depth")
+		if len(dump.Samples) >= 3 && len(series) > 0 && series[len(series)-1].Value == 7 {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -63,17 +66,16 @@ func TestMetricsHistoryEndpoint(t *testing.T) {
 	if dump.IntervalNS != int64(2*time.Millisecond) || dump.Capacity != 256 {
 		t.Fatalf("dump header %+v", dump)
 	}
-	series := dump.Series("ledger.mempool.depth")
 	if len(series) == 0 || series[len(series)-1].Value != 7 {
 		t.Fatalf("mempool depth series = %+v", series)
 	}
 
 	// The window parameter trims; a bogus one is a 400.
 	var windowed telemetry.HistoryDump
-	if code := getJSON(t, srv.URL+"/metrics/history?window=10m", &windowed); code != http.StatusOK {
+	if code := getJSON(t, srv.URL+"/v1/metrics/history?window=10m", &windowed); code != http.StatusOK {
 		t.Fatalf("windowed GET: %d", code)
 	}
-	resp, err := http.Get(srv.URL + "/metrics/history?window=bogus")
+	resp, err := http.Get(srv.URL + "/v1/metrics/history?window=bogus")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +107,7 @@ func TestMetricsHistoryDisabledRing(t *testing.T) {
 	telemetry.DisableHistory()
 
 	srv, _ := testServerHandle(t)
-	resp, err := http.Get(srv.URL + "/metrics/history")
+	resp, err := http.Get(srv.URL + "/v1/metrics/history")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +189,7 @@ func TestPprofGuard(t *testing.T) {
 	}
 }
 
-// TestClientTrace covers the typed /trace accessor.
+// TestClientTrace covers the typed /v1/trace accessor.
 func TestClientTrace(t *testing.T) {
 	telemetry.Default().Reset()
 	telemetry.Enable()

@@ -99,9 +99,8 @@ func NewServer(m *market.Market, allowSeal bool) *Server {
 		// that can no longer persist what it seals.
 		s.health.Register("chainstore", st.Health)
 	}
-	// Every endpoint — including the /debug/pprof/ surface and the /v1/
-	// aliases of the operational routes — registers through the
-	// declarative route table (see routes.go).
+	// Every endpoint — including the /debug/pprof/ surface — registers
+	// through the declarative route table (see routes.go).
 	s.install()
 	return s
 }
@@ -665,8 +664,7 @@ func (s *Server) handleSeal(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, SealResponse{Height: block.Header.Height, Txs: len(block.Txs)})
 }
 
-// handleMetrics serves GET /metrics (alias GET /v1/metrics): a JSON
-// snapshot of the process-wide telemetry registry. Counters and gauges
+// handleMetrics serves GET /v1/metrics: a JSON snapshot of the process-wide telemetry registry. Counters and gauges
 // report their current value; histograms add count/sum/min/max and
 // p50/p95/p99. When telemetry is disabled the snapshot would be a
 // misleading all-zeros, so the route's flagNeedsTelemetry gate answers
@@ -675,9 +673,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, telemetry.Default().Snapshot())
 }
 
-// handleMetricsHistory serves GET /metrics/history (alias GET
-// /v1/metrics/history): the node's bounded ring of periodic registry
-// snapshots, turning every metric into a time series. ?window=5s trims
+// handleMetricsHistory serves GET /v1/metrics/history: the node's
+// bounded ring of periodic registry snapshots, turning every metric into a time series. ?window=5s trims
 // to the trailing window (a Go duration; omit or 0 for the whole ring).
 // Nodes that never enabled history answer the same non-retryable
 // disabled envelope as a disabled registry.
@@ -699,15 +696,15 @@ func (s *Server) handleMetricsHistory(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h.Dump(window))
 }
 
-// handleTrace serves GET /trace (alias GET /v1/trace): the finished
-// spans currently held in the tracer's ring buffer, oldest first, with
-// parent linkage intact. Like /metrics it answers 503 while telemetry
+// handleTrace serves GET /v1/trace: the finished spans currently held
+// in the tracer's ring buffer, oldest first, with parent linkage
+// intact. Like /v1/metrics it answers 503 while telemetry
 // is disabled (flagNeedsTelemetry).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, telemetry.Default().Tracer().Export())
 }
 
-// LogsResponse is the GET /logs page envelope. Next is a LogEvent.Seq
+// LogsResponse is the GET /v1/logs page envelope. Next is a LogEvent.Seq
 // cursor for the following page, empty on the last one.
 type LogsResponse struct {
 	Components []string             `json:"components"`
@@ -715,7 +712,7 @@ type LogsResponse struct {
 	Next       string               `json:"next,omitempty"`
 }
 
-// handleLogs serves GET /logs: the structured-log ring, oldest first.
+// handleLogs serves GET /v1/logs: the structured-log ring, oldest first.
 // ?component=X filters to one component; the ring itself is always
 // served — an all-off log simply has no events. Pagination cursors are
 // record sequence numbers, which survive ring eviction: a page after

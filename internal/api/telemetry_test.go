@@ -34,7 +34,7 @@ func TestErrorPathsReturnJSON(t *testing.T) {
 		{name: "delete on status", method: http.MethodDelete, path: "/v1/status", wantCode: http.StatusMethodNotAllowed, wantAllow: "GET"},
 		{name: "get on transactions", method: http.MethodGet, path: "/v1/transactions", wantCode: http.StatusMethodNotAllowed, wantAllow: "POST"},
 		{name: "put on views", method: http.MethodPut, path: "/v1/views", wantCode: http.StatusMethodNotAllowed, wantAllow: "POST"},
-		{name: "post on metrics", method: http.MethodPost, path: "/metrics", wantCode: http.StatusMethodNotAllowed, wantAllow: "GET"},
+		{name: "post on metrics", method: http.MethodPost, path: "/v1/metrics", wantCode: http.StatusMethodNotAllowed, wantAllow: "GET"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -77,9 +77,9 @@ func newTestHTTPServer(t *testing.T, m *core.Market) *httptest.Server {
 }
 
 // TestMetricsAndTraceEndpoints is the subsystem acceptance test: a full
-// workload lifecycle plus a short gossip run must leave a /metrics
+// workload lifecycle plus a short gossip run must leave a /v1/metrics
 // snapshot covering the ledger, contract, market, gossip, tee and api
-// families, and a /trace export containing the complete lifecycle span
+// families, and a /v1/trace export containing the complete lifecycle span
 // tree (submit → match → execute → settle under one root).
 func TestMetricsAndTraceEndpoints(t *testing.T) {
 	telemetry.Default().Reset()
@@ -110,8 +110,8 @@ func TestMetricsAndTraceEndpoints(t *testing.T) {
 	srv := newTestHTTPServer(t, m)
 
 	var snap telemetry.Snapshot
-	if code := getJSON(t, srv.URL+"/metrics", &snap); code != http.StatusOK {
-		t.Fatalf("GET /metrics: %d", code)
+	if code := getJSON(t, srv.URL+"/v1/metrics", &snap); code != http.StatusOK {
+		t.Fatalf("GET /v1/metrics: %d", code)
 	}
 	if len(snap.Metrics) == 0 {
 		t.Fatal("empty snapshot after a full scenario run")
@@ -145,8 +145,8 @@ func TestMetricsAndTraceEndpoints(t *testing.T) {
 	}
 
 	var trace telemetry.Trace
-	if code := getJSON(t, srv.URL+"/trace", &trace); code != http.StatusOK {
-		t.Fatalf("GET /trace: %d", code)
+	if code := getJSON(t, srv.URL+"/v1/trace", &trace); code != http.StatusOK {
+		t.Fatalf("GET /v1/trace: %d", code)
 	}
 	var root *telemetry.Span
 	for i := range trace.Spans {

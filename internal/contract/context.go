@@ -48,7 +48,7 @@ func Revertf(format string, args ...any) error {
 // the call it was created for.
 type Context struct {
 	rt      *Runtime
-	st      ledger.StateAccessor
+	st      *ledger.State
 	Self    identity.Address // the executing contract
 	Caller  identity.Address // immediate caller (account or contract)
 	Origin  identity.Address // externally-owned account that sent the tx

@@ -27,11 +27,8 @@ var (
 // runtime (internal/contract) wraps it to dispatch contract creation and
 // calls. Apply must leave the state unchanged when it returns an error
 // (as opposed to a failed receipt, which may still consume gas).
-// Apply receives a StateAccessor rather than the concrete *State so the
-// same applier executes on the committed state (serial path) and on
-// speculative views (parallel path) without knowing which.
 type TxApplier interface {
-	Apply(st StateAccessor, tx *Transaction, height uint64) (*Receipt, error)
+	Apply(st *State, tx *Transaction, height uint64) (*Receipt, error)
 }
 
 // TransferApplier is the base applier: native token transfers only.
@@ -39,7 +36,7 @@ type TxApplier interface {
 type TransferApplier struct{}
 
 // Apply implements TxApplier.
-func (TransferApplier) Apply(st StateAccessor, tx *Transaction, height uint64) (*Receipt, error) {
+func (TransferApplier) Apply(st *State, tx *Transaction, height uint64) (*Receipt, error) {
 	rcpt := &Receipt{TxHash: tx.Hash(), GasUsed: tx.IntrinsicGas(), Height: height}
 	snap := st.Snapshot()
 	st.BumpNonce(tx.From)
@@ -83,24 +80,6 @@ type ChainConfig struct {
 	// intrinsic-gas checks). Zero selects GOMAXPROCS; one forces the
 	// sequential path. Small batches always verify sequentially.
 	StatelessWorkers int
-
-	// ExecWorkers bounds the worker pool for optimistic parallel
-	// transaction execution (parallel.go). Zero selects GOMAXPROCS; one
-	// forces serial execution. The result is bit-identical either way —
-	// parallel commits happen in transaction-index order.
-	ExecWorkers int
-
-	// ParallelMinBatch is the smallest block (tx count) routed through
-	// the parallel executor; smaller blocks execute serially. Zero
-	// selects defaultParallelMinBatch. Tests set 1 to force the
-	// parallel path on tiny blocks.
-	ParallelMinBatch int
-
-	// StateShards is the number of address-prefix lock shards the world
-	// state is split across (rounded down to a power of two, max 256).
-	// Zero selects DefaultStateShards; one reproduces a single global
-	// lock for the contention ablation.
-	StateShards int
 }
 
 // DefaultBlockGasLimit matches the order of magnitude of Ethereum blocks.
@@ -133,7 +112,7 @@ func NewChain(cfg ChainConfig) (*Chain, error) {
 	if cfg.Applier == nil {
 		cfg.Applier = TransferApplier{}
 	}
-	st := NewStateSharded(cfg.StateShards)
+	st := NewState()
 	for addr, bal := range cfg.GenesisAlloc {
 		st.SetBalance(addr, bal)
 	}
@@ -284,23 +263,12 @@ func (c *Chain) proposeBlock(proposer *identity.Identity, timestamp uint64, txs 
 	return block, nil
 }
 
-// applyTxs runs the already-stateless-verified transactions, enforcing
-// nonces and the block gas limit. It returns the receipts and total gas
-// used, leaving the state mutated; the caller owns snapshot/revert.
-// Callers must run verifyStateless first — signature and intrinsic
-// checks are not repeated here.
-//
-// Large batches route through the optimistic parallel executor when
-// ExecWorkers permits; results are bit-identical to serial execution
-// (same receipts, same state root, same error text on failure).
+// applyTxs runs the already-stateless-verified transactions one after
+// another in block order, enforcing nonces and the block gas limit. It
+// returns the receipts and total gas used, leaving the state mutated;
+// the caller owns snapshot/revert. Callers must run verifyStateless
+// first — signature and intrinsic checks are not repeated here.
 func (c *Chain) applyTxs(txs []*Transaction, height uint64) ([]*Receipt, uint64, error) {
-	if workers := c.execWorkers(); workers > 1 && len(txs) >= c.parallelMinBatch() {
-		return c.applyTxsParallel(txs, height)
-	}
-	return c.applyTxsSerial(txs, height)
-}
-
-func (c *Chain) applyTxsSerial(txs []*Transaction, height uint64) ([]*Receipt, uint64, error) {
 	var gasUsed uint64
 	receipts := make([]*Receipt, 0, len(txs))
 	for i, tx := range txs {
@@ -320,13 +288,12 @@ func (c *Chain) applyTxsSerial(txs []*Transaction, height uint64) ([]*Receipt, u
 	return receipts, gasUsed, nil
 }
 
-// ExecuteBatch runs txs through the chain's configured execution path —
-// serial or parallel, per ExecWorkers and ParallelMinBatch — against
-// the current state, returns the receipts and the post-execution state
+// ExecuteBatch runs txs against the current state exactly as block
+// execution would, returns the receipts and the post-execution state
 // root, then reverts the state to where it was. Stateless verification
 // is skipped: the caller vouches for the transactions. This is the
-// ablation and benchmark entry point; it isolates execution cost from
-// signature checking and never mutates the chain.
+// benchmark entry point; it isolates execution cost from signature
+// checking and never mutates the chain.
 func (c *Chain) ExecuteBatch(txs []*Transaction) ([]*Receipt, crypto.Digest, error) {
 	snap := c.state.Snapshot()
 	receipts, _, err := c.applyTxs(txs, c.Height()+1)

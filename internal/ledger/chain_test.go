@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"pds2/internal/crypto"
@@ -85,6 +86,20 @@ func TestChainRejectsWrongNonce(t *testing.T) {
 	}
 	if chain.State().Balance(alice.Address()) != 1_000 {
 		t.Fatal("failed proposal mutated state")
+	}
+
+	// A nonce gap behind a transaction that already executed must roll
+	// the whole block back: no state residue, no open journal.
+	rootBefore := chain.State().Root()
+	txs := []*Transaction{
+		SignTx(alice, bob.Address(), 1, 0, 50_000, nil),
+		SignTx(bob, alice.Address(), 1, 7, 50_000, nil),
+	}
+	if _, err := chain.ProposeBlock(authority, 1, txs); err == nil || !strings.Contains(err.Error(), "tx 1 nonce 7, want 0") {
+		t.Fatalf("mid-block nonce gap: got %v", err)
+	}
+	if chain.State().Root() != rootBefore || chain.State().JournalLen() != 0 {
+		t.Fatal("failed mid-block proposal left state residue")
 	}
 }
 
@@ -197,7 +212,7 @@ type countingApplier struct {
 	counts map[crypto.Digest]int
 }
 
-func (a *countingApplier) Apply(st StateAccessor, tx *Transaction, height uint64) (*Receipt, error) {
+func (a *countingApplier) Apply(st *State, tx *Transaction, height uint64) (*Receipt, error) {
 	a.counts[tx.Hash()]++
 	return a.inner.Apply(st, tx, height)
 }

@@ -61,12 +61,6 @@ func NewMempool(maxSize int) *Mempool {
 var (
 	ErrMempoolFull      = errors.New("ledger: mempool full")
 	ErrMempoolDuplicate = errors.New("ledger: transaction already pending")
-
-	// ErrMempoolNonceDup reports a second, distinct transaction for a
-	// (sender, nonce) slot. Add no longer returns it — the newer
-	// transaction replaces the pending one — but the sentinel remains
-	// for callers that classified the old rejection.
-	ErrMempoolNonceDup = errors.New("ledger: duplicate nonce for sender")
 )
 
 // Add admits a transaction after stateless verification. A transaction

@@ -68,26 +68,28 @@ func (c *Chain) ExportSnapshot() *StateSnapshot {
 			snap.GenesisAlloc[a] = v
 		}
 	}
-	st.forEachBalance(func(a identity.Address, v uint64) {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	for a, v := range st.balances {
 		if v != 0 {
 			snap.Balances[a] = v
 		}
-	})
-	st.forEachNonce(func(a identity.Address, v uint64) {
+	}
+	for a, v := range st.nonces {
 		if v != 0 {
 			snap.Nonces[a] = v
 		}
-	})
-	st.forEachStorage(func(a identity.Address, slot map[string][]byte) {
+	}
+	for a, slot := range st.storage {
 		if len(slot) == 0 {
-			return
+			continue
 		}
 		cp := make(map[string][]byte, len(slot))
 		for k, v := range slot {
 			cp[k] = append([]byte(nil), v...)
 		}
 		snap.Storage[a] = cp
-	})
+	}
 	return snap
 }
 

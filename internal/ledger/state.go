@@ -16,66 +16,8 @@ import (
 // storage writes) — the state-pressure signal behind every gas number.
 var mStateWrites = telemetry.C("ledger.state.writes_total")
 
-// StateAccessor is the mutation surface transaction appliers execute
-// against: the committed *State during serial execution and commit, or a
-// speculative txView (parallel.go) during optimistic concurrency. The
-// contract runtime is written against this interface, so the same
-// contract code runs unchanged on both paths.
-type StateAccessor interface {
-	Balance(addr identity.Address) uint64
-	SetBalance(addr identity.Address, v uint64)
-	AddBalance(addr identity.Address, v uint64) error
-	SubBalance(addr identity.Address, v uint64) error
-	Nonce(addr identity.Address) uint64
-	SetNonce(addr identity.Address, v uint64)
-	BumpNonce(addr identity.Address)
-	GetStorage(contract identity.Address, key string) []byte
-	SetStorage(contract identity.Address, key string, value []byte)
-	StorageKeys(contract identity.Address, prefix string) []string
-	Snapshot() int
-	RevertTo(snap int)
-}
-
-// addBalanceTo and subBalanceTo centralize the checked balance
-// arithmetic so the committed state and speculative views fail with
-// byte-identical errors — receipts produced on either path must match.
-func addBalanceTo(st StateAccessor, addr identity.Address, v uint64) error {
-	cur := st.Balance(addr)
-	if cur+v < cur {
-		return fmt.Errorf("ledger: balance overflow for %s", addr.Short())
-	}
-	st.SetBalance(addr, cur+v)
-	return nil
-}
-
-func subBalanceTo(st StateAccessor, addr identity.Address, v uint64) error {
-	cur := st.Balance(addr)
-	if cur < v {
-		return fmt.Errorf("ledger: insufficient balance for %s: have %d, need %d", addr.Short(), cur, v)
-	}
-	st.SetBalance(addr, cur-v)
-	return nil
-}
-
-// DefaultStateShards is the number of address-prefix shards the world
-// state is split across. Each shard carries its own RWMutex, so the
-// parallel executor's speculative readers and the in-order committer
-// contend per shard instead of funneling through one state-wide lock.
-const DefaultStateShards = 16
-
-// stateShard is one lock-striped slice of the world state. Addresses
-// map to shards by their first byte, so a shard holds a contiguous
-// address-prefix range.
-type stateShard struct {
-	mu       sync.RWMutex
-	balances map[identity.Address]uint64
-	nonces   map[identity.Address]uint64
-	storage  map[identity.Address]map[string][]byte
-}
-
 // State is the replicated world state of the governance ledger: native
-// token balances, account nonces and per-contract key/value storage,
-// sharded by address prefix.
+// token balances, account nonces and per-contract key/value storage.
 //
 // All mutations are journaled, so the contract runtime can take snapshots
 // and revert to them — the mechanism behind transactional contract calls
@@ -83,15 +25,17 @@ type stateShard struct {
 // successfully applied transaction.
 //
 // Concurrency contract: exactly one goroutine mutates the state (and
-// owns the journal) at a time, but any number of goroutines may read
-// concurrently with that writer — each primitive access takes its
-// shard's lock. This is what lets the parallel executor speculate
-// transactions against the live state while the committer applies
-// validated write sets.
+// owns the journal) at a time, but any number of goroutines may call
+// the primitive readers (Balance, Nonce, GetStorage, StorageKeys)
+// concurrently with that writer — each primitive access takes the lock,
+// so a reader outside whatever serializes chain mutation (a status
+// probe, an admission nonce lookup) never races block execution.
 type State struct {
-	shards  []stateShard
-	mask    byte
-	journal []journalEntry
+	mu       sync.RWMutex
+	balances map[identity.Address]uint64
+	nonces   map[identity.Address]uint64
+	storage  map[identity.Address]map[string][]byte
+	journal  []journalEntry
 }
 
 // journalEntry is the undo record for one primitive mutation.
@@ -112,134 +56,98 @@ const (
 	jStorage
 )
 
-// NewState returns an empty world state with the default shard count.
-func NewState() *State { return NewStateSharded(DefaultStateShards) }
-
-// NewStateSharded returns an empty world state split across n
-// address-prefix shards. n is clamped to [1, 256] and rounded down to a
-// power of two; n <= 0 selects the default. A single shard reproduces
-// the pre-sharding behavior (one lock for everything) and is kept for
-// the A-series contention ablation.
-func NewStateSharded(n int) *State {
-	if n <= 0 {
-		n = DefaultStateShards
+// NewState returns an empty world state.
+func NewState() *State {
+	return &State{
+		balances: make(map[identity.Address]uint64),
+		nonces:   make(map[identity.Address]uint64),
+		storage:  make(map[identity.Address]map[string][]byte),
 	}
-	if n > 256 {
-		n = 256
-	}
-	for n&(n-1) != 0 {
-		n &= n - 1 // clear lowest set bit until a power of two remains
-	}
-	s := &State{shards: make([]stateShard, n), mask: byte(n - 1)}
-	for i := range s.shards {
-		s.shards[i] = stateShard{
-			balances: make(map[identity.Address]uint64),
-			nonces:   make(map[identity.Address]uint64),
-			storage:  make(map[identity.Address]map[string][]byte),
-		}
-	}
-	return s
-}
-
-// Shards returns the number of address-prefix shards.
-func (s *State) Shards() int { return len(s.shards) }
-
-// ShardIndex returns the shard an address routes to — the key the
-// parallel executor's per-shard conflict counters are bucketed by.
-func (s *State) ShardIndex(addr identity.Address) int { return int(addr[0] & s.mask) }
-
-func (s *State) shard(addr identity.Address) *stateShard {
-	return &s.shards[addr[0]&s.mask]
 }
 
 // Balance returns the native-token balance of addr.
 func (s *State) Balance(addr identity.Address) uint64 {
-	sh := s.shard(addr)
-	sh.mu.RLock()
-	v := sh.balances[addr]
-	sh.mu.RUnlock()
+	s.mu.RLock()
+	v := s.balances[addr]
+	s.mu.RUnlock()
 	return v
 }
 
 // SetBalance sets the balance of addr, journaling the previous value.
 func (s *State) SetBalance(addr identity.Address, v uint64) {
-	sh := s.shard(addr)
-	sh.mu.Lock()
-	s.journal = append(s.journal, journalEntry{kind: jBalance, addr: addr, prevU64: sh.balances[addr]})
-	sh.balances[addr] = v
-	sh.mu.Unlock()
+	s.mu.Lock()
+	s.journal = append(s.journal, journalEntry{kind: jBalance, addr: addr, prevU64: s.balances[addr]})
+	s.balances[addr] = v
+	s.mu.Unlock()
 	mStateWrites.Inc()
 }
 
 // AddBalance credits addr. It returns an error on overflow.
 func (s *State) AddBalance(addr identity.Address, v uint64) error {
-	return addBalanceTo(s, addr, v)
+	cur := s.Balance(addr)
+	if cur+v < cur {
+		return fmt.Errorf("ledger: balance overflow for %s", addr.Short())
+	}
+	s.SetBalance(addr, cur+v)
+	return nil
 }
 
 // SubBalance debits addr. It returns an error on insufficient funds.
 func (s *State) SubBalance(addr identity.Address, v uint64) error {
-	return subBalanceTo(s, addr, v)
+	cur := s.Balance(addr)
+	if cur < v {
+		return fmt.Errorf("ledger: insufficient balance for %s: have %d, need %d", addr.Short(), cur, v)
+	}
+	s.SetBalance(addr, cur-v)
+	return nil
 }
 
 // Nonce returns the next expected transaction nonce for addr.
 func (s *State) Nonce(addr identity.Address) uint64 {
-	sh := s.shard(addr)
-	sh.mu.RLock()
-	v := sh.nonces[addr]
-	sh.mu.RUnlock()
+	s.mu.RLock()
+	v := s.nonces[addr]
+	s.mu.RUnlock()
 	return v
 }
 
 // SetNonce sets addr's nonce, journaling the previous value. Normal
 // transaction flow only ever bumps; this exists for snapshot restore.
 func (s *State) SetNonce(addr identity.Address, v uint64) {
-	sh := s.shard(addr)
-	sh.mu.Lock()
-	s.journal = append(s.journal, journalEntry{kind: jNonce, addr: addr, prevU64: sh.nonces[addr]})
-	sh.nonces[addr] = v
-	sh.mu.Unlock()
+	s.mu.Lock()
+	s.journal = append(s.journal, journalEntry{kind: jNonce, addr: addr, prevU64: s.nonces[addr]})
+	s.nonces[addr] = v
+	s.mu.Unlock()
 	mStateWrites.Inc()
 }
 
 // BumpNonce increments addr's nonce.
 func (s *State) BumpNonce(addr identity.Address) {
-	sh := s.shard(addr)
-	sh.mu.Lock()
-	s.journal = append(s.journal, journalEntry{kind: jNonce, addr: addr, prevU64: sh.nonces[addr]})
-	sh.nonces[addr]++
-	sh.mu.Unlock()
+	s.mu.Lock()
+	s.journal = append(s.journal, journalEntry{kind: jNonce, addr: addr, prevU64: s.nonces[addr]})
+	s.nonces[addr]++
+	s.mu.Unlock()
 	mStateWrites.Inc()
 }
 
-// GetStorage returns the stored value for (contract, key), or nil.
+// GetStorage returns a copy of the stored value for (contract, key), or
+// nil.
 func (s *State) GetStorage(contract identity.Address, key string) []byte {
-	v := s.storageRef(contract, key)
+	s.mu.RLock()
+	v := s.storage[contract][key]
+	s.mu.RUnlock()
 	if v == nil {
 		return nil
 	}
+	// Stored values are immutable — every write installs a fresh copy —
+	// so copying after the unlock is safe.
 	return append([]byte(nil), v...)
-}
-
-// storageRef returns the live stored slice for (contract, key) without
-// copying. Stored values are immutable — every write installs a fresh
-// copy — so holding the returned slice across later mutations is safe;
-// it keeps observing the value as of the read. The parallel executor's
-// read-set recording and validation lean on this to avoid one copy per
-// speculative read.
-func (s *State) storageRef(contract identity.Address, key string) []byte {
-	sh := s.shard(contract)
-	sh.mu.RLock()
-	v := sh.storage[contract][key]
-	sh.mu.RUnlock()
-	return v
 }
 
 // SetStorage writes a value to (contract, key). A nil or empty value
 // deletes the key.
 func (s *State) SetStorage(contract identity.Address, key string, value []byte) {
-	sh := s.shard(contract)
-	sh.mu.Lock()
-	slot := sh.storage[contract]
+	s.mu.Lock()
+	slot := s.storage[contract]
 	prev, existed := slot[key]
 	s.journal = append(s.journal, journalEntry{
 		kind: jStorage, addr: contract, key: key,
@@ -250,65 +158,27 @@ func (s *State) SetStorage(contract identity.Address, key string, value []byte) 
 	} else {
 		if slot == nil {
 			slot = make(map[string][]byte)
-			sh.storage[contract] = slot
+			s.storage[contract] = slot
 		}
 		slot[key] = append([]byte(nil), value...)
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	mStateWrites.Inc()
 }
 
 // StorageKeys returns the sorted keys under a contract's storage with the
 // given prefix. Sorted iteration keeps contract logic deterministic.
 func (s *State) StorageKeys(contract identity.Address, prefix string) []string {
-	sh := s.shard(contract)
-	sh.mu.RLock()
+	s.mu.RLock()
 	var keys []string
-	for k := range sh.storage[contract] {
+	for k := range s.storage[contract] {
 		if strings.HasPrefix(k, prefix) {
 			keys = append(keys, k)
 		}
 	}
-	sh.mu.RUnlock()
+	s.mu.RUnlock()
 	sort.Strings(keys)
 	return keys
-}
-
-// forEachBalance walks every (address, balance) pair, shard by shard,
-// in no particular order. The callback must not mutate the state.
-func (s *State) forEachBalance(fn func(identity.Address, uint64)) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for a, v := range sh.balances {
-			fn(a, v)
-		}
-		sh.mu.RUnlock()
-	}
-}
-
-// forEachNonce walks every (address, nonce) pair.
-func (s *State) forEachNonce(fn func(identity.Address, uint64)) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for a, v := range sh.nonces {
-			fn(a, v)
-		}
-		sh.mu.RUnlock()
-	}
-}
-
-// forEachStorage walks every contract's storage slot map.
-func (s *State) forEachStorage(fn func(identity.Address, map[string][]byte)) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for a, slot := range sh.storage {
-			fn(a, slot)
-		}
-		sh.mu.RUnlock()
-	}
 }
 
 // TotalBalance returns the sum of every native-token balance. Nothing in
@@ -317,8 +187,12 @@ func (s *State) forEachStorage(fn func(identity.Address, map[string][]byte)) {
 // invariant the property-testing harness (internal/proptest) audits
 // after each seal.
 func (s *State) TotalBalance() uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	var total uint64
-	s.forEachBalance(func(_ identity.Address, v uint64) { total += v })
+	for _, v := range s.balances {
+		total += v
+	}
 	return total
 }
 
@@ -326,22 +200,27 @@ func (s *State) TotalBalance() uint64 {
 // in deterministic (address) order — the enumeration surface invariant
 // auditors walk to compare replicas account by account.
 func (s *State) Accounts() []identity.Address {
-	seen := make(map[identity.Address]bool)
-	s.forEachBalance(func(a identity.Address, v uint64) {
-		if v != 0 {
-			seen[a] = true
+	s.mu.RLock()
+	addrs := nonZeroAddrs(s.balances)
+	for a, v := range s.nonces {
+		if v != 0 && s.balances[a] == 0 {
+			addrs = append(addrs, a)
 		}
-	})
-	s.forEachNonce(func(a identity.Address, v uint64) {
-		if v != 0 {
-			seen[a] = true
-		}
-	})
-	addrs := make([]identity.Address, 0, len(seen))
-	for a := range seen {
-		addrs = append(addrs, a)
 	}
+	s.mu.RUnlock()
 	sortAddresses(addrs)
+	return addrs
+}
+
+// nonZeroAddrs returns the keys of m that map to a non-zero value, in
+// map order.
+func nonZeroAddrs(m map[identity.Address]uint64) []identity.Address {
+	addrs := make([]identity.Address, 0, len(m))
+	for a, v := range m {
+		if v != 0 {
+			addrs = append(addrs, a)
+		}
+	}
 	return addrs
 }
 
@@ -359,29 +238,28 @@ func (s *State) RevertTo(snap int) {
 	if snap < 0 || snap > len(s.journal) {
 		panic(fmt.Sprintf("ledger: invalid snapshot %d (journal %d)", snap, len(s.journal)))
 	}
+	s.mu.Lock()
 	for i := len(s.journal) - 1; i >= snap; i-- {
 		e := s.journal[i]
-		sh := s.shard(e.addr)
-		sh.mu.Lock()
 		switch e.kind {
 		case jBalance:
-			sh.balances[e.addr] = e.prevU64
+			s.balances[e.addr] = e.prevU64
 		case jNonce:
-			sh.nonces[e.addr] = e.prevU64
+			s.nonces[e.addr] = e.prevU64
 		case jStorage:
-			slot := sh.storage[e.addr]
+			slot := s.storage[e.addr]
 			if e.existed {
 				if slot == nil {
 					slot = make(map[string][]byte)
-					sh.storage[e.addr] = slot
+					s.storage[e.addr] = slot
 				}
 				slot[e.key] = e.prevBlob
 			} else if slot != nil {
 				delete(slot, e.key)
 			}
 		}
-		sh.mu.Unlock()
 	}
+	s.mu.Unlock()
 	s.journal = s.journal[:snap]
 }
 
@@ -390,61 +268,36 @@ func (s *State) Commit() { s.journal = s.journal[:0] }
 
 // Root computes a deterministic digest of the entire world state. It is
 // recomputed per block and stored in the header, so any two replicas can
-// cheaply compare their states. The digest is independent of the shard
-// count: addresses are gathered across shards and sorted globally, so a
-// 1-shard and a 16-shard state with identical contents share a root.
+// cheaply compare their states. The leaves are, in order: one 'B' record
+// per non-zero balance and one 'N' record per non-zero nonce, each by
+// ascending address, then one 'S' record per storage key, by ascending
+// contract address and key.
 func (s *State) Root() crypto.Digest {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	var h [][]byte
 
-	balances := make(map[identity.Address]uint64)
-	s.forEachBalance(func(a identity.Address, v uint64) {
-		if v != 0 {
-			balances[a] = v
+	u64Records := func(tag byte, m map[identity.Address]uint64) {
+		addrs := nonZeroAddrs(m)
+		sortAddresses(addrs)
+		for _, a := range addrs {
+			rec := make([]byte, 0, identity.AddressSize+9)
+			rec = append(rec, tag)
+			rec = append(rec, a[:]...)
+			rec = binary.BigEndian.AppendUint64(rec, m[a])
+			h = append(h, rec)
 		}
-	})
-	addrs := make([]identity.Address, 0, len(balances))
-	for a := range balances {
-		addrs = append(addrs, a)
 	}
-	sortAddresses(addrs)
-	for _, a := range addrs {
-		rec := make([]byte, 0, identity.AddressSize+9)
-		rec = append(rec, 'B')
-		rec = append(rec, a[:]...)
-		rec = binary.BigEndian.AppendUint64(rec, balances[a])
-		h = append(h, rec)
-	}
+	u64Records('B', s.balances)
+	u64Records('N', s.nonces)
 
-	nonces := make(map[identity.Address]uint64)
-	s.forEachNonce(func(a identity.Address, v uint64) {
-		if v != 0 {
-			nonces[a] = v
-		}
-	})
-	addrs = addrs[:0]
-	for a := range nonces {
+	addrs := make([]identity.Address, 0, len(s.storage))
+	for a := range s.storage {
 		addrs = append(addrs, a)
 	}
 	sortAddresses(addrs)
 	for _, a := range addrs {
-		rec := make([]byte, 0, identity.AddressSize+9)
-		rec = append(rec, 'N')
-		rec = append(rec, a[:]...)
-		rec = binary.BigEndian.AppendUint64(rec, nonces[a])
-		h = append(h, rec)
-	}
-
-	storage := make(map[identity.Address]map[string][]byte)
-	s.forEachStorage(func(a identity.Address, slot map[string][]byte) {
-		storage[a] = slot
-	})
-	addrs = addrs[:0]
-	for a := range storage {
-		addrs = append(addrs, a)
-	}
-	sortAddresses(addrs)
-	for _, a := range addrs {
-		slot := storage[a]
+		slot := s.storage[a]
 		keys := make([]string, 0, len(slot))
 		for k := range slot {
 			keys = append(keys, k)

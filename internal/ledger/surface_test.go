@@ -12,7 +12,7 @@ import (
 // query surface without a full contract runtime.
 type eventfulApplier struct{ inner TransferApplier }
 
-func (a eventfulApplier) Apply(st StateAccessor, tx *Transaction, height uint64) (*Receipt, error) {
+func (a eventfulApplier) Apply(st *State, tx *Transaction, height uint64) (*Receipt, error) {
 	rcpt, err := a.inner.Apply(st, tx, height)
 	if err != nil || !rcpt.Succeeded() {
 		return rcpt, err
@@ -40,8 +40,7 @@ func TestChainQuerySurface(t *testing.T) {
 			alice.Address(): 1_000,
 			bob.Address():   500,
 		},
-		Applier:     eventfulApplier{},
-		StateShards: 4,
+		Applier: eventfulApplier{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,9 +48,6 @@ func TestChainQuerySurface(t *testing.T) {
 
 	if got := chain.GasLimit(); got != DefaultBlockGasLimit {
 		t.Fatalf("GasLimit() = %d, want default %d", got, DefaultBlockGasLimit)
-	}
-	if got := chain.State().Shards(); got != 4 {
-		t.Fatalf("Shards() = %d, want 4", got)
 	}
 
 	var committed []*Block

@@ -220,3 +220,67 @@ func TestMempoolOverflow(t *testing.T) {
 		t.Fatalf("live tx failed: %s", rcpt.Err)
 	}
 }
+
+// TestSealBlockEvictsPoisonOvergasTx pins the poison-tx fix end to end:
+// a transaction whose intrinsic gas exceeds the block gas limit can
+// never seal, and before the fix it wedged SealBlock forever — the
+// halving loop stopped at batch size one and the transaction was never
+// evicted, so every subsequent seal rebuilt a batch starting with it
+// and failed identically. The chain must instead evict it and keep
+// sealing the healthy backlog.
+func TestSealBlockEvictsPoisonOvergasTx(t *testing.T) {
+	rng := crypto.NewDRBGFromUint64(99, "poison")
+	ids := make([]*identity.Identity, 3)
+	alloc := map[identity.Address]uint64{}
+	for i := range ids {
+		ids[i] = identity.New("acct", rng.Fork("id"))
+		alloc[ids[i].Address()] = 1_000_000
+	}
+	m, err := New(Config{Seed: 99, GenesisAlloc: alloc, BlockGasLimit: 200_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// 16kB of call data: intrinsic gas 21000 + 16*16384 = 283144, over
+	// the 200k block limit — unsealable no matter how batches are cut.
+	poison := m.SignedTx(ids[0], ids[1].Address(), 1, make([]byte, 16384))
+	if err := m.Submit(poison); err != nil {
+		t.Fatal(err)
+	}
+	healthy := []*ledger.Transaction{
+		m.SignedTx(ids[1], ids[2].Address(), 5, nil),
+		m.SignedTx(ids[2], ids[1].Address(), 7, nil),
+	}
+	for _, tx := range healthy {
+		if err := m.Submit(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	block, err := m.SealBlock()
+	if err != nil {
+		t.Fatalf("seal wedged on poison tx: %v", err)
+	}
+	if len(block.Txs) != len(healthy) {
+		t.Fatalf("sealed %d txs, want the %d healthy ones", len(block.Txs), len(healthy))
+	}
+	if m.Pool.Contains(poison.Hash()) {
+		t.Fatal("poison tx still pending after seal")
+	}
+	if _, ok := m.Chain.Receipt(poison.Hash()); ok {
+		t.Fatal("poison tx must not execute")
+	}
+
+	// The chain has recovered: later traffic seals normally.
+	follow := m.SignedTx(ids[0], ids[2].Address(), 3, nil)
+	if err := m.Submit(follow); err != nil {
+		t.Fatal(err)
+	}
+	block, err = m.SealBlock()
+	if err != nil {
+		t.Fatalf("post-eviction seal failed: %v", err)
+	}
+	if len(block.Txs) != 1 || block.Txs[0].Hash() != follow.Hash() {
+		t.Fatal("follow-up tx did not seal after poison eviction")
+	}
+}

@@ -55,14 +55,6 @@ type Config struct {
 	// selects ledger.DefaultBlockGasLimit. Load rigs raise it so
 	// block packing, not an artificial gas ceiling, bounds throughput.
 	BlockGasLimit uint64
-
-	// ExecWorkers bounds the ledger's optimistic parallel-execution
-	// worker pool; 0 selects GOMAXPROCS, 1 forces serial execution.
-	ExecWorkers int
-
-	// ParallelMinBatch is the smallest block routed through the
-	// parallel executor; 0 selects the ledger default.
-	ParallelMinBatch int
 }
 
 // Market is one deployment of the PDS² governance layer: a
@@ -125,12 +117,10 @@ func New(cfg Config) (*Market, error) {
 		}
 	}
 	chain, err := ledger.NewChain(ledger.ChainConfig{
-		Authorities:      addrs,
-		BlockGasLimit:    cfg.BlockGasLimit,
-		Applier:          rt,
-		GenesisAlloc:     alloc,
-		ExecWorkers:      cfg.ExecWorkers,
-		ParallelMinBatch: cfg.ParallelMinBatch,
+		Authorities:   addrs,
+		BlockGasLimit: cfg.BlockGasLimit,
+		Applier:       rt,
+		GenesisAlloc:  alloc,
 	})
 	if err != nil {
 		return nil, err
@@ -231,11 +221,12 @@ func (m *Market) sealBlockAt(timestamp uint64) (*ledger.Block, error) {
 	for {
 		batch := m.Pool.NextBatch(m.Chain.State(), 10_000, m.Chain.GasLimit())
 		block, err := m.Chain.ProposeBlock(proposer, timestamp, batch)
-		// NextBatch already packs by declared gas, so overflow here means
-		// some transaction consumed more than it declared (a misbehaving
-		// applier). Halve the batch until it fits — the remainder stays
-		// pooled for the next seal — so a node under sustained load drains
-		// its backlog instead of wedging on every seal attempt.
+		// NextBatch packs by intrinsic gas (declared gas is no signal on a
+		// fee-less chain; see Mempool.NextBatch), so overflow here means
+		// contract calls burned past their intrinsic floor. Halve the batch
+		// until it fits — the remainder stays pooled for the next seal — so
+		// a node under sustained load drains its backlog instead of wedging
+		// on every seal attempt.
 		for errors.Is(err, ledger.ErrBlockGasLimit) && len(batch) > 1 {
 			batch = batch[:len(batch)/2]
 			block, err = m.Chain.ProposeBlock(proposer, timestamp, batch)

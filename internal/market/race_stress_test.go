@@ -158,3 +158,161 @@ func TestConcurrentSubmitSealRace(t *testing.T) {
 		t.Errorf("sink balance %d, want %d", got, 1+total)
 	}
 }
+
+// TestConcurrentImportSubmitSealRace stress-tests State's concurrency
+// contract (one writer, any number of primitive readers) under the race
+// detector: a sealing node executes blocks while API producers admit
+// transactions through the lock-free Pool.Add fast path, readers outside
+// the market lock hit the live state's primitive getters, and a follower
+// node imports every sealed block concurrently with the sealer. The two
+// replicas must converge to the same root.
+func TestConcurrentImportSubmitSealRace(t *testing.T) {
+	const (
+		producers   = 6
+		txsPerActor = 50
+	)
+	rng := crypto.NewDRBGFromUint64(7777, "par-race")
+	authority := identity.New("authority", rng.Fork("authority"))
+	sink := identity.New("sink", rng.Fork("sink"))
+	senders := make([]*identity.Identity, producers)
+	alloc := map[identity.Address]uint64{sink.Address(): 1}
+	for i := range senders {
+		senders[i] = identity.New("sender", rng.Fork("sender"))
+		alloc[senders[i].Address()] = 1_000_000
+	}
+	cfg := Config{
+		Seed:         7777,
+		GenesisAlloc: alloc,
+		Authorities:  []*identity.Identity{authority},
+	}
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Same deterministic config ⇒ the follower rebuilds the identical
+	// setup chain (registry and deed deploys included) and can import
+	// the sealer's blocks from there.
+	follower, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Chain.Head().Hash() != follower.Chain.Head().Hash() {
+		t.Fatal("fixture: sealer and follower diverge before the race")
+	}
+
+	var mu sync.Mutex // the API server's serialization of Market methods
+	blocks := make(chan *ledger.Block, 4096)
+	done := make(chan struct{})
+	var producersWG, helpersWG sync.WaitGroup
+
+	for i := 0; i < producers; i++ {
+		producersWG.Add(1)
+		go func(id *identity.Identity) {
+			defer producersWG.Done()
+			base := m.Chain.State().Nonce(id.Address())
+			for n := 0; n < txsPerActor; n++ {
+				tx := ledger.SignTx(id, sink.Address(), 1, base+uint64(n), m.DefaultGasLimit, nil)
+				for {
+					if err := m.Pool.Add(tx); err == nil {
+						break
+					} else if !errors.Is(err, ledger.ErrMempoolFull) {
+						t.Errorf("add: %v", err)
+						return
+					}
+					mu.Lock()
+					err := m.Submit(tx)
+					mu.Unlock()
+					if err == nil {
+						break
+					} else if !errors.Is(err, ledger.ErrMempoolFull) {
+						t.Errorf("submit: %v", err)
+						return
+					}
+				}
+			}
+		}(senders[i])
+	}
+
+	// Sealer: each sealed block streams to the follower.
+	helpersWG.Add(1)
+	go func() {
+		defer helpersWG.Done()
+		defer close(blocks)
+		for {
+			mu.Lock()
+			block, err := m.SealBlockAt(m.Timestamp() + 1)
+			if err != nil {
+				t.Errorf("seal: %v", err)
+				mu.Unlock()
+				return
+			}
+			empty := m.Pool.Len() == 0
+			mu.Unlock()
+			// Empty blocks ship too: the follower needs the full parent
+			// chain to import.
+			blocks <- block
+			select {
+			case <-done:
+				if empty {
+					return
+				}
+			default:
+			}
+		}
+	}()
+
+	// Follower: imports the sealed stream concurrently with the sealer's
+	// own execution.
+	helpersWG.Add(1)
+	go func() {
+		defer helpersWG.Done()
+		for block := range blocks {
+			if err := follower.Chain.ImportBlock(block); err != nil {
+				t.Errorf("import height %d: %v", block.Header.Height, err)
+				return
+			}
+		}
+	}()
+
+	// Readers: unlocked primitive reads against live execution —
+	// explicitly allowed by the state's concurrency contract.
+	for i := 0; i < 2; i++ {
+		helpersWG.Add(1)
+		go func() {
+			defer helpersWG.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				st := m.Chain.State()
+				st.Balance(sink.Address())
+				st.Nonce(senders[0].Address())
+				m.Pool.Len()
+			}
+		}()
+	}
+
+	producersWG.Wait()
+	total := uint64(producers * txsPerActor)
+	for {
+		mu.Lock()
+		delivered := m.Chain.State().Balance(sink.Address()) - 1
+		mu.Unlock()
+		if delivered == total {
+			break
+		}
+	}
+	close(done)
+	helpersWG.Wait()
+
+	if sealed, imported := m.Chain.State().Root(), follower.Chain.State().Root(); sealed != imported {
+		t.Fatalf("follower diverged: sealer root %s, follower %s", sealed.Short(), imported.Short())
+	}
+	for i, id := range senders {
+		if got := m.Chain.State().Nonce(id.Address()); got != uint64(txsPerActor) {
+			t.Errorf("sender %d: nonce %d, want %d", i, got, txsPerActor)
+		}
+	}
+}

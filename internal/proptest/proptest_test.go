@@ -72,7 +72,7 @@ func TestProptestSmoke(t *testing.T) {
 // TestVMPolicyReplay pins the VM leg of the differential oracle: a
 // seeded run must actually deploy compiled policy programs and log
 // decisions for program-governed datasets, and the resulting chain must
-// survive all six replay modes — in particular the vm mode, which
+// survive all five replay modes — in particular the vm mode, which
 // re-executes every deployed program with the reference tree-walking
 // evaluator and demands identical receipts, events and roots.
 func TestVMPolicyReplay(t *testing.T) {

@@ -62,7 +62,7 @@ func (c *Collector) AddHistory(samples ...HistorySample) {
 	}
 }
 
-// AddHistoryDump merges a /metrics/history response into the collector.
+// AddHistoryDump merges a /v1/metrics/history response into the collector.
 // Samples missing a node name inherit the dump's.
 func (c *Collector) AddHistoryDump(d HistoryDump) {
 	for i := range d.Samples {

@@ -7,9 +7,9 @@ import (
 
 // LabelComponent is the pprof label key stamped on hot-path goroutines.
 // A CPU profile of a busy node then attributes samples by subsystem
-// ("ledger.parallel.worker", "ledger.seal", "chainstore.fsync", ...)
-// instead of lumping everything under anonymous goroutine stacks — the
-// attribution that answers "where does the scheduler overhead go".
+// ("ledger.seal", "ledger.import", "chainstore.fsync", ...) instead of
+// lumping everything under anonymous goroutine stacks — the attribution
+// that answers "which layer is a busy sealer spending its CPU in".
 const LabelComponent = "component"
 
 // WithComponent runs f with the component pprof label applied to the
@@ -17,8 +17,8 @@ const LabelComponent = "component"
 // shows up in CPU and goroutine profiles under the "component" key.
 //
 // Cost when nobody is profiling is a few tens of nanoseconds — cheap
-// enough for per-block paths (seal, import, fsync), but the parallel
-// executor applies it once per worker goroutine, not once per tx.
+// enough for per-block paths (seal, import, fsync), too dear to apply
+// once per transaction.
 func WithComponent(name string, f func()) {
 	pprof.Do(context.Background(), pprof.Labels(LabelComponent, name), func(context.Context) { f() })
 }

@@ -4,7 +4,7 @@
 // span tracer (trace.go). Every hot path in the stack — ledger block
 // production, contract execution, the workload lifecycle, gossip rounds,
 // TEE calls — reports into the process-wide default registry, and the
-// API server exposes the snapshot on /metrics and /trace.
+// API server exposes the snapshot on /v1/metrics and /v1/trace.
 //
 // The design goal is near-zero cost when telemetry is off, which is the
 // default: instruments are resolved once (typically into package-level

@@ -167,7 +167,7 @@ func (t *Tracer) Reset() {
 	t.mu.Unlock()
 }
 
-// Trace is the exportable form of the span buffer (the /trace body).
+// Trace is the exportable form of the span buffer (the /v1/trace body).
 type Trace struct {
 	Spans []Span `json:"spans"`
 }
