@@ -13,9 +13,11 @@ race:
 
 # race-core runs the race detector over just the packages that exercise
 # block execution and the seal path (including the sealer + follower +
-# lock-free producers + unlocked State readers stress test) — the fast
-# feedback loop while iterating on state or mempool code, and the
-# fail-fast first stage of ci's race coverage.
+# lock-free producers + unlocked State readers stress test, and
+# ledger.TestStateRootConcurrentReaders: primitive readers against a
+# writer that transfers, reverts and calls Root(), which mutates the
+# cached commitment) — the fast feedback loop while iterating on state
+# or mempool code, and the fail-fast first stage of ci's race coverage.
 race-core:
 	$(GO) test -race ./internal/ledger/... ./internal/market/...
 
@@ -38,6 +40,7 @@ proptest:
 fuzz:
 	$(GO) test ./internal/ledger/ -run NONE -fuzz FuzzTxDecode -fuzztime 5s
 	$(GO) test ./internal/ledger/ -run NONE -fuzz FuzzBlockImport -fuzztime 5s
+	$(GO) test ./internal/ledger/ -run NONE -fuzz FuzzStateRoot -fuzztime 5s
 	$(GO) test ./internal/contract/ -run NONE -fuzz FuzzEncoderRoundTrip -fuzztime 5s
 	$(GO) test ./internal/vm/ -run NONE -fuzz FuzzCompile -fuzztime 5s
 	$(GO) test ./internal/vm/ -run NONE -fuzz FuzzVMExecute -fuzztime 5s

@@ -127,6 +127,8 @@ func TestMetricsAndTraceEndpoints(t *testing.T) {
 	}
 	for name, check := range map[string]func(telemetry.Metric) bool{
 		"ledger.block.seal_seconds":        func(m telemetry.Metric) bool { return m.Count > 0 },
+		"ledger.state.root_seconds":        func(m telemetry.Metric) bool { return m.Count > 0 },
+		"ledger.state.root_dirty_records":  func(m telemetry.Metric) bool { return m.Count > 0 && m.Sum > 0 },
 		"ledger.tx.applied_total":          func(m telemetry.Metric) bool { return m.Value > 0 },
 		"contract.calls_total":             func(m telemetry.Metric) bool { return m.Value > 0 },
 		"market.workloads.submitted_total": func(m telemetry.Metric) bool { return m.Value >= 1 },

@@ -41,6 +41,22 @@ func HashString(s string) Digest {
 // is length-prefixed so that the encoding is injective: HashConcat(a, b)
 // never equals HashConcat(ab) unless a and b already embed the framing.
 func HashConcat(parts ...[]byte) Digest {
+	n := 0
+	for _, p := range parts {
+		n += 8 + len(p)
+	}
+	// Short inputs — Merkle leaves and nodes, record keys — are framed
+	// in a stack buffer and hashed in one call; that is several times
+	// cheaper than streaming them through a hash.Hash.
+	var stack [192]byte
+	if n <= len(stack) {
+		buf := stack[:0]
+		for _, p := range parts {
+			buf = binary.BigEndian.AppendUint64(buf, uint64(len(p)))
+			buf = append(buf, p...)
+		}
+		return sha256.Sum256(buf)
+	}
 	h := sha256.New()
 	var lenBuf [8]byte
 	for _, p := range parts {

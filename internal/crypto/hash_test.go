@@ -2,6 +2,7 @@ package crypto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -17,6 +18,23 @@ func TestHashConcatInjective(t *testing.T) {
 	c := HashConcat([]byte("abc"))
 	if a == b || a == c || b == c {
 		t.Fatal("HashConcat framing is not injective")
+	}
+}
+
+// TestHashConcatFramingAcrossSizes pins the short-input fast path and
+// the streaming path to one framing: 8-byte big-endian length, then the
+// part, for each part.
+func TestHashConcatFramingAcrossSizes(t *testing.T) {
+	for _, n := range []int{0, 1, 150, 171, 172, 173, 200, 1000} {
+		a, b := bytes.Repeat([]byte{0xa5}, n), []byte("tail")
+		var framed []byte
+		for _, p := range [][]byte{a, b} {
+			framed = binary.BigEndian.AppendUint64(framed, uint64(len(p)))
+			framed = append(framed, p...)
+		}
+		if got, want := HashConcat(a, b), HashBytes(framed); got != want {
+			t.Fatalf("n=%d: HashConcat = %s, framed hash %s", n, got.Short(), want.Short())
+		}
 	}
 }
 

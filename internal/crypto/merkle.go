@@ -34,32 +34,58 @@ func NewMerkleTree(leaves [][]byte) (*MerkleTree, error) {
 	}
 	level := make([]Digest, len(leaves))
 	for i, leaf := range leaves {
-		level[i] = HashConcat(merkleLeafPrefix, leaf)
+		level[i] = MerkleLeaf(leaf)
 	}
 	t := &MerkleTree{levels: [][]Digest{level}}
 	for len(level) > 1 {
-		next := make([]Digest, 0, (len(level)+1)/2)
-		for i := 0; i < len(level); i += 2 {
-			if i+1 < len(level) {
-				next = append(next, hashMerkleNode(level[i], level[i+1]))
-			} else {
-				next = append(next, level[i]) // promote odd node
-			}
-		}
-		t.levels = append(t.levels, next)
-		level = next
+		level = foldMerkleLevel(make([]Digest, 0, (len(level)+1)/2), level)
+		t.levels = append(t.levels, level)
 	}
 	return t, nil
+}
+
+// foldMerkleLevel appends the level above level to dst: adjacent pairs
+// hash together, an odd node at the end is promoted unchanged. dst may
+// alias level's backing array from its start — each write lands behind
+// the reads that feed it.
+func foldMerkleLevel(dst, level []Digest) []Digest {
+	for i := 0; i < len(level); i += 2 {
+		if i+1 < len(level) {
+			dst = append(dst, hashMerkleNode(level[i], level[i+1]))
+		} else {
+			dst = append(dst, level[i])
+		}
+	}
+	return dst
+}
+
+// MerkleLeaf returns the leaf-level digest of one leaf payload.
+func MerkleLeaf(leaf []byte) Digest {
+	return HashConcat(merkleLeafPrefix, leaf)
+}
+
+// MerkleRootOfLeaves returns the root of the tree whose leaf-level
+// digests (see MerkleLeaf) are given, or ZeroDigest for none. It folds
+// the levels in place, so the slice's contents are clobbered; callers
+// that hash many small trees reuse one scratch slice across them.
+func MerkleRootOfLeaves(level []Digest) Digest {
+	if len(level) == 0 {
+		return ZeroDigest
+	}
+	for len(level) > 1 {
+		level = foldMerkleLevel(level[:0], level)
+	}
+	return level[0]
 }
 
 // MerkleRootOf is a convenience wrapper returning just the root digest of
 // the given leaves, or ZeroDigest when leaves is empty.
 func MerkleRootOf(leaves [][]byte) Digest {
-	if len(leaves) == 0 {
-		return ZeroDigest
+	level := make([]Digest, len(leaves))
+	for i, leaf := range leaves {
+		level[i] = MerkleLeaf(leaf)
 	}
-	t, _ := NewMerkleTree(leaves)
-	return t.Root()
+	return MerkleRootOfLeaves(level)
 }
 
 func hashMerkleNode(left, right Digest) Digest {

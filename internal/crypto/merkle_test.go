@@ -48,6 +48,10 @@ func TestMerkleProofsAllSizes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
+		// The in-place fold and the level-keeping tree are one definition.
+		if got := MerkleRootOf(leaves); got != tree.Root() {
+			t.Fatalf("n=%d: MerkleRootOf = %s, tree root %s", n, got.Short(), tree.Root().Short())
+		}
 		for i := 0; i < n; i++ {
 			proof, err := tree.Prove(i)
 			if err != nil {

@@ -162,7 +162,9 @@ func (c *Chain) BlockAt(h uint64) (*Block, error) {
 }
 
 // State returns the live world state. Callers outside block processing
-// must treat it as read-only; contract views go through it.
+// must treat it as read-only; contract views go through it. State.Root
+// updates the cached commitment, so it too belongs to whoever
+// serializes chain mutation.
 func (c *Chain) State() *State { return c.state }
 
 // Receipt returns the receipt for a transaction hash.

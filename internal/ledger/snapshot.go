@@ -71,19 +71,12 @@ func (c *Chain) ExportSnapshot() *StateSnapshot {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	for a, v := range st.balances {
-		if v != 0 {
-			snap.Balances[a] = v
-		}
+		snap.Balances[a] = v
 	}
 	for a, v := range st.nonces {
-		if v != 0 {
-			snap.Nonces[a] = v
-		}
+		snap.Nonces[a] = v
 	}
 	for a, slot := range st.storage {
-		if len(slot) == 0 {
-			continue
-		}
 		cp := make(map[string][]byte, len(slot))
 		for k, v := range slot {
 			cp[k] = append([]byte(nil), v...)

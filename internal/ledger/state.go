@@ -1,13 +1,13 @@
 package ledger
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
-	"pds2/internal/crypto"
 	"pds2/internal/identity"
 	"pds2/internal/telemetry"
 )
@@ -18,6 +18,8 @@ var mStateWrites = telemetry.C("ledger.state.writes_total")
 
 // State is the replicated world state of the governance ledger: native
 // token balances, account nonces and per-contract key/value storage.
+// The maps hold live records only — a zero balance or nonce and an
+// empty storage value are absent keys — so map sizes are record counts.
 //
 // All mutations are journaled, so the contract runtime can take snapshots
 // and revert to them — the mechanism behind transactional contract calls
@@ -30,31 +32,26 @@ var mStateWrites = telemetry.C("ledger.state.writes_total")
 // concurrently with that writer — each primitive access takes the lock,
 // so a reader outside whatever serializes chain mutation (a status
 // probe, an admission nonce lookup) never races block execution.
+// Root is on the writer's side of that contract: it flushes pending
+// writes into the cached commitment (stateroot.go) under the write
+// lock, so only whoever serializes chain mutation may call it.
 type State struct {
 	mu       sync.RWMutex
 	balances map[identity.Address]uint64
 	nonces   map[identity.Address]uint64
 	storage  map[identity.Address]map[string][]byte
 	journal  []journalEntry
+	commitment
 }
 
-// journalEntry is the undo record for one primitive mutation.
+// journalEntry is the undo record for one primitive mutation: the
+// record written and its previous value (zero or nil when it did not
+// exist).
 type journalEntry struct {
-	kind     journalKind
-	addr     identity.Address
-	key      string
+	recKey
 	prevU64  uint64
 	prevBlob []byte
-	existed  bool
 }
-
-type journalKind uint8
-
-const (
-	jBalance journalKind = iota
-	jNonce
-	jStorage
-)
 
 // NewState returns an empty world state.
 func NewState() *State {
@@ -76,10 +73,8 @@ func (s *State) Balance(addr identity.Address) uint64 {
 // SetBalance sets the balance of addr, journaling the previous value.
 func (s *State) SetBalance(addr identity.Address, v uint64) {
 	s.mu.Lock()
-	s.journal = append(s.journal, journalEntry{kind: jBalance, addr: addr, prevU64: s.balances[addr]})
-	s.balances[addr] = v
+	s.putU64(recBalance, addr, v)
 	s.mu.Unlock()
-	mStateWrites.Inc()
 }
 
 // AddBalance credits addr. It returns an error on overflow.
@@ -114,19 +109,42 @@ func (s *State) Nonce(addr identity.Address) uint64 {
 // transaction flow only ever bumps; this exists for snapshot restore.
 func (s *State) SetNonce(addr identity.Address, v uint64) {
 	s.mu.Lock()
-	s.journal = append(s.journal, journalEntry{kind: jNonce, addr: addr, prevU64: s.nonces[addr]})
-	s.nonces[addr] = v
+	s.putU64(recNonce, addr, v)
 	s.mu.Unlock()
-	mStateWrites.Inc()
 }
 
 // BumpNonce increments addr's nonce.
 func (s *State) BumpNonce(addr identity.Address) {
 	s.mu.Lock()
-	s.journal = append(s.journal, journalEntry{kind: jNonce, addr: addr, prevU64: s.nonces[addr]})
-	s.nonces[addr]++
+	s.putU64(recNonce, addr, s.nonces[addr]+1)
 	s.mu.Unlock()
+}
+
+// u64s returns the map holding records of the given kind.
+func (s *State) u64s(kind recKind) map[identity.Address]uint64 {
+	if kind == recBalance {
+		return s.balances
+	}
+	return s.nonces
+}
+
+// putU64 journals and applies one balance or nonce write and marks the
+// record dirty. The caller holds s.mu.
+func (s *State) putU64(kind recKind, addr identity.Address, v uint64) {
+	m, k := s.u64s(kind), recKey{kind: kind, addr: addr}
+	s.journal = append(s.journal, journalEntry{recKey: k, prevU64: m[addr]})
+	setU64(m, addr, v)
+	s.dirty = append(s.dirty, k)
 	mStateWrites.Inc()
+}
+
+// setU64 stores v under addr; zero is the absent key.
+func setU64(m map[identity.Address]uint64, addr identity.Address, v uint64) {
+	if v == 0 {
+		delete(m, addr)
+	} else {
+		m[addr] = v
+	}
 }
 
 // GetStorage returns a copy of the stored value for (contract, key), or
@@ -147,23 +165,34 @@ func (s *State) GetStorage(contract identity.Address, key string) []byte {
 // deletes the key.
 func (s *State) SetStorage(contract identity.Address, key string, value []byte) {
 	s.mu.Lock()
-	slot := s.storage[contract]
-	prev, existed := slot[key]
-	s.journal = append(s.journal, journalEntry{
-		kind: jStorage, addr: contract, key: key,
-		prevBlob: append([]byte(nil), prev...), existed: existed,
-	})
-	if len(value) == 0 {
-		delete(slot, key)
-	} else {
-		if slot == nil {
-			slot = make(map[string][]byte)
-			s.storage[contract] = slot
-		}
-		slot[key] = append([]byte(nil), value...)
+	k := recKey{kind: recStorage, addr: contract, key: key}
+	s.journal = append(s.journal, journalEntry{recKey: k, prevBlob: s.storage[contract][key]})
+	if len(value) != 0 {
+		value = append([]byte(nil), value...)
 	}
+	s.setStorage(contract, key, value)
+	s.dirty = append(s.dirty, k)
 	s.mu.Unlock()
 	mStateWrites.Inc()
+}
+
+// setStorage installs value (which the state then owns) under
+// (contract, key); empty is the absent key, and a contract's last key
+// takes its slot map with it.
+func (s *State) setStorage(contract identity.Address, key string, value []byte) {
+	slot := s.storage[contract]
+	if len(value) == 0 {
+		delete(slot, key)
+		if len(slot) == 0 {
+			delete(s.storage, contract)
+		}
+		return
+	}
+	if slot == nil {
+		slot = make(map[string][]byte)
+		s.storage[contract] = slot
+	}
+	slot[key] = value
 }
 
 // StorageKeys returns the sorted keys under a contract's storage with the
@@ -201,26 +230,17 @@ func (s *State) TotalBalance() uint64 {
 // auditors walk to compare replicas account by account.
 func (s *State) Accounts() []identity.Address {
 	s.mu.RLock()
-	addrs := nonZeroAddrs(s.balances)
-	for a, v := range s.nonces {
-		if v != 0 && s.balances[a] == 0 {
+	addrs := make([]identity.Address, 0, len(s.balances))
+	for a := range s.balances {
+		addrs = append(addrs, a)
+	}
+	for a := range s.nonces {
+		if _, funded := s.balances[a]; !funded {
 			addrs = append(addrs, a)
 		}
 	}
 	s.mu.RUnlock()
 	sortAddresses(addrs)
-	return addrs
-}
-
-// nonZeroAddrs returns the keys of m that map to a non-zero value, in
-// map order.
-func nonZeroAddrs(m map[identity.Address]uint64) []identity.Address {
-	addrs := make([]identity.Address, 0, len(m))
-	for a, v := range m {
-		if v != 0 {
-			addrs = append(addrs, a)
-		}
-	}
 	return addrs
 }
 
@@ -234,6 +254,8 @@ func (s *State) JournalLen() int { return len(s.journal) }
 func (s *State) Snapshot() int { return len(s.journal) }
 
 // RevertTo undoes every mutation recorded after the snapshot marker.
+// Each restored record is marked dirty again: a Root taken inside the
+// reverted span has already folded the undone value into the commitment.
 func (s *State) RevertTo(snap int) {
 	if snap < 0 || snap > len(s.journal) {
 		panic(fmt.Sprintf("ledger: invalid snapshot %d (journal %d)", snap, len(s.journal)))
@@ -241,23 +263,12 @@ func (s *State) RevertTo(snap int) {
 	s.mu.Lock()
 	for i := len(s.journal) - 1; i >= snap; i-- {
 		e := s.journal[i]
-		switch e.kind {
-		case jBalance:
-			s.balances[e.addr] = e.prevU64
-		case jNonce:
-			s.nonces[e.addr] = e.prevU64
-		case jStorage:
-			slot := s.storage[e.addr]
-			if e.existed {
-				if slot == nil {
-					slot = make(map[string][]byte)
-					s.storage[e.addr] = slot
-				}
-				slot[e.key] = e.prevBlob
-			} else if slot != nil {
-				delete(slot, e.key)
-			}
+		if e.kind == recStorage {
+			s.setStorage(e.addr, e.key, e.prevBlob)
+		} else {
+			setU64(s.u64s(e.kind), e.addr, e.prevU64)
 		}
+		s.dirty = append(s.dirty, e.recKey)
 	}
 	s.mu.Unlock()
 	s.journal = s.journal[:snap]
@@ -266,63 +277,6 @@ func (s *State) RevertTo(snap int) {
 // Commit discards undo information, making all mutations permanent.
 func (s *State) Commit() { s.journal = s.journal[:0] }
 
-// Root computes a deterministic digest of the entire world state. It is
-// recomputed per block and stored in the header, so any two replicas can
-// cheaply compare their states. The leaves are, in order: one 'B' record
-// per non-zero balance and one 'N' record per non-zero nonce, each by
-// ascending address, then one 'S' record per storage key, by ascending
-// contract address and key.
-func (s *State) Root() crypto.Digest {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var h [][]byte
-
-	u64Records := func(tag byte, m map[identity.Address]uint64) {
-		addrs := nonZeroAddrs(m)
-		sortAddresses(addrs)
-		for _, a := range addrs {
-			rec := make([]byte, 0, identity.AddressSize+9)
-			rec = append(rec, tag)
-			rec = append(rec, a[:]...)
-			rec = binary.BigEndian.AppendUint64(rec, m[a])
-			h = append(h, rec)
-		}
-	}
-	u64Records('B', s.balances)
-	u64Records('N', s.nonces)
-
-	addrs := make([]identity.Address, 0, len(s.storage))
-	for a := range s.storage {
-		addrs = append(addrs, a)
-	}
-	sortAddresses(addrs)
-	for _, a := range addrs {
-		slot := s.storage[a]
-		keys := make([]string, 0, len(slot))
-		for k := range slot {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			rec := make([]byte, 0, identity.AddressSize+len(k)+len(slot[k])+10)
-			rec = append(rec, 'S')
-			rec = append(rec, a[:]...)
-			rec = binary.BigEndian.AppendUint64(rec, uint64(len(k)))
-			rec = append(rec, k...)
-			rec = append(rec, slot[k]...)
-			h = append(h, rec)
-		}
-	}
-	return crypto.MerkleRootOf(h)
-}
-
 func sortAddresses(addrs []identity.Address) {
-	sort.Slice(addrs, func(i, j int) bool {
-		for k := 0; k < identity.AddressSize; k++ {
-			if addrs[i][k] != addrs[j][k] {
-				return addrs[i][k] < addrs[j][k]
-			}
-		}
-		return false
-	})
+	slices.SortFunc(addrs, func(a, b identity.Address) int { return bytes.Compare(a[:], b[:]) })
 }

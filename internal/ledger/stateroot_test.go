@@ -1,0 +1,341 @@
+package ledger
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"slices"
+	"sync"
+	"testing"
+
+	"pds2/internal/crypto"
+	"pds2/internal/identity"
+)
+
+// specRoot computes the state commitment straight from its definition
+// (stateroot.go's header comment) over plain maps: encode every record,
+// bucket by SHA-256 of the key part, sort each bucket by key bytes, fold
+// the bucket digests pairwise. It shares no code with State.Root beyond
+// the crypto package's Merkle and hash primitives.
+func specRoot(balances, nonces map[identity.Address]uint64, storage map[identity.Address]map[string][]byte) crypto.Digest {
+	type record struct{ key, leaf []byte }
+	buckets := make([][]record, stateBuckets)
+	add := func(key, value []byte) {
+		h := sha256.Sum256(key)
+		b := int(h[0])<<8 | int(h[1])
+		b >>= 16 - stateBucketBits
+		buckets[b] = append(buckets[b], record{key, append(append([]byte(nil), key...), value...)})
+	}
+	for a, v := range balances {
+		add(append([]byte{'B'}, a[:]...), binary.BigEndian.AppendUint64(nil, v))
+	}
+	for a, v := range nonces {
+		add(append([]byte{'N'}, a[:]...), binary.BigEndian.AppendUint64(nil, v))
+	}
+	for a, slot := range storage {
+		for k, v := range slot {
+			key := binary.BigEndian.AppendUint64(append([]byte{'S'}, a[:]...), uint64(len(k)))
+			add(append(key, k...), v)
+		}
+	}
+	level := make([]crypto.Digest, stateBuckets)
+	for b, recs := range buckets {
+		slices.SortFunc(recs, func(x, y record) int { return bytes.Compare(x.key, y.key) })
+		leaves := make([][]byte, len(recs))
+		for i, r := range recs {
+			leaves[i] = r.leaf
+		}
+		level[b] = crypto.MerkleRootOf(leaves)
+	}
+	for len(level) > 1 {
+		next := make([]crypto.Digest, len(level)/2)
+		for i := range next {
+			if l, r := level[2*i], level[2*i+1]; !l.IsZero() || !r.IsZero() {
+				next[i] = crypto.HashConcat([]byte{0x02}, l[:], r[:])
+			}
+		}
+		level = next
+	}
+	return level[0]
+}
+
+// checkCommitment asserts the three-way identity the commitment rests
+// on: the maps hold live records only, the buckets hold exactly those
+// records, and the incrementally maintained root equals both the
+// definition and a fresh State loaded with the same contents.
+func checkCommitment(t *testing.T, st *State) {
+	t.Helper()
+	got := st.Root()
+	live := len(st.balances) + len(st.nonces)
+	for a, v := range st.balances {
+		if v == 0 {
+			t.Fatalf("zero balance kept for %s", a.Short())
+		}
+	}
+	for a, v := range st.nonces {
+		if v == 0 {
+			t.Fatalf("zero nonce kept for %s", a.Short())
+		}
+	}
+	for a, slot := range st.storage {
+		if len(slot) == 0 {
+			t.Fatalf("empty storage slot kept for %s", a.Short())
+		}
+		for k, v := range slot {
+			if len(v) == 0 {
+				t.Fatalf("empty storage value kept for %s/%q", a.Short(), k)
+			}
+		}
+		live += len(slot)
+	}
+	members := 0
+	for _, b := range st.buckets {
+		members += len(b)
+	}
+	if members != live {
+		t.Fatalf("commitment holds %d records, maps hold %d", members, live)
+	}
+	if want := specRoot(st.balances, st.nonces, st.storage); got != want {
+		t.Fatalf("incremental root %s, definition gives %s", got.Short(), want.Short())
+	}
+	fresh := NewState()
+	for a, v := range st.balances {
+		fresh.SetBalance(a, v)
+	}
+	for a, v := range st.nonces {
+		fresh.SetNonce(a, v)
+	}
+	for a, slot := range st.storage {
+		for k, v := range slot {
+			fresh.SetStorage(a, k, v)
+		}
+	}
+	if want := fresh.Root(); got != want {
+		t.Fatalf("incremental root %s, from-scratch build gives %s", got.Short(), want.Short())
+	}
+}
+
+// TestStateMapsHoldLiveRecordsOnly pins that zero writes and reverted
+// first writes leave nothing behind — in the maps or in the commitment.
+func TestStateMapsHoldLiveRecordsOnly(t *testing.T) {
+	st := NewState()
+	a, fresh, c := testAddr(1), testAddr(2), testAddr(3)
+	empty := st.Root()
+
+	// Drain to zero, root, then refund.
+	st.SetBalance(a, 10)
+	st.SetNonce(a, 1)
+	st.SetStorage(c, "k", []byte("v"))
+	st.Commit()
+	checkCommitment(t, st)
+	st.SetBalance(a, 0)
+	st.SetNonce(a, 0)
+	st.SetStorage(c, "k", nil)
+	st.Commit()
+	checkCommitment(t, st)
+	if n := len(st.balances) + len(st.nonces) + len(st.storage); n != 0 {
+		t.Fatalf("drained state keeps %d map entries", n)
+	}
+	if st.Root() != empty || !empty.IsZero() {
+		t.Fatalf("drained state root %s, empty root %s", st.Root().Short(), empty.Short())
+	}
+	st.SetBalance(a, 7)
+	st.Commit()
+	checkCommitment(t, st)
+
+	// Revert of a first-ever credit, nonce and storage write — once with
+	// the root taken mid-journal (ExecuteBatch, VerifyBlock), once not.
+	for _, rootMidJournal := range []bool{false, true} {
+		before := st.Root()
+		snap := st.Snapshot()
+		st.SetBalance(fresh, 5)
+		st.BumpNonce(fresh)
+		st.SetStorage(fresh, "first", []byte("x"))
+		if rootMidJournal && st.Root() == before {
+			t.Fatal("root ignored uncommitted writes")
+		}
+		st.RevertTo(snap)
+		checkCommitment(t, st)
+		if st.Root() != before {
+			t.Fatalf("root moved across a reverted span (mid-journal root: %v)", rootMidJournal)
+		}
+		if len(st.balances) != 1 || len(st.nonces) != 0 || len(st.storage) != 0 {
+			t.Fatalf("revert left %d balances, %d nonces, %d slots",
+				len(st.balances), len(st.nonces), len(st.storage))
+		}
+	}
+	if got := st.Accounts(); len(got) != 1 || got[0] != a {
+		t.Fatalf("Accounts() = %v, want just %s", got, a.Short())
+	}
+}
+
+// FuzzStateRoot interprets its input as a program of state operations —
+// set, zero, storage write and delete, snapshot, revert, commit, and a
+// Root() taken mid-journal — and demands that the incrementally
+// maintained commitment ends equal to the definition and to a fresh
+// State loaded with the final contents.
+func FuzzStateRoot(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 5, 1, 1, 0, 2, 1, 9, 7, 0, 0, 0, 1, 0})
+	f.Add([]byte{2, 0, 3, 4, 0, 0, 2, 0, 4, 7, 0, 0, 5, 0, 0, 7, 0, 0, 3, 0, 0})
+	f.Add([]byte{4, 0, 0, 0, 2, 8, 1, 2, 0, 2, 2, 6, 7, 0, 0, 5, 0, 0, 0, 2, 0, 6, 0, 0, 7, 0, 0})
+	rng := crypto.NewDRBGFromUint64(13, "state-root-fuzz")
+	f.Add(rng.Bytes(900))
+	f.Add(rng.Bytes(3000))
+
+	addrs := make([]identity.Address, 8)
+	for i := range addrs {
+		addrs[i] = testAddr(uint64(100 + i))
+	}
+	// Keys of several lengths: the in-bucket order puts the length first.
+	keys := []string{"k", "kk", "a/long/key", "z", ""}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		st := NewState()
+		var snaps []int
+		for ; len(prog) >= 3; prog = prog[3:] {
+			a, v := addrs[int(prog[1])%len(addrs)], prog[2]
+			switch prog[0] % 8 {
+			case 0:
+				st.SetBalance(a, uint64(v)) // v == 0 is the zero write
+			case 1:
+				st.SetNonce(a, uint64(v))
+			case 2:
+				st.BumpNonce(a)
+			case 3:
+				var val []byte // v == 0 is the delete
+				if v != 0 {
+					val = bytes.Repeat([]byte{v}, int(v)%5+1)
+				}
+				st.SetStorage(a, keys[int(prog[1]/8)%len(keys)], val)
+			case 4:
+				snaps = append(snaps, st.Snapshot())
+			case 5:
+				if len(snaps) > 0 {
+					i := int(v) % len(snaps)
+					st.RevertTo(snaps[i])
+					snaps = snaps[:i]
+				}
+			case 6:
+				st.Commit()
+				snaps = snaps[:0]
+			case 7:
+				st.Root()
+			}
+		}
+		checkCommitment(t, st)
+	})
+}
+
+// TestStateRootConcurrentReaders is the -race case for Root as a
+// mutator of cached state: primitive readers hammer the state while the
+// one writer applies transfers, reverts some of them and takes the root
+// every round, as a sealer does.
+func TestStateRootConcurrentReaders(t *testing.T) {
+	st := NewState()
+	addrs := make([]identity.Address, 64)
+	for i := range addrs {
+		addrs[i] = testAddr(uint64(i))
+		st.SetBalance(addrs[i], 1_000_000)
+	}
+	contract := testAddr(1000)
+	st.Commit()
+	st.Root()
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				a := addrs[i%len(addrs)]
+				_ = st.Balance(a)
+				_ = st.Nonce(a)
+				_ = st.GetStorage(contract, "last")
+				_ = st.StorageKeys(contract, "")
+			}
+		}(r)
+	}
+	applier := TransferApplier{}
+	for round := 0; round < 200; round++ {
+		snap := st.Snapshot()
+		for j := 0; j < 8; j++ {
+			from, to := addrs[(round+j)%len(addrs)], addrs[(round*7+j+1)%len(addrs)]
+			tx := &Transaction{From: from, To: to, Value: uint64(j + 1), Nonce: st.Nonce(from)}
+			if _, err := applier.Apply(st, tx, uint64(round+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st.SetStorage(contract, "last", []byte{byte(round), 1})
+		st.Root()
+		if round%3 == 0 {
+			st.RevertTo(snap)
+			st.Root()
+		}
+		st.Commit()
+	}
+	close(stop)
+	readers.Wait()
+	checkCommitment(t, st)
+}
+
+// benchAddrs returns n distinct deterministic addresses.
+func benchAddrs(n int) []identity.Address {
+	addrs := make([]identity.Address, n)
+	for i := range addrs {
+		d := crypto.HashBytes(binary.BigEndian.AppendUint64(nil, uint64(i)))
+		copy(addrs[i][:], d[:])
+	}
+	return addrs
+}
+
+var rootSink crypto.Digest
+
+// BenchmarkStateRoot measures one Root() after a block's worth of
+// writes — 150 touched records, a 50-transfer block — at three state
+// sizes, and the from-scratch build every genesis and snapshot restore
+// pays once.
+func BenchmarkStateRoot(b *testing.B) {
+	funded := func(addrs []identity.Address) *State {
+		st := NewState()
+		for _, a := range addrs {
+			st.SetBalance(a, 1_000_000)
+		}
+		st.Commit()
+		return st
+	}
+	for _, n := range []int{10_000, 100_000, 1_000_000} {
+		addrs := benchAddrs(n)
+		b.Run(fmt.Sprintf("accounts=%d/touched=150", n), func(b *testing.B) {
+			st := funded(addrs)
+			st.Root()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < 150; j++ {
+					st.SetBalance(addrs[(i*150+j)*7919%n], uint64(i+2))
+				}
+				st.Commit()
+				rootSink = st.Root()
+			}
+		})
+		if n > 100_000 {
+			continue
+		}
+		b.Run(fmt.Sprintf("accounts=%d/build", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				st := funded(addrs)
+				b.StartTimer()
+				rootSink = st.Root()
+			}
+		})
+	}
+}

@@ -7,15 +7,20 @@ import (
 	"pds2/internal/identity"
 	"pds2/internal/ledger"
 	"pds2/internal/policy"
+	"pds2/internal/proptest/flatroot"
 )
 
 // TestChainGolden pins the head block hash and state root of a
 // fixed-seed chain — the market's four set-up blocks plus three blocks
 // of transfers (one overdrawn), a registry contract call and a policy
-// write — to literals computed at the commit before the parallel
-// executor and state sharding were removed. Every replay oracle compares
-// replicas built from the same code; only a literal catches a change
-// that moves all of them together.
+// write — to literals. Every replay oracle compares replicas built from
+// the same code; only a literal catches a change that moves all of them
+// together. wantFlatRoot is the same state's digest under the flat
+// state-root definition the bucketed commitment replaced (computed at
+// the commit before the parallel executor and state sharding were
+// removed); the oracle reproducing it proves the chain's records and
+// their encodings did not move, only the tree over them — and with it
+// the header roots and the block hashes that cover them.
 func TestChainGolden(t *testing.T) {
 	rng := crypto.NewDRBGFromUint64(2021, "golden")
 	ids := make([]*identity.Identity, 3)
@@ -68,8 +73,10 @@ func TestChainGolden(t *testing.T) {
 
 	const (
 		wantHeight = 7
-		wantHead   = "9b6c4900fa8d9b099743a810762ff8b5f8517c2e98a1d8a791a98fdc5cf72eb4"
-		wantRoot   = "5f98986acd6d265668efd8a1a9eff059489eccaf3e31c5a105fc034af164b273"
+		wantHead   = "ba0d594a232a84ae923ea7a790df06f0f0f7c5568f625c20b6b112e6274161e3"
+		wantRoot   = "f11a39460db3b0bc24f745b0cf01542132caf02cc4bcffa852ab56c70cd130ee"
+
+		wantFlatRoot = "5f98986acd6d265668efd8a1a9eff059489eccaf3e31c5a105fc034af164b273"
 	)
 	head := m.Chain.Head()
 	if head.Header.Height != wantHeight {
@@ -80,5 +87,9 @@ func TestChainGolden(t *testing.T) {
 	}
 	if got := m.Chain.State().Root().Hex(); got != wantRoot {
 		t.Errorf("state root = %s, want %s", got, wantRoot)
+	}
+	snap := m.Chain.ExportSnapshot()
+	if got := flatroot.Of(snap.Balances, snap.Nonces, snap.Storage).Hex(); got != wantFlatRoot {
+		t.Errorf("flat oracle = %s, want %s", got, wantFlatRoot)
 	}
 }

@@ -18,11 +18,11 @@ import (
 // The export-level kinds (CorruptExport) simulate a tampering relay:
 // they break the transaction signature, the tx-root commitment, or the
 // proposer seal, and must be caught by the header/stateless checks. The
-// forged-block kinds (ForgeSkippedNonceBlock, ForgeBalanceClaimBlock)
-// simulate a *malicious authority*: the seal is genuine, every
-// commitment is internally consistent with the hostile payload, and
-// only the execution-level checks (nonce continuity, recomputed state
-// root) can catch them.
+// forged-block kinds (ForgeSkippedNonceBlock, ForgeBalanceClaimBlock,
+// ForgeFlatRootBlock) simulate a *malicious authority*: the seal is
+// genuine, every commitment is internally consistent with the hostile
+// payload, and only the execution-level checks (nonce continuity,
+// recomputed state root) can catch them.
 
 // Corruption enumerates the export-level tampering kinds.
 type Corruption int
@@ -150,6 +150,34 @@ func ForgeBalanceClaimBlock(m *market.Market, authority, sender *identity.Identi
 	}
 	blk.Seal(authority)
 	return blk
+}
+
+// ForgeFlatRootBlock builds a validly-sealed block that is valid in
+// every respect but one: its header commits to the post-state under the
+// flat state-root definition the bucketed commitment replaced — what a
+// proposer still running the old root would seal. The valid twin is
+// proposed on a scratch copy of the live chain, so the forgery differs
+// from an acceptable block in Header.StateRoot (and the seal over it)
+// alone; every mode must refuse it with ledger.ErrBadStateRoot.
+func ForgeFlatRootBlock(m *market.Market, authority, sender *identity.Identity) (*ledger.Block, error) {
+	rt, err := MarketRuntime()
+	if err != nil {
+		return nil, err
+	}
+	scratch, err := ledger.NewChainFromSnapshot(m.Chain.ExportSnapshot(), rt)
+	if err != nil {
+		return nil, err
+	}
+	nonce := scratch.State().Nonce(sender.Address())
+	tx := ledger.SignTx(sender, authority.Address(), 1, nonce, ledger.TxBaseGas, nil)
+	valid, err := scratch.ProposeBlock(authority, scratch.Head().Header.Timestamp+1, []*ledger.Transaction{tx})
+	if err != nil {
+		return nil, err
+	}
+	forged := &ledger.Block{Header: valid.Header, Txs: valid.Txs}
+	forged.Header.StateRoot = flatRoot(scratch.ExportSnapshot())
+	forged.Seal(authority)
+	return forged, nil
 }
 
 // AppendForgedBlock attaches a forged block to an exported chain,

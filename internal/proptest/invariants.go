@@ -150,6 +150,11 @@ func (a *Auditor) CheckGlobal() []Violation {
 	if root := st.Root(); root != head.Header.StateRoot {
 		add("state-root", "live root %s, head commits %s", root.Short(), head.Header.StateRoot.Short())
 	}
+	// The header root is maintained incrementally; restoring a snapshot
+	// rebuilds it from scratch and refuses one that does not match.
+	if _, err := ledger.NewChainFromSnapshot(a.m.Chain.ExportSnapshot(), nil); err != nil {
+		add("state-root-rebuild", "%v", err)
+	}
 	if n := st.JournalLen(); n != 0 {
 		add("journal", "%d uncommitted journal entries after seal", n)
 	}

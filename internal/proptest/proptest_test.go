@@ -2,11 +2,13 @@ package proptest
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"strconv"
 	"testing"
 
 	"pds2/internal/faults"
+	"pds2/internal/ledger"
 	"pds2/internal/policy"
 )
 
@@ -139,8 +141,8 @@ func TestProptestUnderFaults(t *testing.T) {
 }
 
 // TestCorruptBlocksDetected sweeps every export-level corruption kind
-// and both forged-block kinds over a generated chain: all three replay
-// modes must reject every variant.
+// and the three forged-block kinds over a generated chain: every replay
+// mode must reject every variant.
 func TestCorruptBlocksDetected(t *testing.T) {
 	res, err := RunSeed(11, smokeOps)
 	if err != nil {
@@ -168,21 +170,34 @@ func TestCorruptBlocksDetected(t *testing.T) {
 			}
 		}
 	}
-	// Malicious-authority forgeries: valid seals, hostile payloads.
-	forged := map[string][]byte{}
-	if bad, err := AppendForgedBlock(data, ForgeSkippedNonceBlock(res.Market, res.Authority, res.Sender)); err != nil {
+	// Malicious-authority forgeries: valid seals, hostile payloads. The
+	// two root forgeries must die at the recomputed state root, nowhere
+	// earlier.
+	flatForgery, err := ForgeFlatRootBlock(res.Market, res.Authority, res.Sender)
+	if err != nil {
 		t.Fatal(err)
-	} else {
-		forged["forged-skipped-nonce"] = bad
 	}
-	if bad, err := AppendForgedBlock(data, ForgeBalanceClaimBlock(res.Market, res.Authority, res.Sender)); err != nil {
-		t.Fatal(err)
-	} else {
-		forged["forged-balance-claim"] = bad
-	}
-	for name, bad := range forged {
-		if err := CheckDetection(RunReplayModes(bad)); err != nil {
-			t.Errorf("%s: %v", name, err)
+	for _, fc := range []struct {
+		name    string
+		block   *ledger.Block
+		wantErr error // nil: any rejection
+	}{
+		{"forged-skipped-nonce", ForgeSkippedNonceBlock(res.Market, res.Authority, res.Sender), nil},
+		{"forged-balance-claim", ForgeBalanceClaimBlock(res.Market, res.Authority, res.Sender), ledger.ErrBadStateRoot},
+		{"forged-flat-root", flatForgery, ledger.ErrBadStateRoot},
+	} {
+		bad, err := AppendForgedBlock(data, fc.block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results := RunReplayModes(bad)
+		if err := CheckDetection(results); err != nil {
+			t.Errorf("%s: %v", fc.name, err)
+		}
+		for _, r := range results {
+			if fc.wantErr != nil && !errors.Is(r.Err, fc.wantErr) {
+				t.Errorf("%s: mode %s rejected with %v, want %v", fc.name, r.Mode, r.Err, fc.wantErr)
+			}
 		}
 	}
 }

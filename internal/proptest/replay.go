@@ -14,6 +14,7 @@ import (
 	"pds2/internal/faults"
 	"pds2/internal/ledger"
 	"pds2/internal/market"
+	"pds2/internal/proptest/flatroot"
 )
 
 // The differential replay oracle: every generated chain is executed
@@ -49,6 +50,22 @@ type ModeResult struct {
 	FailedAt uint64 // height of the first rejected block (0 = none)
 	Height   uint64 // final height reached
 	Root     crypto.Digest
+	// FlatRoot is the final state's digest under the pre-bucketing
+	// state-root definition (flatRoot) — a second, independently
+	// computed fingerprint of the same records.
+	FlatRoot crypto.Digest
+}
+
+// flatRoot is the flat state-root oracle over a chain's exported maps.
+func flatRoot(snap *ledger.StateSnapshot) crypto.Digest {
+	return flatroot.Of(snap.Balances, snap.Nonces, snap.Storage)
+}
+
+// observe records where chain ended up.
+func (m *ModeResult) observe(chain *ledger.Chain) {
+	m.Height = chain.Height()
+	m.Root = chain.State().Root()
+	m.FlatRoot = flatRoot(chain.ExportSnapshot())
 }
 
 func (m ModeResult) String() string {
@@ -110,13 +127,11 @@ func runImportMode(data []byte) ModeResult {
 		if err := chain.ImportBlock(b); err != nil {
 			res.Err = err
 			res.FailedAt = b.Header.Height
-			res.Height = chain.Height()
-			res.Root = chain.State().Root()
+			res.observe(chain)
 			return res
 		}
 	}
-	res.Height = chain.Height()
-	res.Root = chain.State().Root()
+	res.observe(chain)
 	return res
 }
 
@@ -156,13 +171,11 @@ func runAuditMode(data []byte) ModeResult {
 		if err := chain.ImportBlock(b); err != nil {
 			res.Err = fmt.Errorf("proptest: verified block failed import: %w", err)
 			res.FailedAt = b.Header.Height
-			res.Height = chain.Height()
-			res.Root = chain.State().Root()
+			res.observe(chain)
 			return res
 		}
 	}
-	res.Height = chain.Height()
-	res.Root = chain.State().Root()
+	res.observe(chain)
 	return res
 }
 
@@ -180,8 +193,7 @@ func runReplayMode(data []byte) ModeResult {
 		res.Err = err
 		return res
 	}
-	res.Height = chain.Height()
-	res.Root = chain.State().Root()
+	res.observe(chain)
 	return res
 }
 
@@ -247,8 +259,7 @@ func persistReplay(data []byte, sched faults.Schedule) (ModeResult, int) {
 		if err := chain.ImportBlock(b); err != nil {
 			res.Err = err
 			res.FailedAt = b.Header.Height
-			res.Height = chain.Height()
-			res.Root = chain.State().Root()
+			res.observe(chain)
 			store.Close()
 			return res, kills
 		}
@@ -280,8 +291,7 @@ func persistReplay(data []byte, sched faults.Schedule) (ModeResult, int) {
 		// block; re-import from wherever the durable prefix ends.
 		i = int(chain.Height()) - firstImportOffset(exp)
 	}
-	res.Height = chain.Height()
-	res.Root = chain.State().Root()
+	res.observe(chain)
 	store.Close()
 	return res, kills
 }
@@ -383,8 +393,7 @@ func runVMMode(data []byte) ModeResult {
 		return res
 	}
 	res.FailedAt, res.Err = lockstepImport(vmChain, refChain, exp.Blocks)
-	res.Height = refChain.Height()
-	res.Root = refChain.State().Root()
+	res.observe(refChain)
 	return res
 }
 
@@ -400,7 +409,8 @@ func RunReplayModes(data []byte) []ModeResult {
 }
 
 // DifferentialCheck asserts that every mode accepted the chain and that
-// all modes converged on the same height and state root; live, when
+// all modes converged on the same height, state root and flat root (the
+// pre-bucketing definition, recomputed from exported maps); live, when
 // non-nil, is the originating market every mode must also agree with.
 func DifferentialCheck(results []ModeResult, live *market.Market) error {
 	if len(results) == 0 {
@@ -411,10 +421,13 @@ func DifferentialCheck(results []ModeResult, live *market.Market) error {
 			return fmt.Errorf("proptest: mode %s rejected the chain: %w", r.Mode, r.Err)
 		}
 	}
+	// Roots and flat roots must agree together: same records under the
+	// old definition ⇔ same commitment under the new one.
 	want := results[0]
 	for _, r := range results[1:] {
-		if r.Height != want.Height || r.Root != want.Root {
-			return fmt.Errorf("proptest: divergence: %s vs %s", want, r)
+		if r.Height != want.Height || r.Root != want.Root || r.FlatRoot != want.FlatRoot {
+			return fmt.Errorf("proptest: divergence: %s vs %s (flat roots %s vs %s)",
+				want, r, want.FlatRoot.Short(), r.FlatRoot.Short())
 		}
 	}
 	if live != nil {
@@ -423,6 +436,9 @@ func DifferentialCheck(results []ModeResult, live *market.Market) error {
 		}
 		if root := live.Chain.State().Root(); root != want.Root {
 			return fmt.Errorf("proptest: replica root %s, live root %s", want.Root.Short(), root.Short())
+		}
+		if flat := flatRoot(live.Chain.ExportSnapshot()); flat != want.FlatRoot {
+			return fmt.Errorf("proptest: replica flat root %s, live flat root %s", want.FlatRoot.Short(), flat.Short())
 		}
 	}
 	return nil
