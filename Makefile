@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-core vet bench proptest fuzz covgate load-smoke bench-compare bench-module diag-selftest pprof-smoke policy-smoke vm-smoke ci-fast ci
+.PHONY: build test race race-core vet loc bench proptest fuzz covgate load-smoke bench-compare bench-module diag-selftest pprof-smoke policy-smoke vm-smoke ci-fast ci
 
 build:
 	$(GO) build ./...
@@ -16,20 +16,30 @@ race:
 # lock-free producers + unlocked State readers stress test, and
 # ledger.TestStateRootConcurrentReaders: primitive readers against a
 # writer that transfers, reverts and calls Root(), which mutates the
-# cached commitment) — the fast feedback loop while iterating on state
-# or mempool code, and the fail-fast first stage of ci's race coverage.
+# cached commitment; and the gas-overflow seal tests in both packages)
+# plus the api test that a client which stops reading a large response
+# cannot hold up a seal — the fast feedback loop while iterating on state,
+# mempool or seal-path code, and the fail-fast first stage of ci's race
+# coverage.
 race-core:
 	$(GO) test -race ./internal/ledger/... ./internal/market/...
+	$(GO) test -race -count=1 ./internal/api/ -run 'TestSlowReaderDoesNotPinSeal|TestHostDurableLifecycle'
 
 vet:
 	$(GO) vet ./...
+
+# loc prints non-test Go line counts for the directories ROADMAP item 5
+# ("one of each") measures; quote it for parent and change when a PR
+# claims a deletion.
+loc:
+	./scripts/loc.sh
 
 bench:
 	$(GO) test -run NONE -bench . -benchmem ./...
 
 # proptest runs the fixed-seed property-harness smoke: deterministic
 # randomized histories checked against the global ledger invariants and
-# the five-mode differential replay oracle. Reproduce a failure with
+# the six-row differential replay oracle. Reproduce a failure with
 # PDS2_PROPTEST_SEED=<seed> PDS2_PROPTEST_OPS=<ops> (see README).
 proptest:
 	$(GO) test ./internal/proptest/ -count=1
@@ -95,7 +105,7 @@ policy-smoke:
 # test — the DSL re-expression of the declarative engine must produce
 # bit-identical decision records, events and consumption through a full
 # settled lifecycle — the VM three-layer denial and deploy-gate tests,
-# and the five-mode proptest replay (vm mode re-executes every deployed
+# and the proptest replay matrix (the vm rows re-execute every deployed
 # program under the reference interpreter), all under -race.
 vm-smoke:
 	$(GO) test -race -count=1 ./internal/vm/ ./internal/semantic/

@@ -35,13 +35,10 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"time"
 
 	"pds2/internal/api"
-	"pds2/internal/chainstore"
 	"pds2/internal/loadgen"
 	"pds2/internal/market"
 	"pds2/internal/telemetry"
@@ -82,12 +79,29 @@ func main() {
 	ctx := context.Background()
 	baseURL := *target
 	if baseURL == "" {
-		var stop func()
-		baseURL, stop, err = selfHost(ctx, *seed, *accounts, *fundEach, *blockMS, *blockGas, *mempool, *dataDir, *snapEvery)
+		log.Printf("self-host: funding %d accounts at genesis", *accounts)
+		host, err := api.StartHost(api.HostConfig{
+			Market: market.Config{
+				Seed:          *seed,
+				GenesisAlloc:  loadgen.GenesisAlloc(*seed, *accounts, *fundEach),
+				MempoolSize:   *mempool,
+				BlockGasLimit: *blockGas,
+			},
+			DataDir:       *dataDir,
+			SnapshotEvery: *snapEvery,
+			Listen:        "127.0.0.1:0",
+			SealInterval:  time.Duration(*blockMS) * time.Millisecond,
+			Logf:          log.Printf,
+		})
 		if err != nil {
 			fatalf("self-host node: %v", err)
 		}
-		defer stop()
+		defer func() {
+			shutCtx, done := context.WithTimeout(context.Background(), 2*time.Second)
+			defer done()
+			_ = host.Close(shutCtx) // the report is already written; nothing to do about a late close error
+		}()
+		baseURL = host.URL
 	}
 
 	rep, err := loadgen.Run(ctx, loadgen.Config{
@@ -144,80 +158,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("SLO PASSED")
-}
-
-// selfHost starts an in-process node on a loopback listener with the
-// loadgen population funded at genesis, mirroring pds2-node's wiring
-// (durable store, auto-sealer through the API).
-func selfHost(ctx context.Context, seed uint64, accounts int, fundEach uint64,
-	blockMS int, blockGas uint64, mempool int, dataDir string, snapEvery uint64) (string, func(), error) {
-
-	log.Printf("self-host: funding %d accounts at genesis", accounts)
-	var store *chainstore.Store
-	if dataDir != "" {
-		var err error
-		store, err = chainstore.Open(dataDir, nil)
-		if err != nil {
-			return "", nil, err
-		}
-		if n := store.RecoveredBytes(); n > 0 {
-			log.Printf("chain store: recovered from torn write (%d bytes truncated)", n)
-		}
-	}
-	m, err := market.Open(market.Config{
-		Seed:          seed,
-		GenesisAlloc:  loadgen.GenesisAlloc(seed, accounts, fundEach),
-		MempoolSize:   mempool,
-		BlockGasLimit: blockGas,
-	}, store)
-	if err != nil {
-		if store != nil {
-			store.Close()
-		}
-		return "", nil, err
-	}
-	if store != nil {
-		log.Printf("chain store %s: resumed at height %d (base %d)", dataDir, m.Height(), m.Chain.Base())
-		store.AttachSnapshotting(m.Chain, snapEvery)
-	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, err
-	}
-	hs := &http.Server{Handler: api.NewServer(m, true)}
-	go func() { _ = hs.Serve(ln) }()
-	baseURL := "http://" + ln.Addr().String()
-
-	sealCtx, cancel := context.WithCancel(ctx)
-	go func() {
-		client := api.NewClient(baseURL)
-		tick := time.NewTicker(time.Duration(blockMS) * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-sealCtx.Done():
-				return
-			case <-tick.C:
-			}
-			if st, err := client.Status(sealCtx); err == nil && st.Pending > 0 {
-				if _, err := client.Seal(sealCtx); err != nil && sealCtx.Err() == nil {
-					log.Printf("auto-seal: %v", err)
-				}
-			}
-		}
-	}()
-
-	stop := func() {
-		cancel()
-		shutCtx, done := context.WithTimeout(context.Background(), 2*time.Second)
-		defer done()
-		_ = hs.Shutdown(shutCtx)
-		if store != nil {
-			_ = store.Close()
-		}
-	}
-	return baseURL, stop, nil
 }
 
 func fatalf(format string, args ...any) {

@@ -52,11 +52,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
@@ -65,7 +63,6 @@ import (
 	"time"
 
 	"pds2/internal/api"
-	"pds2/internal/chainstore"
 	"pds2/internal/identity"
 	"pds2/internal/loadgen"
 	"pds2/internal/market"
@@ -143,74 +140,25 @@ func main() {
 		}
 	}
 
-	var store *chainstore.Store
-	if *dataDir != "" {
-		var err error
-		store, err = chainstore.Open(*dataDir, nil)
-		if err != nil {
-			fatalf("open chain store: %v", err)
-		}
-		if n := store.RecoveredBytes(); n > 0 {
-			log.Printf("chain store: recovered from torn write (%d bytes truncated)", n)
-		}
-	}
-	m, err := market.Open(market.Config{Seed: *seed, GenesisAlloc: alloc, MempoolSize: *pool, BlockGasLimit: *blockGas}, store)
+	host, err := api.StartHost(api.HostConfig{
+		Market:        market.Config{Seed: *seed, GenesisAlloc: alloc, MempoolSize: *pool, BlockGasLimit: *blockGas},
+		DataDir:       *dataDir,
+		SnapshotEvery: *snapEvery,
+		Listen:        *listen,
+		SealInterval:  time.Duration(*blockMS) * time.Millisecond,
+		Pprof:         *pprofOn,
+		Logf:          log.Printf,
+	})
 	if err != nil {
-		fatalf("start market: %v", err)
+		fatalf("%v", err)
 	}
-	if store != nil {
-		log.Printf("chain store %s: resumed at height %d (base %d)", *dataDir, m.Height(), m.Chain.Base())
-		store.AttachSnapshotting(m.Chain, *snapEvery)
-	}
-	srv := api.NewServer(m, true)
-	srv.SetPprof(*pprofOn)
+	log.Printf("pds2-node listening on %s (registry %s, deeds %s)",
+		*listen, host.Market.Registry.Short(), host.Market.Deeds.Short())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *blockMS > 0 {
-		go func() {
-			client := api.NewClient("http://" + listenHost(*listen))
-			tick := time.NewTicker(time.Duration(*blockMS) * time.Millisecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-				}
-				// Seal through the API so locking is uniform.
-				if st, err := client.Status(ctx); err == nil && st.Pending > 0 {
-					if _, err := client.Seal(ctx); err != nil && ctx.Err() == nil {
-						log.Printf("auto-seal: %v", err)
-					}
-				}
-			}
-		}()
-	}
-
-	// The write timeout caps how long a timed CPU profile can run
-	// (/debug/pprof/profile?seconds=N streams after N seconds), so give
-	// pprof-enabled nodes room for meaningful captures.
-	writeTimeout := 30 * time.Second
-	if *pprofOn {
-		writeTimeout = 2 * time.Minute
-	}
-	hs := &http.Server{
-		Addr:         *listen,
-		Handler:      srv,
-		ReadTimeout:  30 * time.Second,
-		WriteTimeout: writeTimeout,
-		IdleTimeout:  2 * time.Minute,
-	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- hs.ListenAndServe() }()
-
-	log.Printf("pds2-node listening on %s (registry %s, deeds %s)",
-		*listen, m.Registry.Short(), m.Deeds.Short())
-
 	select {
-	case err := <-errCh:
+	case err := <-host.ServeErr:
 		fatalf("serve: %v", err)
 	case <-ctx.Done():
 	}
@@ -219,22 +167,17 @@ func main() {
 	// routing here, keep serving while they notice, then let in-flight
 	// requests finish before the listener closes.
 	log.Printf("pds2-node draining (%dms) before shutdown", *drainMS)
-	srv.SetDraining(true)
+	host.Server.SetDraining(true)
 	time.Sleep(time.Duration(*drainMS) * time.Millisecond)
 	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := hs.Shutdown(sctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := host.Close(sctx); err != nil {
 		log.Printf("shutdown: %v", err)
 	}
-	if store != nil {
-		if err := store.Close(); err != nil {
-			log.Printf("close chain store: %v", err)
-		}
-	}
-	log.Printf("pds2-node stopped at height %d", m.Height())
+	log.Printf("pds2-node stopped at height %d", host.Market.Height())
 }
 
-// listenHost normalizes ":8547" to "localhost:8547" for the self-client.
+// listenHost normalizes ":8547" to "localhost:8547" for the default node id.
 func listenHost(listen string) string {
 	if strings.HasPrefix(listen, ":") {
 		return "localhost" + listen

@@ -77,36 +77,35 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ids, err := s.m.DatasetIDs()
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, CodeInternal, "%v", err)
-		return
-	}
-	// DatasetIDs is already hex-sorted, so the last served ID is a
-	// stable cursor exactly like the workload directory's.
-	resp := DatasetsResponse{Items: []DatasetSummary{}}
-	for _, id := range ids {
-		h := id.Hex()
-		if after != "" && h <= after {
-			continue
+	s.locked(w, func() (int, any) {
+		ids, err := s.m.DatasetIDs()
+		if err != nil {
+			return fail(http.StatusInternalServerError, CodeInternal, nil, "%v", err)
 		}
-		if len(resp.Items) == limit {
-			resp.Next = resp.Items[len(resp.Items)-1].ID.Hex()
-			break
+		// DatasetIDs is already hex-sorted, so the last served ID is a
+		// stable cursor exactly like the workload directory's.
+		resp := DatasetsResponse{Items: []DatasetSummary{}}
+		for _, id := range ids {
+			h := id.Hex()
+			if after != "" && h <= after {
+				continue
+			}
+			if len(resp.Items) == limit {
+				resp.Next = resp.Items[len(resp.Items)-1].ID.Hex()
+				break
+			}
+			info, ok, err := s.m.DatasetInfoOf(id)
+			if err != nil || !ok {
+				continue
+			}
+			resp.Items = append(resp.Items, DatasetSummary{
+				ID: id, Owner: info.Owner,
+				HasPolicy: info.Policy != nil || info.CodeSize > 0,
+				Uses:      info.Uses,
+			})
 		}
-		info, ok, err := s.m.DatasetInfoOf(id)
-		if err != nil || !ok {
-			continue
-		}
-		resp.Items = append(resp.Items, DatasetSummary{
-			ID: id, Owner: info.Owner,
-			HasPolicy: info.Policy != nil || info.CodeSize > 0,
-			Uses:      info.Uses,
-		})
-	}
-	writeJSON(w, http.StatusOK, resp)
+		return http.StatusOK, resp
+	})
 }
 
 func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
@@ -115,20 +114,18 @@ func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad dataset id: %v", err)
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	info, ok, err := s.m.DatasetInfoOf(id)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, CodeInternal, "%v", err)
-		return
-	}
-	if !ok {
-		writeErr(w, http.StatusNotFound, CodeNotFound, "dataset %s is not registered", id.Short())
-		return
-	}
-	writeJSON(w, http.StatusOK, DatasetResponse{
-		ID: info.ID, Owner: info.Owner, MetaHash: info.MetaHash,
-		Policy: policyBody(info.Policy), CodeSize: info.CodeSize, Uses: info.Uses,
+	s.locked(w, func() (int, any) {
+		info, ok, err := s.m.DatasetInfoOf(id)
+		if err != nil {
+			return fail(http.StatusInternalServerError, CodeInternal, nil, "%v", err)
+		}
+		if !ok {
+			return fail(http.StatusNotFound, CodeNotFound, nil, "dataset %s is not registered", id.Short())
+		}
+		return http.StatusOK, DatasetResponse{
+			ID: info.ID, Owner: info.Owner, MetaHash: info.MetaHash,
+			Policy: policyBody(info.Policy), CodeSize: info.CodeSize, Uses: info.Uses,
+		}
 	})
 }
 
@@ -303,25 +300,22 @@ func (s *Server) handleCheckPolicy(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok, err := s.m.DatasetInfoOf(id); err != nil || !ok {
-		writeErr(w, http.StatusNotFound, CodeNotFound, "dataset %s is not registered", id.Short())
-		return
-	}
-	rec, err := s.m.EvalPolicy(id, layer, class, q.Get("purpose"), agg)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
-		return
-	}
-	if !rec.Allowed() {
-		writeErrDetails(w, http.StatusForbidden, CodePolicyViolation,
-			&ErrorDetails{Clause: rec.Clause, Layer: rec.Layer, Code: rec.Code},
-			"policy of dataset %s denies %s at the %s layer: %s (clause %s)",
-			id.Short(), class, rec.Layer, rec.Code, rec.Clause)
-		return
-	}
-	writeJSON(w, http.StatusOK, decisionJSON(rec))
+	s.locked(w, func() (int, any) {
+		if _, ok, err := s.m.DatasetInfoOf(id); err != nil || !ok {
+			return fail(http.StatusNotFound, CodeNotFound, nil, "dataset %s is not registered", id.Short())
+		}
+		rec, err := s.m.EvalPolicy(id, layer, class, q.Get("purpose"), agg)
+		if err != nil {
+			return fail(http.StatusBadRequest, CodeBadRequest, nil, "%v", err)
+		}
+		if !rec.Allowed() {
+			return fail(http.StatusForbidden, CodePolicyViolation,
+				&ErrorDetails{Clause: rec.Clause, Layer: rec.Layer, Code: rec.Code},
+				"policy of dataset %s denies %s at the %s layer: %s (clause %s)",
+				id.Short(), class, rec.Layer, rec.Code, rec.Clause)
+		}
+		return http.StatusOK, decisionJSON(rec)
+	})
 }
 
 // PolicyDecisionsResponse is the GET /v1/policies/decisions page
@@ -349,9 +343,11 @@ func (s *Server) handlePolicyDecisions(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// Events returns its own copy of the committed log: everything past
+	// the copy runs unlocked.
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	events := s.m.Chain.Events(policy.EvPolicyDecision)
+	s.mu.Unlock()
 	if offset > len(events) {
 		offset = len(events)
 	}

@@ -106,8 +106,10 @@ func (s *Server) install() {
 }
 
 // withTimeout bounds the request context with the server's per-request
-// deadline (see SetRequestTimeout), so a stalled client cannot pin the
-// market mutex.
+// deadline (see SetRequestTimeout). Handlers check it before starting
+// expensive work; it cannot interrupt a write to a client that stopped
+// reading, which is why no handler writes under the market mutex
+// (Server.locked).
 func (s *Server) withTimeout(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.reqTimeout > 0 {

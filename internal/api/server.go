@@ -129,7 +129,7 @@ func (s *Server) Health() *telemetry.Health { return s.health }
 
 // SetRequestTimeout bounds every request's context (0 disables the
 // per-request deadline). Handlers observe the deadline before starting
-// expensive work, so a stalled client cannot pin the market mutex.
+// expensive work.
 func (s *Server) SetRequestTimeout(d time.Duration) { s.reqTimeout = d }
 
 // SetDraining flips the drain flag: a draining node answers /readyz
@@ -209,28 +209,41 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// writeErr emits the uniform error envelope. Retryability is derived
-// from the code's truth table, so clients never have to interpret raw
-// status numbers.
-func writeErr(w http.ResponseWriter, status int, code, format string, args ...any) {
+// fail builds the uniform error envelope as a (status, body) pair — what
+// a locked handler returns. Retryability is derived from the code's truth
+// table, so clients never have to interpret raw status numbers; det, when
+// non-nil, attaches a structured details object (policy denials name
+// their violated clause and layer).
+func fail(status int, code string, det *ErrorDetails, format string, args ...any) (int, any) {
 	mAPIErrors.Inc()
-	writeJSON(w, status, apiError{Error: ErrorBody{
-		Code:      code,
-		Message:   fmt.Sprintf(format, args...),
-		Retryable: retryableCode[code],
-	}})
-}
-
-// writeErrDetails is writeErr with a structured details object attached
-// to the envelope (policy denials name their violated clause and layer).
-func writeErrDetails(w http.ResponseWriter, status int, code string, det *ErrorDetails, format string, args ...any) {
-	mAPIErrors.Inc()
-	writeJSON(w, status, apiError{Error: ErrorBody{
+	return status, apiError{Error: ErrorBody{
 		Code:      code,
 		Message:   fmt.Sprintf(format, args...),
 		Retryable: retryableCode[code],
 		Details:   det,
-	}})
+	}}
+}
+
+// writeErr emits the uniform error envelope.
+func writeErr(w http.ResponseWriter, status int, code, format string, args ...any) {
+	_, body := fail(status, code, nil, format, args...)
+	writeJSON(w, status, body)
+}
+
+// locked runs fn holding the market mutex and writes the response it
+// returns after releasing it. fn gets no ResponseWriter on purpose:
+// encoding to a socket blocks for as long as the client stops reading,
+// and under the mutex that would hold every seal until the server's
+// write timeout (a context deadline does not interrupt a blocked
+// conn.Write). The body fn returns is encoded unlocked, so it must be
+// immutable or fn's own copy — committed blocks, receipts and events are.
+func (s *Server) locked(w http.ResponseWriter, fn func() (status int, body any)) {
+	status, body := func() (int, any) {
+		s.mu.Lock()
+		defer s.mu.Unlock() // a panicking fn must not leave the node locked
+		return fn()
+	}()
+	writeJSON(w, status, body)
 }
 
 // deadlineExceeded answers requests whose context expired before the
@@ -254,20 +267,21 @@ type StatusResponse struct {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	wls, err := s.m.Workloads()
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, CodeInternal, "list workloads: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, StatusResponse{
-		Height:    s.m.Height(),
-		Registry:  s.m.Registry,
-		Deeds:     s.m.Deeds,
-		QAPub:     s.m.QA.PublicKey(),
-		Workloads: len(wls),
-		Pending:   s.m.Pool.Len(),
+	s.locked(w, func() (int, any) {
+		// The auto-sealer polls this every block interval: one view for
+		// the count, not one per workload.
+		n, err := s.m.WorkloadCount()
+		if err != nil {
+			return fail(http.StatusInternalServerError, CodeInternal, nil, "count workloads: %v", err)
+		}
+		return http.StatusOK, StatusResponse{
+			Height:    s.m.Height(),
+			Registry:  s.m.Registry,
+			Deeds:     s.m.Deeds,
+			QAPub:     s.m.QA.PublicKey(),
+			Workloads: int(n),
+			Pending:   s.m.Pool.Len(),
+		}
 	})
 }
 
@@ -277,14 +291,13 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad height: %v", err)
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	block, err := s.m.Chain.BlockAt(h)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, CodeNotFound, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, block)
+	s.locked(w, func() (int, any) {
+		block, err := s.m.Chain.BlockAt(h)
+		if err != nil {
+			return fail(http.StatusNotFound, CodeNotFound, nil, "%v", err)
+		}
+		return http.StatusOK, block
+	})
 }
 
 // AccountResponse is the GET /v1/accounts/{addr} body.
@@ -300,12 +313,12 @@ func (s *Server) handleAccount(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad address: %v", err)
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	writeJSON(w, http.StatusOK, AccountResponse{
-		Address: addr,
-		Balance: s.m.Chain.State().Balance(addr),
-		Nonce:   s.m.Chain.State().Nonce(addr),
+	s.locked(w, func() (int, any) {
+		return http.StatusOK, AccountResponse{
+			Address: addr,
+			Balance: s.m.Chain.State().Balance(addr),
+			Nonce:   s.m.Chain.State().Nonce(addr),
+		}
 	})
 }
 
@@ -315,14 +328,13 @@ func (s *Server) handleReceipt(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad hash: %v", err)
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rcpt, ok := s.m.Chain.Receipt(hash)
-	if !ok {
-		writeErr(w, http.StatusNotFound, CodeNotFound, "no receipt for %s", hash.Short())
-		return
-	}
-	writeJSON(w, http.StatusOK, rcpt)
+	s.locked(w, func() (int, any) {
+		rcpt, ok := s.m.Chain.Receipt(hash)
+		if !ok {
+			return fail(http.StatusNotFound, CodeNotFound, nil, "no receipt for %s", hash.Short())
+		}
+		return http.StatusOK, rcpt
+	})
 }
 
 // DefaultPageLimit bounds list endpoints when the caller sends no
@@ -375,33 +387,35 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var events []ledger.Event
+	var contractAddr identity.Address
 	if contractHex != "" {
-		addr, err := identity.AddressFromHex(contractHex)
-		if err != nil {
+		if contractAddr, err = identity.AddressFromHex(contractHex); err != nil {
 			writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad contract: %v", err)
 			return
 		}
-		events = s.m.Chain.EventsFrom(addr, topic)
-	} else {
-		events = s.m.Chain.Events(topic)
 	}
-	if offset > len(events) {
-		offset = len(events)
-	}
-	page := events[offset:]
-	resp := EventsResponse{}
-	if len(page) > limit {
-		page = page[:limit]
-		resp.Next = strconv.Itoa(offset + limit)
-	}
-	resp.Items = page
-	if resp.Items == nil {
-		resp.Items = []ledger.Event{}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.locked(w, func() (int, any) {
+		var events []ledger.Event
+		if contractHex != "" {
+			events = s.m.Chain.EventsFrom(contractAddr, topic)
+		} else {
+			events = s.m.Chain.Events(topic)
+		}
+		if offset > len(events) {
+			offset = len(events)
+		}
+		page := events[offset:]
+		resp := EventsResponse{}
+		if len(page) > limit {
+			page = page[:limit]
+			resp.Next = strconv.Itoa(offset + limit)
+		}
+		resp.Items = page
+		if resp.Items == nil {
+			resp.Items = []ledger.Event{}
+		}
+		return http.StatusOK, resp
+	})
 }
 
 // WorkloadSummary is one entry of GET /v1/workloads.
@@ -424,40 +438,39 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	addrs, err := s.m.Workloads()
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, CodeInternal, "%v", err)
-		return
-	}
-	// Addresses sort lexically by hex, giving a stable total order: the
-	// cursor is simply the last address served, immune to insertions
-	// before or after it between pages.
-	hexes := make([]string, 0, len(addrs))
-	byHex := make(map[string]identity.Address, len(addrs))
-	for _, a := range addrs {
-		h := a.Hex()
-		hexes = append(hexes, h)
-		byHex[h] = a
-	}
-	sort.Strings(hexes)
-	resp := WorkloadsResponse{Items: []WorkloadSummary{}}
-	for _, h := range hexes {
-		if after != "" && h <= after {
-			continue
-		}
-		if len(resp.Items) == limit {
-			resp.Next = resp.Items[len(resp.Items)-1].Address.Hex()
-			break
-		}
-		st, err := s.m.WorkloadStateOf(byHex[h])
+	s.locked(w, func() (int, any) {
+		addrs, err := s.m.Workloads()
 		if err != nil {
-			continue
+			return fail(http.StatusInternalServerError, CodeInternal, nil, "%v", err)
 		}
-		resp.Items = append(resp.Items, WorkloadSummary{Address: byHex[h], State: st.String()})
-	}
-	writeJSON(w, http.StatusOK, resp)
+		// Addresses sort lexically by hex, giving a stable total order: the
+		// cursor is simply the last address served, immune to insertions
+		// before or after it between pages.
+		hexes := make([]string, 0, len(addrs))
+		byHex := make(map[string]identity.Address, len(addrs))
+		for _, a := range addrs {
+			h := a.Hex()
+			hexes = append(hexes, h)
+			byHex[h] = a
+		}
+		sort.Strings(hexes)
+		resp := WorkloadsResponse{Items: []WorkloadSummary{}}
+		for _, h := range hexes {
+			if after != "" && h <= after {
+				continue
+			}
+			if len(resp.Items) == limit {
+				resp.Next = resp.Items[len(resp.Items)-1].Address.Hex()
+				break
+			}
+			st, err := s.m.WorkloadStateOf(byHex[h])
+			if err != nil {
+				continue
+			}
+			resp.Items = append(resp.Items, WorkloadSummary{Address: byHex[h], State: st.String()})
+		}
+		return http.StatusOK, resp
+	})
 }
 
 // WorkloadDetail is the GET /v1/workloads/{addr} body.
@@ -483,39 +496,37 @@ func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad address: %v", err)
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, err := s.m.WorkloadStateOf(addr)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, CodeNotFound, "not a workload: %v", err)
-		return
-	}
-	spec, err := s.m.WorkloadSpecOf(addr)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, CodeInternal, "%v", err)
-		return
-	}
-	detail := WorkloadDetail{
-		Address:      addr,
-		State:        st.String(),
-		Predicate:    spec.Predicate,
-		MinProviders: spec.MinProviders,
-		MinItems:     spec.MinItems,
-		ExpiryHeight: spec.ExpiryHeight,
-		FeeBps:       spec.ExecutorFeeBps,
-		Measurement:  spec.Measurement,
-	}
-	if raw, err := s.m.View(identity.ZeroAddress, addr, "progress", nil); err == nil {
-		d := contract.NewDecoder(raw)
-		detail.Providers, _ = d.Uint64()
-		detail.Items, _ = d.Uint64()
-		detail.Executors, _ = d.Uint64()
-		detail.Results, _ = d.Uint64()
-	}
-	if hash, _, err := s.m.WorkloadResultOf(addr); err == nil && !hash.IsZero() {
-		detail.ResultHash = &hash
-	}
-	writeJSON(w, http.StatusOK, detail)
+	s.locked(w, func() (int, any) {
+		st, err := s.m.WorkloadStateOf(addr)
+		if err != nil {
+			return fail(http.StatusNotFound, CodeNotFound, nil, "not a workload: %v", err)
+		}
+		spec, err := s.m.WorkloadSpecOf(addr)
+		if err != nil {
+			return fail(http.StatusInternalServerError, CodeInternal, nil, "%v", err)
+		}
+		detail := WorkloadDetail{
+			Address:      addr,
+			State:        st.String(),
+			Predicate:    spec.Predicate,
+			MinProviders: spec.MinProviders,
+			MinItems:     spec.MinItems,
+			ExpiryHeight: spec.ExpiryHeight,
+			FeeBps:       spec.ExecutorFeeBps,
+			Measurement:  spec.Measurement,
+		}
+		if raw, err := s.m.View(identity.ZeroAddress, addr, "progress", nil); err == nil {
+			d := contract.NewDecoder(raw)
+			detail.Providers, _ = d.Uint64()
+			detail.Items, _ = d.Uint64()
+			detail.Executors, _ = d.Uint64()
+			detail.Results, _ = d.Uint64()
+		}
+		if hash, _, err := s.m.WorkloadResultOf(addr); err == nil && !hash.IsZero() {
+			detail.ResultHash = &hash
+		}
+		return http.StatusOK, detail
+	})
 }
 
 // SubmitResponse is the POST /v1/transactions body. Committed reports
@@ -619,14 +630,13 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "missing method")
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ret, err := s.m.View(req.Caller, req.To, req.Method, req.Args)
-	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, CodeViewReverted, "view reverted: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ViewResponse{Return: ret})
+	s.locked(w, func() (int, any) {
+		ret, err := s.m.View(req.Caller, req.To, req.Method, req.Args)
+		if err != nil {
+			return fail(http.StatusUnprocessableEntity, CodeViewReverted, nil, "view reverted: %v", err)
+		}
+		return http.StatusOK, ViewResponse{Return: ret}
+	})
 }
 
 // SealResponse is the POST /v1/blocks/seal body.
@@ -643,25 +653,24 @@ func (s *Server) handleSeal(w http.ResponseWriter, r *http.Request) {
 	if deadlineExceeded(w, r) {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ts := s.m.Timestamp() + 1
-	if s.sealSkew != nil {
-		// Chaos hook: a skewed sealer proposes a block stamped off its
-		// own (wrong) clock. The chain's monotonicity check is what
-		// actually protects the ledger; the retried seal then lands.
-		if v := int64(ts) + s.sealSkew(); v > 0 {
-			ts = uint64(v)
-		} else {
-			ts = 0
+	s.locked(w, func() (int, any) {
+		ts := s.m.Timestamp() + 1
+		if s.sealSkew != nil {
+			// Chaos hook: a skewed sealer proposes a block stamped off its
+			// own (wrong) clock. The chain's monotonicity check is what
+			// actually protects the ledger; the retried seal then lands.
+			if v := int64(ts) + s.sealSkew(); v > 0 {
+				ts = uint64(v)
+			} else {
+				ts = 0
+			}
 		}
-	}
-	block, err := s.m.SealBlockAt(ts)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, CodeInternal, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, SealResponse{Height: block.Header.Height, Txs: len(block.Txs)})
+		block, err := s.m.SealBlockAt(ts)
+		if err != nil {
+			return fail(http.StatusInternalServerError, CodeInternal, nil, "%v", err)
+		}
+		return http.StatusOK, SealResponse{Height: block.Header.Height, Txs: len(block.Txs)}
+	})
 }
 
 // handleMetrics serves GET /v1/metrics: a JSON snapshot of the process-wide telemetry registry. Counters and gauges

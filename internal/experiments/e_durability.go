@@ -3,8 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 	"time"
@@ -138,60 +136,29 @@ type finalState struct {
 // and tears it down cleanly except for the store, which is abandoned
 // un-closed when durable — the crash scenario reopens it.
 func loadNode(cfg loadgen.Config, dir string) (*loadgen.Report, finalState, error) {
-	var fin finalState
-	var store *chainstore.Store
-	if dir != "" {
-		var err error
-		if store, err = chainstore.Open(dir, nil); err != nil {
-			return nil, fin, err
-		}
-	}
-	m, err := market.Open(market.Config{
-		Seed:         cfg.Seed,
-		GenesisAlloc: loadgen.GenesisAlloc(cfg.Seed, cfg.Accounts, 1_000_000),
-		MempoolSize:  100_000,
-	}, store)
+	host, err := api.StartHost(api.HostConfig{
+		Market: market.Config{
+			Seed:         cfg.Seed,
+			GenesisAlloc: loadgen.GenesisAlloc(cfg.Seed, cfg.Accounts, 1_000_000),
+			MempoolSize:  100_000,
+		},
+		DataDir:       dir,
+		SnapshotEvery: 25,
+		Listen:        "127.0.0.1:0",
+		SealInterval:  25 * time.Millisecond,
+	})
 	if err != nil {
-		return nil, fin, err
+		return nil, finalState{}, err
 	}
-	if store != nil {
-		store.AttachSnapshotting(m.Chain, 25)
-	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fin, err
-	}
-	hs := &http.Server{Handler: api.NewServer(m, true)}
-	go func() { _ = hs.Serve(ln) }()
-	cfg.Target = "http://" + ln.Addr().String()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		client := api.NewClient(cfg.Target)
-		tick := time.NewTicker(25 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-tick.C:
-			}
-			if st, err := client.Status(ctx); err == nil && st.Pending > 0 {
-				_, _ = client.Seal(ctx)
-			}
-		}
-	}()
-
-	rep, runErr := loadgen.Run(ctx, cfg)
-	cancel()
+	cfg.Target = host.URL
+	rep, runErr := loadgen.Run(context.Background(), cfg)
+	// Stop, not Close: the store is deliberately left as a killed process
+	// would leave it — the crash scenario reopens it as found.
 	shutCtx, done := context.WithTimeout(context.Background(), 2*time.Second)
-	_ = hs.Shutdown(shutCtx)
+	_ = host.Stop(shutCtx) // a request still in flight after 2 s does not change the final state read below
 	done()
-	fin = finalState{height: m.Height(), root: m.Chain.State().Root().Hex()}
-	// The store is deliberately NOT closed: the crash scenario reopens
-	// it as a killed process would find it.
-	return rep, fin, runErr
+	m := host.Market
+	return rep, finalState{height: m.Height(), root: m.Chain.State().Root().Hex()}, runErr
 }
 
 // tearNewestSegment simulates dying mid-append: a frame header

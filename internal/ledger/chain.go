@@ -210,10 +210,15 @@ func (c *Chain) expectedProposer(h uint64) identity.Address {
 }
 
 // ProposeBlock builds, executes and seals the next block from the given
-// transactions. The proposer identity must match the PoA rotation for the
-// next height. On success the block is appended to the chain and its
-// receipts recorded. Transactions that fail stateless verification cause
-// the whole proposal to be rejected — a correct proposer never includes
+// candidates, in order. The proposer identity must match the PoA rotation
+// for the next height. The chain decides what fits: the block holds the
+// longest prefix of txs whose gas stays within BlockGasLimit — block.Txs
+// tells the caller what was included, and the rest simply was not
+// executed. Only when not even txs[0] fits an empty block does the
+// proposal fail with ErrBlockGasLimit. On success the block is appended to
+// the chain and its receipts recorded; on any error the state is
+// untouched. Candidates that fail stateless verification or carry the
+// wrong nonce reject the whole proposal — a correct proposer never offers
 // them.
 func (c *Chain) ProposeBlock(proposer *identity.Identity, timestamp uint64, txs []*Transaction) (block *Block, err error) {
 	// The component label makes seal cost (and everything it calls —
@@ -240,10 +245,14 @@ func (c *Chain) proposeBlock(proposer *identity.Identity, timestamp uint64, txs 
 	}
 	snap := c.state.Snapshot()
 	receipts, gasUsed, err := c.applyTxs(txs, height)
+	if err == nil && len(receipts) == 0 && len(txs) > 0 {
+		err = fmt.Errorf("%w: the first transaction alone needs more than %d", ErrBlockGasLimit, c.cfg.BlockGasLimit)
+	}
 	if err != nil {
 		c.state.RevertTo(snap)
 		return nil, err
 	}
+	txs = txs[:len(receipts)]
 
 	block := &Block{
 		Header: Header{
@@ -266,10 +275,14 @@ func (c *Chain) proposeBlock(proposer *identity.Identity, timestamp uint64, txs 
 }
 
 // applyTxs runs the already-stateless-verified transactions one after
-// another in block order, enforcing nonces and the block gas limit. It
-// returns the receipts and total gas used, leaving the state mutated;
-// the caller owns snapshot/revert. Callers must run verifyStateless
-// first — signature and intrinsic checks are not repeated here.
+// another in block order, enforcing nonces, and stops before the first
+// one whose receipt would push the block past BlockGasLimit: that
+// transaction is reverted to its own journal mark, the earlier ones
+// stand. It returns one receipt per transaction that fit (a list shorter
+// than txs means the rest did not) and their total gas, leaving the
+// state mutated; the caller owns the block-level snapshot/revert.
+// Callers must run verifyStateless first — signature and intrinsic
+// checks are not repeated here.
 func (c *Chain) applyTxs(txs []*Transaction, height uint64) ([]*Receipt, uint64, error) {
 	var gasUsed uint64
 	receipts := make([]*Receipt, 0, len(txs))
@@ -277,35 +290,19 @@ func (c *Chain) applyTxs(txs []*Transaction, height uint64) ([]*Receipt, uint64,
 		if want := c.state.Nonce(tx.From); tx.Nonce != want {
 			return nil, 0, fmt.Errorf("ledger: tx %d nonce %d, want %d for %s", i, tx.Nonce, want, tx.From.Short())
 		}
+		mark := c.state.Snapshot()
 		rcpt, err := c.cfg.Applier.Apply(c.state, tx, height)
 		if err != nil {
 			return nil, 0, fmt.Errorf("ledger: tx %d apply: %w", i, err)
 		}
-		gasUsed += rcpt.GasUsed
-		if gasUsed > c.cfg.BlockGasLimit {
-			return nil, 0, fmt.Errorf("%w: %d > %d", ErrBlockGasLimit, gasUsed, c.cfg.BlockGasLimit)
+		if gasUsed+rcpt.GasUsed > c.cfg.BlockGasLimit {
+			c.state.RevertTo(mark)
+			break
 		}
+		gasUsed += rcpt.GasUsed
 		receipts = append(receipts, rcpt)
 	}
 	return receipts, gasUsed, nil
-}
-
-// ExecuteBatch runs txs against the current state exactly as block
-// execution would, returns the receipts and the post-execution state
-// root, then reverts the state to where it was. Stateless verification
-// is skipped: the caller vouches for the transactions. This is the
-// benchmark entry point; it isolates execution cost from signature
-// checking and never mutates the chain.
-func (c *Chain) ExecuteBatch(txs []*Transaction) ([]*Receipt, crypto.Digest, error) {
-	snap := c.state.Snapshot()
-	receipts, _, err := c.applyTxs(txs, c.Height()+1)
-	if err != nil {
-		c.state.RevertTo(snap)
-		return nil, crypto.Digest{}, err
-	}
-	root := c.state.Root()
-	c.state.RevertTo(snap)
-	return receipts, root, nil
 }
 
 func (c *Chain) commitBlock(block *Block, receipts []*Receipt) {
@@ -362,6 +359,10 @@ func (c *Chain) verifyHeader(block *Block) error {
 func (c *Chain) executeAndCheck(block *Block) (receipts []*Receipt, snap int, err error) {
 	snap = c.state.Snapshot()
 	receipts, gasUsed, err := c.applyTxs(block.Txs, block.Header.Height)
+	if err == nil && len(receipts) < len(block.Txs) {
+		err = fmt.Errorf("%w: tx %d does not fit in %d after %d used",
+			ErrBlockGasLimit, len(receipts), c.cfg.BlockGasLimit, gasUsed)
+	}
 	if err != nil {
 		c.state.RevertTo(snap)
 		return nil, snap, err

@@ -348,16 +348,37 @@ func TestChainGasLimitBoundary(t *testing.T) {
 	if err := replica.ImportBlock(block); err != nil {
 		t.Fatalf("at-limit block failed to import: %v", err)
 	}
-	// One over: rejected, state untouched.
+	// One over: the proposer seals the prefix that fits — the tail was
+	// never executed, so its nonce is untouched — while the over-limit
+	// *block* is rejected by both validator entry points, residue-free.
 	over := mk(2*TxBaseGas - 1)
-	if _, err := over.ProposeBlock(authority, 1, txs); !errors.Is(err, ErrBlockGasLimit) {
-		t.Fatalf("want ErrBlockGasLimit, got %v", err)
+	for name, check := range map[string]func(*Block) error{"import": over.ImportBlock, "verify": over.VerifyBlock} {
+		if err := check(block); !errors.Is(err, ErrBlockGasLimit) {
+			t.Fatalf("%s over limit: want ErrBlockGasLimit, got %v", name, err)
+		}
+		if over.Height() != 0 || over.State().Nonce(alice.Address()) != 0 || over.State().JournalLen() != 0 {
+			t.Fatalf("%s: rejected block left residue", name)
+		}
 	}
-	if err := over.ImportBlock(block); !errors.Is(err, ErrBlockGasLimit) {
-		t.Fatalf("import over limit: want ErrBlockGasLimit, got %v", err)
+	prefix, err := over.ProposeBlock(authority, 1, txs)
+	if err != nil {
+		t.Fatalf("one-over list should seal as its prefix: %v", err)
 	}
-	if over.Height() != 0 || over.State().Nonce(alice.Address()) != 0 {
-		t.Fatal("rejected block left residue")
+	if len(prefix.Txs) != 1 || prefix.Txs[0] != txs[0] || prefix.Header.GasUsed != TxBaseGas {
+		t.Fatalf("prefix block holds %d txs, gas %d; want txs[0] alone at %d", len(prefix.Txs), prefix.Header.GasUsed, TxBaseGas)
+	}
+	if got := over.State().Nonce(alice.Address()); got != 1 {
+		t.Fatalf("sender nonce %d after prefix seal, want 1 (tail not executed)", got)
+	}
+	if _, ok := over.Receipt(txs[1].Hash()); ok {
+		t.Fatal("excluded transaction has a receipt")
+	}
+	if err := mk(2*TxBaseGas - 1).ImportBlock(prefix); err != nil {
+		t.Fatalf("prefix block failed to import: %v", err)
+	}
+	// The tail is the next block's first candidate.
+	if next, err := over.ProposeBlock(authority, 2, txs[1:]); err != nil || len(next.Txs) != 1 {
+		t.Fatalf("tail did not seal next: %v", err)
 	}
 }
 
@@ -456,11 +477,28 @@ func TestChainBlockGasLimit(t *testing.T) {
 	})
 	tx0 := SignTx(alice, testIdentity(2).Address(), 1, 0, 50_000, nil)
 	tx1 := SignTx(alice, testIdentity(2).Address(), 1, 1, 50_000, nil)
-	if _, err := chain.ProposeBlock(authority, 1, []*Transaction{tx0, tx1}); !errors.Is(err, ErrBlockGasLimit) {
+	block, err := chain.ProposeBlock(authority, 1, []*Transaction{tx0, tx1})
+	if err != nil {
+		t.Fatalf("the fitting prefix should seal: %v", err)
+	}
+	if len(block.Txs) != 1 || block.Txs[0] != tx0 || block.Header.TxRoot != TxRoot([]*Transaction{tx0}) {
+		t.Fatalf("block holds %d txs, want tx0 alone under its own tx root", len(block.Txs))
+	}
+
+	// Not even the first candidate fits: the proposal fails, and neither
+	// the state nor the chain moved.
+	tight, _ := NewChain(ChainConfig{
+		Authorities:   []identity.Address{authority.Address()},
+		GenesisAlloc:  map[identity.Address]uint64{alice.Address(): 1_000},
+		BlockGasLimit: TxBaseGas - 1,
+	})
+	root := tight.State().Root()
+	if _, err := tight.ProposeBlock(authority, 1, []*Transaction{tx0, tx1}); !errors.Is(err, ErrBlockGasLimit) {
 		t.Fatalf("want ErrBlockGasLimit, got %v", err)
 	}
-	if _, err := chain.ProposeBlock(authority, 1, []*Transaction{tx0}); err != nil {
-		t.Fatalf("single tx should fit: %v", err)
+	if tight.Height() != 0 || tight.State().Root() != root || tight.State().JournalLen() != 0 ||
+		tight.State().Nonce(alice.Address()) != 0 {
+		t.Fatal("failed proposal left residue")
 	}
 }
 

@@ -214,23 +214,21 @@ func (m *Mempool) sendersLocked() []identity.Address {
 // self-pruning. The returned transactions remain in the pool until
 // Remove is called — typically after block inclusion.
 //
-// Selection is gas-aware: each transaction's intrinsic gas — the
-// guaranteed floor of what execution will consume, and its exact cost
-// for plain transfers — accumulates against gasBudget, and a sender's
-// chain is cut at the first transaction that no longer fits the
-// remaining budget. Declared gas (tx.GasLimit) is useless as a packing
-// signal on this fee-less chain: wallets default it far above the block
-// gas limit, so packing by declaration would turn every batch into one
-// transaction. With intrinsic packing a transfer-dominated backlog
-// drains in exactly-full blocks and the seal path's halving loop
-// becomes a fallback for contract calls that burn past their floor.
-// gasBudget 0 means unlimited.
+// The pool only bounds the candidates; the chain decides what fits
+// (Chain.ProposeBlock seals the longest prefix within the gas limit). Each
+// transaction's intrinsic gas — the guaranteed floor of what execution will
+// consume, and its exact cost for plain transfers — accumulates against
+// gasBudget, and a sender's chain is cut at the first transaction that no
+// longer fits, so a transfer backlog hands the chain exactly-full batches
+// and only contract calls that burn past their floor are left over.
+// Declared gas (tx.GasLimit) is useless as a bound on this fee-less chain:
+// wallets default it far above the block gas limit. gasBudget 0 means
+// unlimited.
 //
-// A transaction whose intrinsic gas alone exceeds gasBudget can never
-// be sealed — actual consumption only grows from there. Leaving it
-// pending would wedge its sender's lane forever (the poison-tx bug this
-// replaces), so such transactions are evicted on sight and counted in
-// ledger.mempool.evicted_overgas_total.
+// A transaction whose intrinsic gas alone exceeds gasBudget can never be
+// sealed — actual consumption only grows from there. Leaving it pending
+// would block its sender's lane forever, so it is evicted on sight and
+// counted in ledger.mempool.evicted_overgas_total.
 func (m *Mempool) NextBatch(st *State, max int, gasBudget uint64) []*Transaction {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -303,11 +301,10 @@ func (m *Mempool) dropLocked(tx *Transaction) bool {
 	return true
 }
 
-// EvictOvergas removes a transaction that proved unsealable because its
-// gas demand exceeds the block gas limit, counting it in
-// ledger.mempool.evicted_overgas_total. The seal path calls this as
-// defense in depth when a single-transaction block still overflows —
-// normally NextBatch has already screened such transactions out.
+// EvictOvergas removes a transaction that proved unsealable — alone in an
+// empty block, its execution still exceeds the block gas limit (intrinsic
+// gas below it, so NextBatch could not tell) — counting it in
+// ledger.mempool.evicted_overgas_total.
 func (m *Mempool) EvictOvergas(tx *Transaction) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -327,23 +324,7 @@ func (m *Mempool) Remove(txs []*Transaction) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, tx := range txs {
-		h := tx.Hash()
-		if _, ok := m.byHash[h]; !ok {
-			continue
-		}
-		delete(m.byHash, h)
-		list := m.bySender[tx.From]
-		for i, pending := range list {
-			if pending.Hash() == h {
-				list = append(list[:i], list[i+1:]...)
-				break
-			}
-		}
-		if len(list) == 0 {
-			delete(m.bySender, tx.From)
-		} else {
-			m.bySender[tx.From] = list
-		}
+		m.dropLocked(tx)
 	}
 	mPoolDepth.Set(float64(len(m.byHash)))
 }

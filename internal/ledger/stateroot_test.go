@@ -145,7 +145,7 @@ func TestStateMapsHoldLiveRecordsOnly(t *testing.T) {
 	checkCommitment(t, st)
 
 	// Revert of a first-ever credit, nonce and storage write — once with
-	// the root taken mid-journal (ExecuteBatch, VerifyBlock), once not.
+	// the root taken mid-journal (VerifyBlock), once not.
 	for _, rootMidJournal := range []bool{false, true} {
 		before := st.Root()
 		snap := st.Snapshot()

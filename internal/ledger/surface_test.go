@@ -116,24 +116,19 @@ func TestChainQuerySurface(t *testing.T) {
 }
 
 // TestExternalProposerSealAndImport builds a block outside the chain —
-// ExecuteBatch for the receipts and post-state root, the exported
-// TxRoot and Seal for the header commitment and signature — and
-// imports it through the full validation path. This is the external
-// proposer workflow ExecuteBatch/Seal/TxRoot exist for.
+// the post-state root and gas come from executing the transaction on a
+// twin chain, the exported TxRoot and Seal give the header commitment
+// and signature — and imports it through the full validation path.
+// This is the external-proposer (and forgery-harness) workflow Seal and
+// TxRoot exist for.
 func TestExternalProposerSealAndImport(t *testing.T) {
 	chain, authority, alice, bob := testChain(t)
+	twin, _, _, _ := testChain(t)
 
 	tx := SignTx(alice, bob.Address(), 100, 0, 50_000, nil)
-	receipts, root, err := chain.ExecuteBatch([]*Transaction{tx})
+	executed, err := twin.ProposeBlock(authority, 7, []*Transaction{tx})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(receipts) != 1 || !receipts[0].Succeeded() {
-		t.Fatalf("ExecuteBatch receipts = %+v", receipts)
-	}
-	// ExecuteBatch must leave the chain untouched.
-	if chain.Height() != 0 || chain.State().Balance(alice.Address()) != 1_000 {
-		t.Fatal("ExecuteBatch mutated the chain")
 	}
 
 	parent := chain.Head()
@@ -143,26 +138,19 @@ func TestExternalProposerSealAndImport(t *testing.T) {
 			Height:    1,
 			Timestamp: parent.Header.Timestamp + 1,
 			TxRoot:    TxRoot([]*Transaction{tx}),
-			StateRoot: root,
-			GasUsed:   receipts[0].GasUsed,
+			StateRoot: executed.Header.StateRoot,
+			GasUsed:   executed.Header.GasUsed,
 		},
 		Txs: []*Transaction{tx},
 	}
 	blk.Seal(authority)
+	if blk.Hash() == executed.Hash() {
+		t.Fatal("externally sealed block should differ from the twin's (timestamp)")
+	}
 	if err := chain.ImportBlock(blk); err != nil {
 		t.Fatalf("import externally sealed block: %v", err)
 	}
 	if chain.State().Balance(bob.Address()) != 600 {
 		t.Fatal("imported block did not apply")
-	}
-
-	// A batch the execution layer rejects outright (skipped nonce)
-	// surfaces the error and still leaves no trace on the state.
-	bad := SignTx(alice, bob.Address(), 1, 9, 50_000, nil)
-	if _, _, err := chain.ExecuteBatch([]*Transaction{bad}); err == nil {
-		t.Fatal("ExecuteBatch accepted a skipped nonce")
-	}
-	if chain.State().Nonce(alice.Address()) != 1 {
-		t.Fatal("failed ExecuteBatch left state mutated")
 	}
 }

@@ -1,7 +1,10 @@
 package market
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,6 +12,8 @@ import (
 	"pds2/internal/crypto"
 	"pds2/internal/identity"
 	"pds2/internal/ledger"
+	"pds2/internal/telemetry"
+	"pds2/internal/token"
 )
 
 // TestWorkloadMatchSettleEdgeCases drives the workload state machine
@@ -282,5 +287,177 @@ func TestSealBlockEvictsPoisonOvergasTx(t *testing.T) {
 	}
 	if len(block.Txs) != 1 || block.Txs[0].Hash() != follow.Hash() {
 		t.Fatal("follow-up tx did not seal after poison eviction")
+	}
+}
+
+// fundedByAddress returns n funded identities in address order — the
+// order Mempool.NextBatch visits senders in — and their genesis alloc.
+func fundedByAddress(seed uint64, n int) ([]*identity.Identity, map[identity.Address]uint64) {
+	rng := crypto.NewDRBGFromUint64(seed, "overflow")
+	ids := make([]*identity.Identity, n)
+	alloc := map[identity.Address]uint64{}
+	for i := range ids {
+		ids[i] = identity.New("acct", rng.Fork("id"))
+		alloc[ids[i].Address()] = 1_000_000
+	}
+	slices.SortFunc(ids, func(a, b *identity.Identity) int {
+		x, y := a.Address(), b.Address()
+		return bytes.Compare(x[:], y[:])
+	})
+	return ids, alloc
+}
+
+// TestSealBlockPacksOverflowInOnePass pins the one rule for contract
+// traffic: registerData burns ~51k gas against a ~22k intrinsic floor, so
+// the pool's intrinsic bound offers eight candidates to a 200k block that
+// holds three. The seal must verify and execute the batch once (one
+// ProposeBlock, not a halving ladder), include exactly the maximal prefix
+// that fits, and leave the rest pooled to drain in later seals.
+func TestSealBlockPacksOverflowInOnePass(t *testing.T) {
+	ids, alloc := fundedByAddress(31, 8)
+	m, err := New(Config{Seed: 31, GenesisAlloc: alloc, BlockGasLimit: 200_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	txs := make([]*ledger.Transaction, len(ids))
+	for i, id := range ids {
+		txs[i] = m.SignedTx(id, m.Registry, 0,
+			RegisterDataData(crypto.HashString(fmt.Sprint("dataset-", i)), crypto.HashString("meta")))
+		if err := m.Submit(txs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if offered := len(m.Pool.NextBatch(m.Chain.State(), 10_000, m.Chain.GasLimit())); offered != len(txs) {
+		t.Fatalf("pool offered %d candidates, want all %d (intrinsic gas fits)", offered, len(txs))
+	}
+
+	telemetry.Enable()
+	defer telemetry.Disable()
+	proposals := telemetry.H("ledger.block.stateless_seconds", telemetry.TimeBuckets)
+	before := proposals.Count()
+	block, err := m.SealBlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := proposals.Count() - before; got != 1 {
+		t.Fatalf("overflowing seal ran %d verification passes, want 1", got)
+	}
+
+	// The block is the candidates' prefix, in order, and maximal: the
+	// next candidate's gas (learned when it seals later) would not fit.
+	if len(block.Txs) == 0 || len(block.Txs) == len(txs) {
+		t.Fatalf("sealed %d of %d: the batch should overflow and the block hold a proper prefix", len(block.Txs), len(txs))
+	}
+	for i, tx := range block.Txs {
+		if tx != txs[i] {
+			t.Fatalf("block tx %d is not candidate %d", i, i)
+		}
+	}
+	if got, want := m.Pool.Len(), len(txs)-len(block.Txs); got != want {
+		t.Fatalf("%d transactions pooled after the seal, want the %d that did not fit", got, want)
+	}
+	sealed := len(block.Txs)
+	first := block
+	for i := 0; i < len(txs) && m.Pool.Len() > 0; i++ {
+		b, err := m.SealBlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Header.GasUsed > m.Chain.GasLimit() {
+			t.Fatalf("block %d used %d gas over the %d limit", b.Header.Height, b.Header.GasUsed, m.Chain.GasLimit())
+		}
+		sealed += len(b.Txs)
+	}
+	if sealed != len(txs) || m.Pool.Len() != 0 {
+		t.Fatalf("backlog not drained: sealed %d of %d, %d pending", sealed, len(txs), m.Pool.Len())
+	}
+	for _, tx := range txs {
+		if rcpt, ok := m.Chain.Receipt(tx.Hash()); !ok || !rcpt.Succeeded() {
+			t.Fatalf("registration %s did not succeed: %+v", tx.Hash().Short(), rcpt)
+		}
+	}
+	next, _ := m.Chain.Receipt(txs[len(first.Txs)].Hash())
+	if first.Header.GasUsed+next.GasUsed <= m.Chain.GasLimit() {
+		t.Fatalf("prefix not maximal: %d used, next candidate needs %d, limit %d",
+			first.Header.GasUsed, next.GasUsed, m.Chain.GasLimit())
+	}
+}
+
+// TestSealBlockEvictsExecutionOvergasTx covers the one eviction the pool
+// cannot make on sight: an ERC-20 deploy whose intrinsic gas (~22k) is
+// under the 70k block limit but whose execution (~80k) is not, so
+// NextBatch offers it and only the chain finds out. Heading the batch it
+// can never seal: the same SealBlock call must evict it and seal the
+// healthy backlog. Behind other candidates it merely ends the block, and
+// is evicted when it reaches the head.
+func TestSealBlockEvictsExecutionOvergasTx(t *testing.T) {
+	ids, alloc := fundedByAddress(32, 3)
+	m, err := New(Config{Seed: 32, GenesisAlloc: alloc, BlockGasLimit: 70_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deploy := contract.DeployData(token.ERC20CodeName, token.ERC20InitArgs("Token", "TKN", 1_000))
+	submit := func(from *identity.Identity, to identity.Address, data []byte) *ledger.Transaction {
+		t.Helper()
+		tx := m.SignedTx(from, to, 0, data)
+		if err := m.Submit(tx); err != nil {
+			t.Fatal(err)
+		}
+		return tx
+	}
+	telemetry.Enable()
+	defer telemetry.Disable()
+	evictions := telemetry.C("ledger.mempool.evicted_overgas_total")
+	before := evictions.Value()
+
+	// Heading the batch (lowest sender address): evicted in this call.
+	poison := submit(ids[0], identity.ZeroAddress, deploy)
+	if poison.IntrinsicGas() >= m.Chain.GasLimit() {
+		t.Fatal("test premise: the pool must not be able to screen this transaction")
+	}
+	healthy := []*ledger.Transaction{
+		submit(ids[1], ids[2].Address(), nil),
+		submit(ids[2], ids[1].Address(), nil),
+	}
+	block, err := m.SealBlock()
+	if err != nil {
+		t.Fatalf("seal wedged on execution-overgas tx: %v", err)
+	}
+	if len(block.Txs) != len(healthy) || block.Txs[0] != healthy[0] || block.Txs[1] != healthy[1] {
+		t.Fatalf("sealed %d txs, want the %d healthy ones", len(block.Txs), len(healthy))
+	}
+	if m.Pool.Contains(poison.Hash()) || m.Pool.Len() != 0 {
+		t.Fatal("execution-overgas tx still pending after the seal")
+	}
+	if _, ok := m.Chain.Receipt(poison.Hash()); ok {
+		t.Fatal("evicted tx must leave no receipt")
+	}
+	if got := m.Chain.State().Nonce(ids[0].Address()); got != 0 {
+		t.Fatalf("evicted tx consumed its sender's nonce (%d)", got)
+	}
+	if got := evictions.Value() - before; got != 1 {
+		t.Fatalf("evicted_overgas_total moved by %d, want 1", got)
+	}
+
+	// Behind a healthy candidate (highest sender address): the block ends
+	// before it, and the next seal finds it at the head and evicts it.
+	ahead := submit(ids[0], ids[1].Address(), nil)
+	poison = submit(ids[2], identity.ZeroAddress, deploy)
+	block, err = m.SealBlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(block.Txs) != 1 || block.Txs[0] != ahead || !m.Pool.Contains(poison.Hash()) {
+		t.Fatalf("sealed %d txs; want the one candidate ahead of the overgas tx, which stays pooled", len(block.Txs))
+	}
+	block, err = m.SealBlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(block.Txs) != 0 || m.Pool.Len() != 0 {
+		t.Fatalf("sealed %d txs with %d pending; want an empty block and the overgas tx evicted", len(block.Txs), m.Pool.Len())
+	}
+	if got := evictions.Value() - before; got != 2 {
+		t.Fatalf("evicted_overgas_total moved by %d, want 2", got)
 	}
 }

@@ -219,26 +219,17 @@ func (m *Market) sealBlockAt(timestamp uint64) (*ledger.Block, error) {
 	height := m.Chain.Height() + 1
 	proposer := m.authorities[(height-1)%uint64(len(m.authorities))]
 	for {
+		// The pool bounds the candidates by intrinsic gas; the chain seals
+		// the longest prefix that really fits and says so in block.Txs. The
+		// remainder stays pooled for the next seal.
 		batch := m.Pool.NextBatch(m.Chain.State(), 10_000, m.Chain.GasLimit())
 		block, err := m.Chain.ProposeBlock(proposer, timestamp, batch)
-		// NextBatch packs by intrinsic gas (declared gas is no signal on a
-		// fee-less chain; see Mempool.NextBatch), so overflow here means
-		// contract calls burned past their intrinsic floor. Halve the batch
-		// until it fits — the remainder stays pooled for the next seal — so
-		// a node under sustained load drains its backlog instead of wedging
-		// on every seal attempt.
-		for errors.Is(err, ledger.ErrBlockGasLimit) && len(batch) > 1 {
-			batch = batch[:len(batch)/2]
-			block, err = m.Chain.ProposeBlock(proposer, timestamp, batch)
-		}
-		if errors.Is(err, ledger.ErrBlockGasLimit) && len(batch) == 1 {
-			// A single transaction that cannot fit any block would wedge
-			// sealing forever: every future batch starts with it and fails
-			// the same way. Evict it and rebuild the batch.
-			if m.Pool.EvictOvergas(batch[0]) {
-				continue
-			}
-			return nil, err
+		if errors.Is(err, ledger.ErrBlockGasLimit) && m.Pool.EvictOvergas(batch[0]) {
+			// The first candidate does not fit an empty block, so it fits no
+			// block: left pooled it would head every future batch and fail
+			// the same way. Each pass drops one transaction, so the rebuild
+			// terminates.
+			continue
 		}
 		if err != nil {
 			return nil, err
@@ -246,7 +237,7 @@ func (m *Market) sealBlockAt(timestamp uint64) (*ledger.Block, error) {
 		if timestamp > m.timestamp {
 			m.timestamp = timestamp
 		}
-		m.Pool.Remove(batch)
+		m.Pool.Remove(block.Txs)
 		return block, nil
 	}
 }
@@ -362,13 +353,19 @@ func (m *Market) WorkloadResultOf(addr identity.Address) (crypto.Digest, []Score
 	return h, scores, err
 }
 
-// Workloads lists all workload contract addresses in the registry.
-func (m *Market) Workloads() ([]identity.Address, error) {
+// WorkloadCount returns the number of workload contracts in the registry
+// with a single view call.
+func (m *Market) WorkloadCount() (uint64, error) {
 	raw, err := m.View(identity.ZeroAddress, m.Registry, "workloadCount", nil)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	n, err := contract.NewDecoder(raw).Uint64()
+	return contract.NewDecoder(raw).Uint64()
+}
+
+// Workloads lists all workload contract addresses in the registry.
+func (m *Market) Workloads() ([]identity.Address, error) {
+	n, err := m.WorkloadCount()
 	if err != nil {
 		return nil, err
 	}

@@ -160,7 +160,7 @@ func ForgeBalanceClaimBlock(m *market.Market, authority, sender *identity.Identi
 // from an acceptable block in Header.StateRoot (and the seal over it)
 // alone; every mode must refuse it with ledger.ErrBadStateRoot.
 func ForgeFlatRootBlock(m *market.Market, authority, sender *identity.Identity) (*ledger.Block, error) {
-	rt, err := MarketRuntime()
+	rt, err := market.NewRuntime()
 	if err != nil {
 		return nil, err
 	}

@@ -22,7 +22,7 @@ func TestPersistModeSurvivesKillEveryBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := runImportMode(data)
+	want := runMode(data, importSpec)
 	if want.Err != nil {
 		t.Fatalf("import mode rejected the chain: %v", want.Err)
 	}
@@ -30,15 +30,23 @@ func TestPersistModeSurvivesKillEveryBlock(t *testing.T) {
 	sched := faults.Schedule{Name: "kill-always", Seed: 1, Rules: []faults.Rule{
 		{Kind: faults.Kill, Rate: 1, Endpoint: "node.commit"},
 	}}
-	got, kills := persistReplay(data, sched)
-	if got.Err != nil {
-		t.Fatalf("persist mode failed: %v", got.Err)
-	}
-	if kills < len(res.History.Blocks) {
-		t.Fatalf("only %d kills over %d blocks (schedule not firing)", kills, len(res.History.Blocks))
-	}
-	if got.Height != want.Height || got.Root != want.Root {
-		t.Fatalf("persist diverged: %s vs %s", got, want)
+	// Both store rows: the VM replica, and the reference-interpreter
+	// replica checked against its witness across every reopen.
+	for _, spec := range replicaSpecs {
+		if !spec.store {
+			continue
+		}
+		spec.kills = &sched
+		got := runMode(data, spec)
+		if got.Err != nil {
+			t.Fatalf("%s mode failed: %v", spec.mode, got.Err)
+		}
+		if got.Kills < len(res.History.Blocks) {
+			t.Fatalf("%s: only %d kills over %d blocks (schedule not firing)", spec.mode, got.Kills, len(res.History.Blocks))
+		}
+		if got.Height != want.Height || got.Root != want.Root {
+			t.Fatalf("persist diverged: %s vs %s", got, want)
+		}
 	}
 }
 
@@ -53,7 +61,7 @@ func TestPersistModeDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := runPersistMode(data), runPersistMode(data)
+	a, b := runMode(data, persistSpec), runMode(data, persistSpec)
 	if a.Err != nil || b.Err != nil {
 		t.Fatalf("persist errors: %v / %v", a.Err, b.Err)
 	}
@@ -62,8 +70,7 @@ func TestPersistModeDeterministic(t *testing.T) {
 	}
 	// And it fires at least sometimes under the default schedule across
 	// the smoke seeds (rate 1/8 per block over dozens of blocks).
-	_, kills := persistReplay(data, faults.KillRestart(uint64(len(data))*2654435761))
-	if len(res.History.Blocks) >= 24 && kills == 0 {
+	if len(res.History.Blocks) >= 24 && a.Kills == 0 {
 		t.Logf("note: no kills fired for this export (%d blocks)", len(res.History.Blocks))
 	}
 }

@@ -74,9 +74,9 @@ func TestProptestSmoke(t *testing.T) {
 // TestVMPolicyReplay pins the VM leg of the differential oracle: a
 // seeded run must actually deploy compiled policy programs and log
 // decisions for program-governed datasets, and the resulting chain must
-// survive all five replay modes — in particular the vm mode, which
-// re-executes every deployed program with the reference tree-walking
-// evaluator and demands identical receipts, events and roots.
+// survive every replay row — in particular the vm rows, which
+// re-execute every deployed program with the reference tree-walking
+// evaluator and demand identical receipts, events and roots.
 func TestVMPolicyReplay(t *testing.T) {
 	var programs, decisions int
 	for _, seed := range []uint64{5, 6, 8, 9} {

@@ -17,31 +17,51 @@ import (
 	"pds2/internal/proptest/flatroot"
 )
 
-// The differential replay oracle: every generated chain is executed
-// five independent ways and any divergence — in acceptance, in height,
-// or in final state root — is a correctness failure of the ledger's
-// import pipeline.
+// The differential replay oracle: every generated chain is re-executed
+// by one runner (runMode) over a table of replica specs, and any
+// divergence — in acceptance, in height, or in final state root — is a
+// correctness failure of the ledger's import pipeline. A spec picks one
+// value on each axis:
 //
-//	import   — a fresh replica importing block-by-block (ImportBlock)
-//	audit    — a read-only auditor verifying each block (VerifyBlock)
-//	           before advancing, checking that verification itself is
-//	           side-effect free
-//	replay   — the ledger's own export/replay path (ledger.Replay)
-//	persist  — a durable replica importing through a chainstore, killed
-//	           mid-run (deterministic kill/restart schedule, torn bytes
-//	           appended to the log to simulate a crash mid-write) and
-//	           reopened from snapshot + log tail each time
-//	vm       — a bytecode-VM replica and a reference-interpreter replica
-//	           (deployed policy programs re-executed from embedded
-//	           source by the tree-walking oracle) importing in lockstep,
-//	           compared on receipts, events and roots
-
-// MarketRuntime builds a contract runtime with the full marketplace
-// code registry — the applier any replica must run to re-validate a
-// market chain.
-func MarketRuntime() (*contract.Runtime, error) {
-	return market.NewRuntime()
+//	step     import (ImportBlock, what a following node runs) | audit
+//	         (VerifyBlock first, which must leave the root untouched,
+//	         then ImportBlock)
+//	runtime  bytecode VM | reference interpreter (deployed policy
+//	         programs re-executed from embedded source by the
+//	         tree-walking oracle), checked block by block against a VM
+//	         witness on receipts and event order
+//	store    none | a chainstore in a scratch directory, snapshotted
+//	         every few blocks and killed on a deterministic schedule:
+//	         torn bytes appended to the log (a crash mid-write), reopened
+//	         from snapshot + log tail, importing resumed
+//
+// and one row swaps the block loop for the ledger's own export/replay
+// entry point (ledger.Replay). A new axis value is a field and a row.
+type replicaSpec struct {
+	mode   string
+	replay bool // entry point: ledger.Replay over the raw export
+	audit  bool // step: VerifyBlock with the purity check, then ImportBlock
+	ref    bool // runtime: reference interpreter beside a VM witness
+	store  bool // store: chainstore with the kill schedule
+	// kills overrides the store rows' kill schedule; by default it is
+	// seeded from the export so each generated chain crashes at
+	// different (but reproducible) heights.
+	kills *faults.Schedule
 }
+
+var (
+	importSpec  = replicaSpec{mode: "import"}
+	persistSpec = replicaSpec{mode: "persist", store: true}
+
+	replicaSpecs = []replicaSpec{
+		importSpec,
+		{mode: "audit", audit: true},
+		{mode: "replay", replay: true},
+		persistSpec,
+		{mode: "vm", ref: true},
+		{mode: "vm-persist", ref: true, store: true},
+	}
+)
 
 // ModeResult is the outcome of one replay mode over one exported chain.
 type ModeResult struct {
@@ -54,6 +74,9 @@ type ModeResult struct {
 	// state-root definition (flatRoot) — a second, independently
 	// computed fingerprint of the same records.
 	FlatRoot crypto.Digest
+	// Kills counts the kill/restart cycles that fired (store rows), so
+	// harnesses can assert the crash path was exercised.
+	Kills int
 }
 
 // flatRoot is the flat state-root oracle over a chain's exported maps.
@@ -85,13 +108,9 @@ func ExportMarket(m *market.Market) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// freshReplica rebuilds an empty chain from an export's embedded
-// genesis configuration, with the marketplace applier.
-func freshReplica(exp *ledger.ChainExport) (*ledger.Chain, error) {
-	rt, err := MarketRuntime()
-	if err != nil {
-		return nil, err
-	}
+// newReplica rebuilds an empty chain from an export's embedded genesis
+// configuration, executing with rt.
+func newReplica(exp *ledger.ChainExport, rt *contract.Runtime) (*ledger.Chain, error) {
 	return ledger.NewChain(ledger.ChainConfig{
 		Authorities:   exp.Authorities,
 		BlockGasLimit: exp.BlockGasLimit,
@@ -109,191 +128,180 @@ func decodeExport(data []byte) (*ledger.ChainExport, error) {
 	return &exp, nil
 }
 
-// runImportMode replays the chain on a fresh replica through
-// ImportBlock — the path a following node runs.
-func runImportMode(data []byte) ModeResult {
-	res := ModeResult{Mode: "import"}
+// runMode replays an exported chain on the replica spec describes and
+// reports where it ended up. The final root must match every other row:
+// neither the step, the engine nor persistence may be visible to
+// consensus.
+func runMode(data []byte, spec replicaSpec) ModeResult {
+	res := ModeResult{Mode: spec.mode}
+	chain, err := spec.run(data, &res)
+	res.Err = err
+	if chain != nil {
+		res.observe(chain)
+	}
+	return res
+}
+
+// run is runMode's body: it returns the replica as far as it got (nil if
+// it could not be built or reopened) and the first error, recording the
+// failing height and the kill count in res.
+func (s replicaSpec) run(data []byte, res *ModeResult) (*ledger.Chain, error) {
+	newRuntime := market.NewRuntime
+	if s.ref {
+		newRuntime = market.NewReferenceRuntime
+	}
+	rt, err := newRuntime()
+	if err != nil {
+		return nil, err
+	}
+	if s.replay {
+		return ledger.Replay(bytes.NewReader(data), rt)
+	}
 	exp, err := decodeExport(data)
 	if err != nil {
-		res.Err = err
-		return res
+		return nil, err
 	}
-	chain, err := freshReplica(exp)
+	chain, err := newReplica(exp, rt)
 	if err != nil {
-		res.Err = err
-		return res
+		return nil, err
 	}
-	for _, b := range exp.Blocks {
-		if err := chain.ImportBlock(b); err != nil {
-			res.Err = err
-			res.FailedAt = b.Header.Height
-			res.observe(chain)
-			return res
+	var witness *ledger.Chain
+	if s.ref {
+		vmRT, err := market.NewRuntime()
+		if err != nil {
+			return nil, err
+		}
+		if witness, err = newReplica(exp, vmRT); err != nil {
+			return nil, err
 		}
 	}
-	res.observe(chain)
-	return res
-}
-
-// runAuditMode replays the chain on a fresh replica through
-// VerifyBlock — the read-only auditor's path — checking after every
-// verification that the state is bit-identical to before (verification
-// must be a pure read), then advancing with ImportBlock.
-func runAuditMode(data []byte) ModeResult {
-	res := ModeResult{Mode: "audit"}
-	exp, err := decodeExport(data)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	chain, err := freshReplica(exp)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	for _, b := range exp.Blocks {
-		before := chain.State().Root()
-		verr := chain.VerifyBlock(b)
-		if after := chain.State().Root(); after != before {
-			res.Err = fmt.Errorf("proptest: VerifyBlock mutated state: %s -> %s", before.Short(), after.Short())
-			res.FailedAt = b.Header.Height
-			res.Height = chain.Height()
-			res.Root = after
-			return res
+	var (
+		store *chainstore.Store
+		dir   string
+		inj   *faults.Injector
+	)
+	if s.store {
+		if dir, err = os.MkdirTemp("", "pds2-persist-*"); err != nil {
+			return nil, err
 		}
-		if verr != nil {
-			res.Err = verr
-			res.FailedAt = b.Header.Height
-			res.Height = chain.Height()
-			res.Root = before
-			return res
+		defer os.RemoveAll(dir)
+		if store, err = chainstore.Open(dir, nil); err != nil {
+			return nil, err
 		}
-		if err := chain.ImportBlock(b); err != nil {
-			res.Err = fmt.Errorf("proptest: verified block failed import: %w", err)
-			res.FailedAt = b.Header.Height
-			res.observe(chain)
-			return res
+		defer func() { store.Close() }() // whichever store is open at return
+		if err := store.InitChain(chain); err != nil {
+			return nil, err
 		}
+		store.AttachSnapshotting(chain, snapshotEvery)
+		sched := faults.KillRestart(uint64(len(data)) * 2654435761)
+		if s.kills != nil {
+			sched = *s.kills
+		}
+		inj = faults.NewInjector(sched)
 	}
-	res.observe(chain)
-	return res
-}
-
-// runReplayMode replays the chain through the ledger's own
-// export/replay API.
-func runReplayMode(data []byte) ModeResult {
-	res := ModeResult{Mode: "replay"}
-	rt, err := MarketRuntime()
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	chain, err := ledger.Replay(bytes.NewReader(data), rt)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	res.observe(chain)
-	return res
-}
-
-// runPersistMode replays the chain on a durable replica: blocks import
-// through a chain attached to a chainstore in a scratch directory, a
-// snapshot is taken every few blocks, and a deterministic kill/restart
-// schedule (faults.KillRestart) crashes the replica mid-run — torn
-// bytes are appended to the active log segment to simulate dying inside
-// a write, then the store is reopened and the chain rebuilt from
-// snapshot + log tail before importing resumes. The final root must
-// match every other mode: persistence must be invisible to consensus.
-func runPersistMode(data []byte) ModeResult {
-	// Seed the kill schedule from the export content so each generated
-	// chain crashes at different (but reproducible) heights.
-	res, _ := persistReplay(data, faults.KillRestart(uint64(len(data))*2654435761))
-	return res
-}
-
-// persistReplay is the persist oracle with an explicit kill schedule;
-// it also reports how many kill/restart cycles actually fired so
-// harnesses can assert the crash path was exercised.
-func persistReplay(data []byte, sched faults.Schedule) (ModeResult, int) {
-	res := ModeResult{Mode: "persist"}
-	kills := 0
-	exp, err := decodeExport(data)
-	if err != nil {
-		res.Err = err
-		return res, kills
-	}
-	dir, err := os.MkdirTemp("", "pds2-persist-*")
-	if err != nil {
-		res.Err = err
-		return res, kills
-	}
-	defer os.RemoveAll(dir)
-
-	inj := faults.NewInjector(sched)
-
-	const snapshotEvery = 4
-	store, err := chainstore.Open(dir, nil)
-	if err != nil {
-		res.Err = err
-		return res, kills
-	}
-	rt, err := MarketRuntime()
-	if err != nil {
-		res.Err = err
-		return res, kills
-	}
-	chain, err := freshReplica(exp)
-	if err != nil {
-		res.Err = err
-		return res, kills
-	}
-	if err := store.InitChain(chain); err != nil {
-		res.Err = err
-		return res, kills
-	}
-	store.AttachSnapshotting(chain, snapshotEvery)
 
 	for i := 0; i < len(exp.Blocks); {
 		b := exp.Blocks[i]
-		if err := chain.ImportBlock(b); err != nil {
-			res.Err = err
+		if err := s.step(chain, witness, b); err != nil {
 			res.FailedAt = b.Header.Height
-			res.observe(chain)
-			store.Close()
-			return res, kills
+			return chain, err
 		}
 		i++
-		if !inj.ShouldKill() {
+		if store == nil || !inj.ShouldKill() {
 			continue
 		}
-		kills++
-		// Crash: abandon the store without Close, tear the log's tail
-		// (a frame died mid-write), then reopen and rebuild.
+		res.Kills++
+		// Crash: abandon the store, tear the log's tail (a frame died
+		// mid-write), then reopen and rebuild.
 		_ = store.Close() // the fsynced prefix is what survives either way
 		if err := tearActiveSegment(dir); err != nil {
-			res.Err = err
-			return res, kills
+			return nil, err
 		}
-		store, err = chainstore.Open(dir, nil)
+		reopened, err := chainstore.Open(dir, nil)
 		if err != nil {
-			res.Err = fmt.Errorf("proptest: reopen after kill: %w", err)
-			return res, kills
+			return nil, fmt.Errorf("proptest: reopen after kill: %w", err)
 		}
-		chain, err = store.OpenChain(rt)
-		if err != nil {
-			res.Err = fmt.Errorf("proptest: rebuild after kill: %w", err)
-			store.Close()
-			return res, kills
+		store = reopened
+		if chain, err = store.OpenChain(rt); err != nil {
+			return nil, fmt.Errorf("proptest: rebuild after kill: %w", err)
 		}
 		store.AttachSnapshotting(chain, snapshotEvery)
 		// Torn-tail truncation may have dropped the last committed
 		// block; re-import from wherever the durable prefix ends.
 		i = int(chain.Height()) - firstImportOffset(exp)
 	}
-	res.observe(chain)
-	store.Close()
-	return res, kills
+	return chain, nil
+}
+
+// snapshotEvery is the store rows' snapshot cadence, in blocks.
+const snapshotEvery = 4
+
+// step advances chain over one block the way the row says. With a
+// witness — a VM replica beside a reference-interpreter chain — the
+// witness imports the block too (unless a kill made chain re-import a
+// block the witness already holds) and both must have recorded it
+// identically: the two engines share one host adapter and one gas charge
+// schedule, so a VM miscompilation, dispatch bug or gas-charge drift
+// breaks here even when each engine is self-consistent.
+func (s replicaSpec) step(chain, witness *ledger.Chain, b *ledger.Block) error {
+	if s.audit {
+		before := chain.State().Root()
+		verr := chain.VerifyBlock(b)
+		if after := chain.State().Root(); after != before {
+			return fmt.Errorf("proptest: VerifyBlock mutated state: %s -> %s", before.Short(), after.Short())
+		}
+		if verr != nil {
+			return verr
+		}
+	}
+	err := chain.ImportBlock(b)
+	if s.audit && err != nil {
+		return fmt.Errorf("proptest: verified block failed import: %w", err)
+	}
+	if witness == nil {
+		return err
+	}
+	var werr error
+	if witness.Height() < b.Header.Height {
+		werr = witness.ImportBlock(b)
+	}
+	if (err == nil) != (werr == nil) {
+		return fmt.Errorf("proptest: lockstep acceptance split: %v vs %v", werr, err)
+	}
+	if err != nil {
+		return err
+	}
+	return sameRecord(witness, chain, b)
+}
+
+// sameRecord checks that replicas a and b recorded block blk alike.
+// ImportBlock already rejects any state-root or gas divergence against
+// the header; on top of that the two must agree on each transaction's
+// receipt and on the event log — order included — so a replica that
+// reorders events or rewrites an error message diverges here even if the
+// state root happens to survive. A replica reopened from a snapshot logs
+// only the events since, so the logs are compared over the tail both
+// hold (all of it when neither was reopened).
+func sameRecord(a, b *ledger.Chain, blk *ledger.Block) error {
+	for _, tx := range blk.Txs {
+		ar, aok := a.Receipt(tx.Hash())
+		br, bok := b.Receipt(tx.Hash())
+		if !aok || !bok || !reflect.DeepEqual(ar, br) {
+			return fmt.Errorf("proptest: lockstep receipt divergence for tx %s: %+v vs %+v",
+				tx.Hash().Short(), ar, br)
+		}
+	}
+	if a.Height() != b.Height() {
+		return nil // b is re-importing behind a: a's log tail is a later block's
+	}
+	aev, bev := a.Events(""), b.Events("")
+	n := min(len(aev), len(bev))
+	whole := a.Base() == 0 && b.Base() == 0
+	if (whole && len(aev) != len(bev)) || (n > 0 && !reflect.DeepEqual(aev[len(aev)-n:], bev[len(bev)-n:])) {
+		return fmt.Errorf("proptest: lockstep event-log divergence at height %d: %d vs %d events",
+			blk.Header.Height, len(aev), len(bev))
+	}
+	return nil
 }
 
 // firstImportOffset maps a chain height back to an index into
@@ -324,88 +332,14 @@ func tearActiveSegment(dir string) error {
 	return err
 }
 
-// lockstepImport imports every block into replicas a and b side by
-// side. ImportBlock already rejects any state-root or gas divergence
-// against the header; on top of that, after every block the two
-// replicas must agree on acceptance, on each transaction's receipt and
-// on the cumulative event log — order included — so a replica that
-// reorders events or rewrites an error message diverges here even if
-// the state root happens to survive. It returns the height of the first
-// block that failed or diverged (0 = none); a is named first in
-// divergence messages.
-func lockstepImport(a, b *ledger.Chain, blocks []*ledger.Block) (failedAt uint64, err error) {
-	for _, blk := range blocks {
-		aerr, berr := a.ImportBlock(blk), b.ImportBlock(blk)
-		if (aerr == nil) != (berr == nil) {
-			return blk.Header.Height, fmt.Errorf("proptest: lockstep acceptance split: %v vs %v", aerr, berr)
-		}
-		if berr != nil {
-			return blk.Header.Height, berr
-		}
-		for _, tx := range blk.Txs {
-			ar, aok := a.Receipt(tx.Hash())
-			br, bok := b.Receipt(tx.Hash())
-			if !aok || !bok || !reflect.DeepEqual(ar, br) {
-				return blk.Header.Height, fmt.Errorf("proptest: lockstep receipt divergence for tx %s: %+v vs %+v",
-					tx.Hash().Short(), ar, br)
-			}
-		}
-		if aev, bev := a.Events(""), b.Events(""); !reflect.DeepEqual(aev, bev) {
-			return blk.Header.Height, fmt.Errorf("proptest: lockstep event-log divergence at height %d: %d vs %d events",
-				blk.Header.Height, len(aev), len(bev))
-		}
-	}
-	return 0, nil
-}
-
-// runVMMode replays the chain on a replica whose registry runs deployed
-// policy programs through the reference tree-walking evaluator instead
-// of the bytecode VM, importing in lockstep with a normal (VM) replica.
-// The two engines share one host adapter and one gas charge schedule,
-// so every block must land on identical receipts, event logs and state
-// roots — a VM miscompilation, dispatch bug or gas-charge drift breaks
-// this mode even when each engine is self-consistent.
-func runVMMode(data []byte) ModeResult {
-	res := ModeResult{Mode: "vm"}
-	exp, err := decodeExport(data)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	vmChain, err := freshReplica(exp)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	refRT, err := market.NewReferenceRuntime()
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	refChain, err := ledger.NewChain(ledger.ChainConfig{
-		Authorities:   exp.Authorities,
-		BlockGasLimit: exp.BlockGasLimit,
-		GenesisAlloc:  exp.GenesisAlloc,
-		Applier:       refRT,
-	})
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	res.FailedAt, res.Err = lockstepImport(vmChain, refChain, exp.Blocks)
-	res.observe(refChain)
-	return res
-}
-
-// RunReplayModes executes an exported chain through all five modes.
+// RunReplayModes executes an exported chain through every row of the
+// replica matrix.
 func RunReplayModes(data []byte) []ModeResult {
-	return []ModeResult{
-		runImportMode(data),
-		runAuditMode(data),
-		runReplayMode(data),
-		runPersistMode(data),
-		runVMMode(data),
+	results := make([]ModeResult, len(replicaSpecs))
+	for i, spec := range replicaSpecs {
+		results[i] = runMode(data, spec)
 	}
+	return results
 }
 
 // DifferentialCheck asserts that every mode accepted the chain and that

@@ -13,24 +13,13 @@ import (
 // by TraceID so a workload that hopped consumer → governance → executor
 // renders as a single tree.
 type Collector struct {
-	mu      sync.Mutex
-	spans   map[SpanID]Span
-	history map[historyKey]HistorySample
-}
-
-// historyKey identifies one history sample across repeated collection
-// rounds: a node takes at most one registry snapshot per instant.
-type historyKey struct {
-	node   string
-	unixNS int64
+	mu    sync.Mutex
+	spans map[SpanID]Span
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{
-		spans:   make(map[SpanID]Span),
-		history: make(map[historyKey]HistorySample),
-	}
+	return &Collector{spans: make(map[SpanID]Span)}
 }
 
 // Add merges spans into the collector. Re-added span IDs overwrite, so
@@ -46,89 +35,6 @@ func (c *Collector) Add(spans ...Span) {
 // AddRegistry snapshots a registry's tracer into the collector.
 func (c *Collector) AddRegistry(r *Registry) {
 	c.Add(r.Tracer().Spans()...)
-}
-
-// AddHistory merges one node's metrics-history samples into the
-// collector. Keyed by (node, sample time), so re-collecting the same
-// ring — or a longer window that overlaps a previous pull — is
-// idempotent. Nodes with disjoint metric sets coexist: each sample
-// carries its own metric list and History() keeps them separate
-// per node.
-func (c *Collector) AddHistory(samples ...HistorySample) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, s := range samples {
-		c.history[historyKey{node: s.Node, unixNS: s.UnixNS}] = s
-	}
-}
-
-// AddHistoryDump merges a /v1/metrics/history response into the collector.
-// Samples missing a node name inherit the dump's.
-func (c *Collector) AddHistoryDump(d HistoryDump) {
-	for i := range d.Samples {
-		if d.Samples[i].Node == "" {
-			d.Samples[i].Node = d.Node
-		}
-	}
-	c.AddHistory(d.Samples...)
-}
-
-// History returns every collected sample ordered by sample time, ties
-// broken by node name for determinism. Clock skew between nodes is the
-// caller's problem to interpret — the merge preserves each node's own
-// timestamps rather than trying to correct them, so a skewed node's
-// samples interleave wherever its clock placed them.
-func (c *Collector) History() []HistorySample {
-	c.mu.Lock()
-	out := make([]HistorySample, 0, len(c.history))
-	for _, s := range c.history {
-		out = append(out, s)
-	}
-	c.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].UnixNS != out[j].UnixNS {
-			return out[i].UnixNS < out[j].UnixNS
-		}
-		return out[i].Node < out[j].Node
-	})
-	return out
-}
-
-// NodeHistory returns one node's samples in time order.
-func (c *Collector) NodeHistory(node string) []HistorySample {
-	all := c.History()
-	out := all[:0:0]
-	for _, s := range all {
-		if s.Node == node {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// HistoryNodes returns the node names present in the merged history,
-// sorted.
-func (c *Collector) HistoryNodes() []string {
-	c.mu.Lock()
-	seen := make(map[string]bool)
-	for k := range c.history {
-		seen[k.node] = true
-	}
-	c.mu.Unlock()
-	nodes := make([]string, 0, len(seen))
-	for n := range seen {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	return nodes
-}
-
-// Series extracts one metric's merged time series for one node. Samples
-// where the node never registered the metric are skipped, so nodes with
-// disjoint metric sets yield disjoint series rather than zero-filled
-// ones.
-func (c *Collector) Series(node, metric string) []SeriesPoint {
-	return seriesOf(c.NodeHistory(node), metric)
 }
 
 // Trace returns every collected span as one Trace, ordered by start

@@ -207,12 +207,8 @@ type SeriesPoint struct {
 // order. Samples that lack the metric (e.g. recorded before the
 // instrument first registered) are skipped.
 func (d HistoryDump) Series(name string) []SeriesPoint {
-	return seriesOf(d.Samples, name)
-}
-
-func seriesOf(samples []HistorySample, name string) []SeriesPoint {
 	var out []SeriesPoint
-	for _, s := range samples {
+	for _, s := range d.Samples {
 		m, ok := s.Get(name)
 		if !ok {
 			continue

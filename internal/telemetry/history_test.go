@@ -51,6 +51,14 @@ func TestHistoryRecordAndSeries(t *testing.T) {
 	if samples[0].Node != "n1" {
 		t.Fatalf("node = %q", samples[0].Node)
 	}
+	// A metric registered midway yields a series only from then on —
+	// earlier samples are skipped, not zero-filled.
+	r.Counter("gossip.rx.total").Add(9)
+	h.Record()
+	late := HistoryDump{Samples: h.Samples()}.Series("gossip.rx.total")
+	if len(late) != 1 || late[0].Value != 9 {
+		t.Fatalf("late-registered series = %+v, want the one sample that has it", late)
+	}
 }
 
 func TestHistoryRingWraps(t *testing.T) {
@@ -174,159 +182,6 @@ func TestEnableHistoryDefault(t *testing.T) {
 	DisableHistory()
 	if DefaultHistory() != nil {
 		t.Fatal("DisableHistory left a default ring")
-	}
-}
-
-// --- Collector history merging (multi-node, disjoint metrics, skew) ---
-
-func TestCollectorMergesMultiNodeHistory(t *testing.T) {
-	ra := enabled(t)
-	ra.SetNode("a")
-	ra.Gauge("depth").Set(1)
-	ha := historyAt(ra, time.Unix(100, 0), time.Second, 8)
-	ha.Record()
-	ha.Record()
-
-	rb := enabled(t)
-	rb.SetNode("b")
-	rb.Gauge("depth").Set(2)
-	hb := historyAt(rb, time.Unix(100, 500*int64(time.Millisecond)), time.Second, 8)
-	hb.Record()
-	hb.Record()
-
-	c := NewCollector()
-	c.AddHistory(ha.Samples()...)
-	c.AddHistory(hb.Samples()...)
-
-	merged := c.History()
-	if len(merged) != 4 {
-		t.Fatalf("merged %d samples, want 4", len(merged))
-	}
-	// a@101, b@101.5, a@102, b@102.5 — interleaved by timestamp.
-	wantNodes := []string{"a", "b", "a", "b"}
-	for i, s := range merged {
-		if s.Node != wantNodes[i] {
-			t.Fatalf("merged order %d = %q, want %q", i, s.Node, wantNodes[i])
-		}
-	}
-	if nodes := c.HistoryNodes(); len(nodes) != 2 || nodes[0] != "a" || nodes[1] != "b" {
-		t.Fatalf("nodes = %v", nodes)
-	}
-	if sa := c.Series("a", "depth"); len(sa) != 2 || sa[0].Value != 1 {
-		t.Fatalf("node a series = %+v", sa)
-	}
-}
-
-func TestCollectorHistoryIdempotentReAdd(t *testing.T) {
-	r := enabled(t)
-	r.SetNode("a")
-	r.Gauge("v").Set(3)
-	h := historyAt(r, time.Unix(100, 0), time.Second, 8)
-	h.Record()
-	h.Record()
-
-	c := NewCollector()
-	c.AddHistory(h.Samples()...)
-	c.AddHistory(h.Samples()...) // second collection round, same ring
-	if got := len(c.History()); got != 2 {
-		t.Fatalf("re-add duplicated samples: %d, want 2", got)
-	}
-}
-
-func TestCollectorHistoryDisjointMetricSets(t *testing.T) {
-	ra := enabled(t)
-	ra.SetNode("sealer")
-	ra.Gauge("ledger.mempool.depth").Set(42)
-	ha := historyAt(ra, time.Unix(100, 0), time.Second, 8)
-	ha.Record()
-
-	rb := enabled(t)
-	rb.SetNode("follower")
-	rb.Counter("gossip.rx.total").Add(9)
-	hb := historyAt(rb, time.Unix(100, 0), time.Second, 8)
-	hb.Record()
-
-	c := NewCollector()
-	c.AddHistory(ha.Samples()...)
-	c.AddHistory(hb.Samples()...)
-
-	if s := c.Series("sealer", "ledger.mempool.depth"); len(s) != 1 || s[0].Value != 42 {
-		t.Fatalf("sealer series = %+v", s)
-	}
-	// The follower never registered mempool depth: its series must be
-	// empty, not zero-filled.
-	if s := c.Series("follower", "ledger.mempool.depth"); len(s) != 0 {
-		t.Fatalf("follower grew a phantom mempool series: %+v", s)
-	}
-	if s := c.Series("follower", "gossip.rx.total"); len(s) != 1 || s[0].Value != 9 {
-		t.Fatalf("follower gossip series = %+v", s)
-	}
-}
-
-func TestCollectorHistoryClockSkew(t *testing.T) {
-	// Node "late" runs 10 minutes behind node "early". The merge must
-	// not drop or reorder either node's own series — it orders globally
-	// by reported timestamps, and per-node series stay internally
-	// consistent.
-	rEarly := enabled(t)
-	rEarly.SetNode("early")
-	gE := rEarly.Gauge("v")
-	hE := historyAt(rEarly, time.Unix(10000, 0), time.Second, 8)
-
-	rLate := enabled(t)
-	rLate.SetNode("late")
-	gL := rLate.Gauge("v")
-	hL := historyAt(rLate, time.Unix(10000-600, 0), time.Second, 8)
-
-	for i := 0; i < 3; i++ {
-		gE.Set(float64(100 + i))
-		hE.Record()
-		gL.Set(float64(200 + i))
-		hL.Record()
-	}
-	c := NewCollector()
-	c.AddHistory(hL.Samples()...)
-	c.AddHistory(hE.Samples()...)
-
-	merged := c.History()
-	if len(merged) != 6 {
-		t.Fatalf("merged %d, want 6", len(merged))
-	}
-	// All of late's (skewed-behind) samples sort before early's.
-	for i := 0; i < 3; i++ {
-		if merged[i].Node != "late" {
-			t.Fatalf("skewed node not first in merge order: %+v", merged[i])
-		}
-	}
-	// Each node's own series remains monotone and value-ordered.
-	for node, want := range map[string]float64{"early": 100, "late": 200} {
-		s := c.Series(node, "v")
-		if len(s) != 3 {
-			t.Fatalf("%s series len %d", node, len(s))
-		}
-		for i, p := range s {
-			if p.Value != want+float64(i) {
-				t.Fatalf("%s series out of order: %+v", node, s)
-			}
-			if i > 0 && p.UnixNS <= s[i-1].UnixNS {
-				t.Fatalf("%s series timestamps not increasing", node)
-			}
-		}
-	}
-}
-
-func TestCollectorAddHistoryDumpInheritsNode(t *testing.T) {
-	r := enabled(t)
-	r.Gauge("v").Set(5)
-	h := historyAt(r, time.Unix(100, 0), time.Second, 8)
-	h.Record()
-
-	d := h.Dump(0)
-	d.Node = "from-dump" // samples themselves have no node name
-	c := NewCollector()
-	c.AddHistoryDump(d)
-	if s := c.Series("from-dump", "v"); len(s) != 1 || s[0].Value != 5 {
-		t.Fatalf("dump node not inherited: %+v", s)
 	}
 }
 

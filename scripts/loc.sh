@@ -1,0 +1,16 @@
+#!/bin/sh
+# loc.sh — non-test Go line counts for the directories ROADMAP item 5
+# measures ("one of each": fewer lines, same behaviour). Quote the output
+# for parent and change in CHANGES.md when a PR claims a deletion.
+set -eu
+
+cd "$(dirname "$0")/.."
+
+total=0
+for dir in internal/ledger internal/market internal/api internal/proptest \
+	internal/semantic internal/vm internal/telemetry cmd; do
+	n=$(find "$dir" -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
+	printf '%-20s %6d\n' "$dir" "$n"
+	total=$((total + n))
+done
+printf '%-20s %6d\n' total "$total"
