@@ -13,16 +13,19 @@ race:
 
 # race-core runs the race detector over just the packages that exercise
 # block execution and the seal path (including the sealer + follower +
-# lock-free producers + unlocked State readers stress test, and
+# lock-free producers + unlocked State readers stress test,
 # ledger.TestStateRootConcurrentReaders: primitive readers against a
 # writer that transfers, reverts and calls Root(), which mutates the
-# cached commitment; and the gas-overflow seal tests in both packages)
+# cached commitment; the gas-overflow seal tests in both packages; and
+# the streamed-import tests — error order, mid-stream rejection with its
+# goroutine count, source errors, the read-ahead bound — in ledger and
+# chainstore, whose producer, workers and executor share block handles)
 # plus the api test that a client which stops reading a large response
 # cannot hold up a seal — the fast feedback loop while iterating on state,
 # mempool or seal-path code, and the fail-fast first stage of ci's race
 # coverage.
 race-core:
-	$(GO) test -race ./internal/ledger/... ./internal/market/...
+	$(GO) test -race ./internal/ledger/... ./internal/market/... ./internal/chainstore/...
 	$(GO) test -race -count=1 ./internal/api/ -run 'TestSlowReaderDoesNotPinSeal|TestHostDurableLifecycle'
 
 vet:
@@ -126,8 +129,12 @@ pprof-smoke:
 # replay, the usage-control policy smoke (three-layer enforcement,
 # on-chain decision events, offline replay, API round trips) and the
 # bytecode-VM smoke (differential oracle agreement, built-in-policy
-# bit-identical equivalence, deploy gates) under -race.
+# bit-identical equivalence, deploy gates) under -race. The nested
+# benchmark module is compiled too: root `go build ./...` does not see it,
+# and a signature it calls changing would otherwise surface only when the
+# benchmark is next run.
 ci-fast: vet build
+	cd benchmark && $(GO) build -o /dev/null ./...
 	$(MAKE) race-core
 	$(MAKE) proptest
 	$(MAKE) policy-smoke

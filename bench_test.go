@@ -111,11 +111,14 @@ func BenchmarkLedgerTransfersPerBlock(b *testing.B) {
 	b.ReportMetric(float64(txPerBlock), "tx/block")
 }
 
-// benchImportBlock measures replica block-import throughput for one
-// 500-transfer block. audit=true prepends a standalone VerifyBlock,
-// reproducing the pre-optimization double-execution path; workers
-// selects the stateless-verification pool (1 = serial, 0 = GOMAXPROCS).
-func benchImportBlock(b *testing.B, workers int, audit bool) {
+// importBenchTxPerBlock is the block size of the import benchmarks.
+const importBenchTxPerBlock = 500
+
+// importBenchBlocks seals n consecutive 500-transfer blocks on a producer
+// chain and returns them with the config a replica needs to import them;
+// workers selects the stateless-verification pool (1 = serial, 0 =
+// GOMAXPROCS).
+func importBenchBlocks(b *testing.B, workers, n int) (ledger.ChainConfig, []*ledger.Block) {
 	b.Helper()
 	authority := identity.New("auth", crypto.NewDRBGFromUint64(1, "bench"))
 	users := make([]*identity.Identity, 100)
@@ -133,16 +136,30 @@ func benchImportBlock(b *testing.B, workers int, audit bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	const txPerBlock = 500
-	txs := make([]*ledger.Transaction, txPerBlock)
-	for j := range txs {
-		u := j % len(users)
-		txs[j] = ledger.SignTx(users[u], users[(u+1)%len(users)].Address(), 1, uint64(j/len(users)), 50_000, nil)
+	nonces := make([]uint64, len(users))
+	blocks := make([]*ledger.Block, n)
+	for h := range blocks {
+		txs := make([]*ledger.Transaction, importBenchTxPerBlock)
+		for j := range txs {
+			u := j % len(users)
+			txs[j] = ledger.SignTx(users[u], users[(u+1)%len(users)].Address(), 1, nonces[u], 50_000, nil)
+			nonces[u]++
+		}
+		if blocks[h], err = producer.ProposeBlock(authority, uint64(h+1), txs); err != nil {
+			b.Fatal(err)
+		}
 	}
-	block, err := producer.ProposeBlock(authority, 1, txs)
-	if err != nil {
-		b.Fatal(err)
-	}
+	return cfg, blocks
+}
+
+// benchImportBlock measures replica block-import throughput for one
+// 500-transfer block. audit=true prepends a standalone VerifyBlock,
+// reproducing the pre-optimization double-execution path; workers
+// selects the stateless-verification pool (1 = serial, 0 = GOMAXPROCS).
+func benchImportBlock(b *testing.B, workers int, audit bool) {
+	b.Helper()
+	cfg, blocks := importBenchBlocks(b, workers, 1)
+	block := blocks[0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -161,7 +178,7 @@ func benchImportBlock(b *testing.B, workers int, audit bool) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(txPerBlock)*float64(b.N)/b.Elapsed().Seconds(), "tx/s")
+	b.ReportMetric(float64(importBenchTxPerBlock)*float64(b.N)/b.Elapsed().Seconds(), "tx/s")
 }
 
 // BenchmarkImportBlock compares the block-import pipelines: the
@@ -173,6 +190,52 @@ func BenchmarkImportBlock(b *testing.B) {
 	b.Run("double-exec-baseline", func(b *testing.B) { benchImportBlock(b, 1, true) })
 	b.Run("single-exec-serial", func(b *testing.B) { benchImportBlock(b, 1, false) })
 	b.Run("single-exec-parallel", func(b *testing.B) { benchImportBlock(b, 0, false) })
+}
+
+// BenchmarkImportStream is BenchmarkImportBlock's sibling for catch-up:
+// the same 500-transfer blocks, sixteen of them, absorbed by a fresh
+// replica either one ImportBlock at a time (each block's signature checks
+// finish before it executes and before the next block's begin) or through
+// one ImportStream (block N+k is verified while block N executes).
+func BenchmarkImportStream(b *testing.B) {
+	const blocksPerOp = 16
+	for _, mode := range []struct {
+		name    string
+		workers int
+		stream  bool
+	}{
+		{"block-at-a-time-serial", 1, false},
+		{"block-at-a-time-parallel", 0, false},
+		{"stream-serial", 1, true},
+		{"stream-parallel", 0, true},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			cfg, blocks := importBenchBlocks(b, mode.workers, blocksPerOp)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				replica, err := ledger.NewChain(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if mode.stream {
+					_, err = replica.ImportStream(ledger.BlocksOf(blocks...))
+				} else {
+					for _, blk := range blocks {
+						if err = replica.ImportBlock(blk); err != nil {
+							break
+						}
+					}
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(importBenchTxPerBlock*blocksPerOp)*float64(b.N)/b.Elapsed().Seconds(), "tx/s")
+		})
+	}
 }
 
 // BenchmarkImportBlockHistory prices the metrics-history sampler: the

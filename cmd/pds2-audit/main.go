@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"time"
 
 	"pds2/internal/chainstore"
 	"pds2/internal/ledger"
@@ -37,6 +38,8 @@ func main() {
 		fatalf("bad -log-level: %v", err)
 	}
 	telemetry.DefaultLog().SetOutput(os.Stderr)
+	// The closing throughput line reads the import's own histograms.
+	telemetry.Enable()
 
 	// The auditor runs the exact platform contract code the network ran.
 	rt, err := market.NewRuntime()
@@ -45,6 +48,7 @@ func main() {
 	}
 
 	var chain *ledger.Chain
+	var took time.Duration
 	switch {
 	case *fromStore != "":
 		if flag.NArg() != 0 {
@@ -59,7 +63,9 @@ func main() {
 		if n := store.RecoveredBytes(); n > 0 {
 			fmt.Printf("  note: truncated %d bytes of torn tail during open\n", n)
 		}
+		start := time.Now()
 		chain, err = store.VerifyChain(rt)
+		took = time.Since(start)
 		if err != nil {
 			fmt.Printf("AUDIT FAILED: %v\n", err)
 			os.Exit(1)
@@ -81,7 +87,9 @@ func main() {
 			fatalf("open export: %v", err)
 		}
 		defer f.Close()
+		start := time.Now()
 		chain, err = ledger.Replay(f, rt)
+		took = time.Since(start)
 		if err != nil {
 			fmt.Printf("AUDIT FAILED: %v\n", err)
 			os.Exit(1)
@@ -132,6 +140,26 @@ func main() {
 	if rep.Decisions > 0 {
 		fmt.Println("  policy replay  every decision re-derived identically; settlements covered by allowed admissions")
 	}
+	printReplayRate(chain, took)
+}
+
+// printReplayRate closes the report with how fast the replay went and
+// what share of it the executing goroutine stood waiting for a block's
+// seal and signature checks: a high share means the replay is bound by
+// ed25519 and more cores would shorten it, a low one that verification
+// ran far enough ahead never to be what the executor waited for.
+func printReplayRate(chain *ledger.Chain, took time.Duration) {
+	var blocks, txs int
+	for h := chain.Base() + 1; h <= chain.Height(); h++ {
+		if b, err := chain.BlockAt(h); err == nil {
+			blocks++
+			txs += len(b.Txs)
+		}
+	}
+	wait, _ := telemetry.Default().Snapshot().Get("ledger.import.verify_wait_seconds")
+	secs := took.Seconds()
+	fmt.Printf("replayed %d blocks / %d txs in %.3f s (%.0f tx/s, verify-wait %.0f %%)\n",
+		blocks, txs, secs, float64(txs)/secs, 100*wait.Sum/secs)
 }
 
 func fatalf(format string, args ...any) {

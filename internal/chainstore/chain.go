@@ -118,14 +118,15 @@ func (s *Store) loadChain(applier ledger.TxApplier) (*ledger.Chain, error) {
 	}
 
 	// Replay the log tail through full validation: seals, rotation, tx
-	// roots, gas and state roots all re-checked.
+	// roots, gas and state roots all re-checked. Blocks reads and decodes
+	// on the import's producer goroutine, ahead of the block executing.
 	from := chain.Height() + 1
-	err = s.Blocks(from, func(b *ledger.Block) error {
-		if err := chain.ImportBlock(b); err != nil {
-			return fmt.Errorf("chainstore: replay block %d: %w", b.Header.Height, err)
-		}
-		return nil
+	rejected, err := chain.ImportStream(func(yield func(*ledger.Block) error) error {
+		return s.Blocks(from, yield)
 	})
+	if rejected != nil {
+		return nil, fmt.Errorf("chainstore: replay block %d: %w", rejected.Header.Height, err)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -202,14 +202,24 @@ func (s *Store) scanOneSegment(info *segmentInfo, final bool) error {
 			}
 			return s.truncateSegment(info, offset)
 		}
-		var blk ledger.Block
-		if jsonErr := json.Unmarshal(payload, &blk); jsonErr != nil {
+		// Only the height is decoded here: Unmarshal still validates the
+		// whole payload as JSON before it looks for the field, and Blocks
+		// decodes (and the import re-validates) the full block when the log
+		// is replayed. A frame with a good checksum is one Append wrote, so
+		// it is a whole marshalled block; building every transaction just
+		// to read one integer doubled the decode cost of an open.
+		var frame struct {
+			Header struct {
+				Height uint64 `json:"height"`
+			} `json:"header"`
+		}
+		if jsonErr := json.Unmarshal(payload, &frame); jsonErr != nil {
 			if !final {
 				return fmt.Errorf("%w: %s at offset %d: %v", ErrCorruptSegment, filepath.Base(info.path), offset, jsonErr)
 			}
 			return s.truncateSegment(info, offset)
 		}
-		h := blk.Header.Height
+		h := frame.Header.Height
 		if s.haveAny && h != s.last+1 {
 			if !final {
 				return fmt.Errorf("%w: %s has height %d after %d", ErrCorruptSegment, filepath.Base(info.path), h, s.last)

@@ -2,7 +2,9 @@ package chainstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -511,5 +513,160 @@ func TestStoreFsyncLatencyObserved(t *testing.T) {
 	// Any real fsync exceeds a nanosecond: the health check degrades.
 	if got := st.Health(); got.State != telemetry.Degraded {
 		t.Fatalf("nanosecond threshold not tripped: %+v", got)
+	}
+}
+
+// forgedStore writes a store holding n single-transfer blocks in which
+// block h carries a transfer whose value was changed after signing —
+// tx root recomputed and the block resealed, so only the signature check
+// can catch it. It returns the closed store's directory and the chain
+// the genuine blocks came from.
+func forgedStore(t *testing.T, n int, h uint64) (string, *ledger.Chain) {
+	t.Helper()
+	dir := t.TempDir()
+	chain, authority, _, _ := testChain(t, n)
+	st, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WriteGenesis(chain.ExportConfig()); err != nil {
+		t.Fatal(err)
+	}
+	for height := uint64(1); height <= uint64(n); height++ {
+		b, err := chain.BlockAt(height)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if height == h {
+			forged := *b
+			tx := *b.Txs[0]
+			tx.Value++
+			forged.Txs = []*ledger.Transaction{&tx}
+			forged.Header.TxRoot = ledger.TxRoot(forged.Txs)
+			forged.Seal(authority)
+			b = &forged
+		}
+		if err := st.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir, chain
+}
+
+// TestVerifyChainRejectsForgedBlockMidLog: a forged block deep in a log
+// several read-ahead windows long fails the replay at its own height
+// with the import's error under the store's usual wrapping.
+func TestVerifyChainRejectsForgedBlockMidLog(t *testing.T) {
+	const n, h = 50, 23
+	dir, _ := forgedStore(t, n, h)
+	st, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	const want = "chainstore: replay block 23: ledger: tx 0 invalid: ledger: invalid transaction signature"
+	for name, load := range map[string]func(ledger.TxApplier) (*ledger.Chain, error){
+		"VerifyChain": st.VerifyChain, "OpenChain": st.OpenChain,
+	} {
+		chain, err := load(nil)
+		if chain != nil || err == nil || err.Error() != want {
+			t.Errorf("%s: got (%v, %q), want %q", name, chain, err, want)
+		}
+		if !errors.Is(err, ledger.ErrTxSignature) {
+			t.Errorf("%s: error does not wrap ErrTxSignature: %v", name, err)
+		}
+	}
+}
+
+// frameOffsets returns the offset of every frame in a segment file.
+func frameOffsets(t *testing.T, data []byte) []int {
+	t.Helper()
+	var offs []int
+	for off := 0; off < len(data); {
+		offs = append(offs, off)
+		off += frameHeaderSize + int(binary.BigEndian.Uint32(data[off:off+4]))
+	}
+	return offs
+}
+
+// TestReplaySurfacesReadErrorsUnchanged damages the log after the store
+// was opened (so Open's scan cannot repair it) and streams it into a
+// fresh chain: every block before the damage commits, and the read or
+// decode error comes back as Blocks worded it — not blamed on a block,
+// not wrapped as a replay failure.
+func TestReplaySurfacesReadErrorsUnchanged(t *testing.T) {
+	const n, k = 40, 35 // damage frame k of n
+	for _, tc := range []struct {
+		name   string
+		damage func(frame []byte) // frame = header + payload, edited in place
+		want   string
+	}{
+		{"torn frame", func(frame []byte) { frame[len(frame)-2] ^= 0xFF },
+			"chainstore: read seg-00000001.log: frame checksum mismatch"},
+		{"valid JSON that is not a block", func(frame []byte) {
+			payload := frame[frameHeaderSize:]
+			copy(payload, `{"header":{"height":35},"txs":"oops"}`)
+			for i := len(`{"header":{"height":35},"txs":"oops"}`); i < len(payload); i++ {
+				payload[i] = ' '
+			}
+			binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+		}, "chainstore: decode block in seg-00000001.log: json: cannot unmarshal string into Go struct field Block.txs of type []*ledger.Transaction"},
+	} {
+		dir := t.TempDir()
+		source, _, _, _ := testChain(t, n)
+		st, err := Open(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.InitChain(source); err != nil {
+			t.Fatal(err)
+		}
+		seg := filepath.Join(dir, "segments", "seg-00000001.log")
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		offs := append(frameOffsets(t, data), len(data))
+		tc.damage(data[offs[k-1]:offs[k]])
+		if err := os.WriteFile(seg, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		replica, err := ledger.NewChain(ledger.ChainConfig{
+			Authorities:  source.ExportConfig().Authorities,
+			GenesisAlloc: source.ExportConfig().GenesisAlloc,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rejected, err := replica.ImportStream(func(yield func(*ledger.Block) error) error {
+			return st.Blocks(1, yield)
+		})
+		if rejected != nil || err == nil || err.Error() != tc.want {
+			t.Errorf("%s: ImportStream got (%v, %q), want %q", tc.name, rejected, err, tc.want)
+		}
+		if replica.Height() != k-1 {
+			t.Errorf("%s: replica at %d, want the %d blocks before the damage", tc.name, replica.Height(), k-1)
+		}
+		if _, err := st.VerifyChain(nil); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: VerifyChain: %q, want %q", tc.name, err, tc.want)
+		}
+		st.Close()
+
+		// A reopen sees the damage in the final segment as a crash tail
+		// only when the frame fails its checksum; a checksummed frame of
+		// valid JSON is kept (Open reads just its height) and still
+		// fails the replay, so nothing malformed is ever imported.
+		st2, err := Open(dir, nil)
+		if err != nil {
+			t.Fatalf("%s: reopen: %v", tc.name, err)
+		}
+		if _, err := st2.VerifyChain(nil); (st2.RecoveredBytes() > 0) != (err == nil) {
+			t.Errorf("%s: reopen recovered %d bytes, VerifyChain: %v", tc.name, st2.RecoveredBytes(), err)
+		}
+		st2.Close()
 	}
 }

@@ -76,9 +76,11 @@ type ChainConfig struct {
 	GenesisAlloc map[identity.Address]uint64
 
 	// StatelessWorkers bounds the worker pool used for the stateless
-	// transaction-verification phase (signature, sender binding and
-	// intrinsic-gas checks). Zero selects GOMAXPROCS; one forces the
-	// sequential path. Small batches always verify sequentially.
+	// verification phase (the proposer seal, the tx root and each
+	// transaction's signature, sender binding and intrinsic-gas checks).
+	// Zero selects GOMAXPROCS; one forces the sequential path, on which
+	// no worker goroutine is started. Transactions are handed out in
+	// chunks, so a small batch verifies sequentially either way.
 	StatelessWorkers int
 }
 
@@ -240,7 +242,7 @@ func (c *Chain) proposeBlock(proposer *identity.Identity, timestamp uint64, txs 
 		return nil, ErrNonMonotonicTS
 	}
 
-	if err := c.verifyStateless(txs); err != nil {
+	if err := c.checkOne(nil, txs).result(); err != nil {
 		return nil, err
 	}
 	snap := c.state.Snapshot()
@@ -281,8 +283,8 @@ func (c *Chain) proposeBlock(proposer *identity.Identity, timestamp uint64, txs 
 // stand. It returns one receipt per transaction that fit (a list shorter
 // than txs means the rest did not) and their total gas, leaving the
 // state mutated; the caller owns the block-level snapshot/revert.
-// Callers must run verifyStateless first — signature and intrinsic
-// checks are not repeated here.
+// Callers must have the transactions' pure checks (stateless.go) pass
+// first — signature and intrinsic checks are not repeated here.
 func (c *Chain) applyTxs(txs []*Transaction, height uint64) ([]*Receipt, uint64, error) {
 	var gasUsed uint64
 	receipts := make([]*Receipt, 0, len(txs))
@@ -325,28 +327,23 @@ func (c *Chain) commitBlock(block *Block, receipts []*Receipt) {
 	}
 }
 
-// verifyHeader checks everything about a block that does not require
-// executing its transactions: parent linkage, height, timestamp
-// monotonicity, proposer rotation, the proposer seal and the tx root.
-func (c *Chain) verifyHeader(block *Block) error {
+// verifyTip checks what a header claims about its place in the chain —
+// parent linkage, height, timestamp monotonicity and proposer rotation:
+// the header checks that need the tip. The seal and the tx root need only
+// the block and are checked with the transactions (stateless.go).
+func (c *Chain) verifyTip(h *Header) error {
 	parent := c.Head()
-	if block.Header.Parent != parent.Hash() {
+	if h.Parent != parent.Hash() {
 		return ErrBadParent
 	}
-	if block.Header.Height != parent.Header.Height+1 {
+	if h.Height != parent.Header.Height+1 {
 		return ErrBadHeight
 	}
-	if block.Header.Height > 1 && block.Header.Timestamp <= parent.Header.Timestamp {
+	if h.Height > 1 && h.Timestamp <= parent.Header.Timestamp {
 		return ErrNonMonotonicTS
 	}
-	if c.expectedProposer(block.Header.Height) != block.Header.Proposer {
+	if c.expectedProposer(h.Height) != h.Proposer {
 		return ErrBadProposer
-	}
-	if err := block.verifySeal(); err != nil {
-		return err
-	}
-	if txRoot(block.Txs) != block.Header.TxRoot {
-		return ErrBadTxRoot
 	}
 	return nil
 }
@@ -378,6 +375,22 @@ func (c *Chain) executeAndCheck(block *Block) (receipts []*Receipt, snap int, er
 	return receipts, snap, nil
 }
 
+// admit validates a block whose pure checks are under way against the
+// tip and executes it. The order is fixed — parent, height, timestamp,
+// proposer, then the precomputed seal, tx root and lowest-index invalid
+// transaction, then nonces, gas and state root — so a block wrong in
+// several ways reports the same error however far ahead its pure checks
+// ran. On success the journal is left open at snap (see executeAndCheck).
+func (c *Chain) admit(k *blockChecks) (receipts []*Receipt, snap int, err error) {
+	if err := c.verifyTip(&k.block.Header); err != nil {
+		return nil, 0, err
+	}
+	if err := k.result(); err != nil {
+		return nil, 0, err
+	}
+	return c.executeAndCheck(k.block)
+}
+
 // VerifyBlock re-validates a sealed block against this chain's tip
 // without applying it: header and seal checks, stateless transaction
 // verification, then a replay on a snapshot that is reverted before
@@ -385,54 +398,157 @@ func (c *Chain) executeAndCheck(block *Block) (receipts []*Receipt, snap int, er
 // chain use ImportBlock, which executes the transactions once and keeps
 // the result instead of throwing it away.
 func (c *Chain) VerifyBlock(block *Block) error {
-	if err := c.verifyHeader(block); err != nil {
-		return err
-	}
-	if err := c.verifyStateless(block.Txs); err != nil {
-		return err
-	}
-	receipts, snap, err := c.executeAndCheck(block)
+	_, snap, err := c.admit(c.checkOne(block, block.Txs))
 	if err != nil {
 		return err
 	}
-	_ = receipts
 	c.state.RevertTo(snap)
 	return nil
 }
 
-// ImportBlock validates and appends a block produced by another node.
-// Transactions execute exactly once: the header, seal and tx root are
-// checked first, the stateless phase (signatures, sender binding,
-// intrinsic gas) runs across a worker pool, and the block is then
-// executed once against a snapshot whose gas total and state root are
-// compared with the header before that same snapshot is committed. Any
-// mismatch reverts the state and leaves the chain untouched.
-func (c *Chain) ImportBlock(block *Block) (err error) {
-	telemetry.WithComponent("ledger.import", func() { err = c.importBlock(block) })
+// ImportBlock validates and appends a block produced by another node: a
+// stream of one (see ImportStream). Transactions execute exactly once.
+// Any mismatch reverts the state and leaves the chain untouched.
+func (c *Chain) ImportBlock(block *Block) error {
+	_, err := c.ImportStream(BlocksOf(block))
 	return err
 }
 
-func (c *Chain) importBlock(block *Block) error {
-	timer := mImportSeconds.Time()
-	defer timer.Stop()
-	if err := c.verifyHeader(block); err != nil {
-		logPool.Error("block import rejected at header check",
-			telemetry.U64("height", block.Header.Height), telemetry.Err(err))
-		return err
+// BlocksOf is the ImportStream source that yields the given blocks in
+// order.
+func BlocksOf(blocks ...*Block) func(yield func(*Block) error) error {
+	return func(yield func(*Block) error) error {
+		for _, b := range blocks {
+			if err := yield(b); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	if err := c.verifyStateless(block.Txs); err != nil {
-		logPool.Error("block import rejected at stateless verification",
-			telemetry.U64("height", block.Header.Height), telemetry.Err(err))
-		return err
+}
+
+// Read-ahead bounds of a streamed import: how far the producer may run
+// ahead of the block being executed, in blocks and in transactions
+// (whichever fills first; a single block larger than the transaction
+// bound still passes, alone). Constants, not configuration: the window
+// only has to cover the jitter between decoding, verifying and executing,
+// a few blocks does that on any core count, and sixteen full benchmark
+// blocks of decoded transactions are ~3 MiB.
+const (
+	importWindow    = 16
+	importWindowTxs = 8192
+)
+
+var (
+	errNilBlock      = errors.New("ledger: nil block")
+	errImportStopped = errors.New("ledger: import stopped at a rejected block")
+)
+
+// ImportStream validates and appends every block source yields, in order,
+// as a two-stage pipeline. source runs on a producer goroutine (so
+// decoding happens there too) and each block it yields has its pure
+// checks — seal, tx root, per-transaction VerifyBasic — handed to a
+// worker pool, up to importWindow blocks ahead; the calling goroutine
+// does only what needs the chain: it checks each block against the tip,
+// reads the finished pure checks back in the serial order (admit),
+// executes the block once and commits it. Nothing speculative touches
+// the state, so a rejected block just discards the read-ahead.
+//
+// A rejected block is returned with its error, and the chain stays at the
+// block before it; when source itself fails (or yields nil), every block
+// it yielded before that is committed first and its error is returned
+// unchanged with a nil block. After a rejection yield returns an error,
+// which source must pass back.
+func (c *Chain) ImportStream(source func(yield func(*Block) error) error) (rejected *Block, err error) {
+	// The component label is inherited by the producer and the workers,
+	// so a profile attributes the whole pipeline to the import.
+	telemetry.WithComponent("ledger.import", func() { rejected, err = c.importStream(source) })
+	return rejected, err
+}
+
+func (c *Chain) importStream(source func(yield func(*Block) error) error) (*Block, error) {
+	pool := c.newChecker()
+	var (
+		// Both channels have room for the whole window, so neither side
+		// ever blocks sending on them: the producer waits only to admit a
+		// block to the window.
+		checked  = make(chan *blockChecks, importWindow)
+		consumed = make(chan int, importWindow) // tx counts of blocks the consumer is done with
+		stop     = make(chan struct{})
+		srcErr   error
+	)
+	go func() {
+		defer close(checked)
+		blocks, txs := 0, 0 // yielded and not yet known consumed
+		srcErr = source(func(b *Block) error {
+			if b == nil {
+				return errNilBlock
+			}
+			for blocks >= importWindow || (blocks > 0 && txs+len(b.Txs) > importWindowTxs) {
+				select {
+				case n := <-consumed:
+					blocks--
+					txs -= n
+				case <-stop:
+					return errImportStopped
+				}
+			}
+			select {
+			case <-stop:
+				return errImportStopped
+			default:
+			}
+			blocks++
+			txs += len(b.Txs)
+			checked <- pool.check(b, b.Txs)
+			return nil
+		})
+	}()
+
+	var (
+		rejected *Block
+		err      error
+	)
+	for {
+		// Both clocks start before the block arrives: with one worker the
+		// checks run on the producer, so waiting for them is waiting for
+		// the handle. Over a stream import_seconds sums to the wall time.
+		timer, wait := mImportSeconds.Time(), mVerifyWait.Time()
+		k, ok := <-checked
+		if !ok {
+			break
+		}
+		if rejected != nil {
+			continue // draining until the producer notices stop
+		}
+		<-k.done
+		wait.Stop()
+		err = c.importChecked(k)
+		timer.Stop()
+		if err != nil {
+			rejected = k.block
+			close(stop)
+			continue
+		}
+		consumed <- len(k.block.Txs)
 	}
-	receipts, _, err := c.executeAndCheck(block)
+	pool.stop()
+	if rejected == nil {
+		err = srcErr
+	}
+	return rejected, err
+}
+
+// importChecked is the consumer's per-block work: admit, then commit.
+func (c *Chain) importChecked(k *blockChecks) error {
+	receipts, _, err := c.admit(k)
 	if err != nil {
-		logPool.Error("block import rejected at execution",
-			telemetry.U64("height", block.Header.Height), telemetry.Err(err))
+		logPool.Error("block import rejected",
+			telemetry.U64("height", k.block.Header.Height), telemetry.Err(err))
 		return err
 	}
-	c.commitBlock(block, receipts)
+	c.commitBlock(k.block, receipts)
 	logPool.Info("imported block",
-		telemetry.U64("height", block.Header.Height), telemetry.Int("txs", len(block.Txs)))
+		telemetry.U64("height", k.block.Header.Height), telemetry.Int("txs", len(k.block.Txs)))
 	return nil
 }

@@ -431,12 +431,12 @@ func TestChainImportStateRootMismatchAfterPartialFailure(t *testing.T) {
 
 func TestChainImportRejectsInvalidSignatureInBlock(t *testing.T) {
 	// A tampered tx payload breaks both the tx root and the stateless
-	// phase; with a recomputed root and reseal, the parallel stateless
-	// verifier is the check that catches it, at every batch size around
-	// the parallel threshold.
+	// phase; with a recomputed root and reseal, the chunked stateless
+	// checker is what catches it, at every batch size around a chunk
+	// boundary.
 	authority := testIdentity(100)
 	alice := testIdentity(1)
-	for _, n := range []int{1, parallelVerifyThreshold, 64} {
+	for _, n := range []int{1, verifyChunk, verifyChunk + 1, 64} {
 		cfg := ChainConfig{
 			Authorities:  []identity.Address{authority.Address()},
 			GenesisAlloc: map[identity.Address]uint64{alice.Address(): 1 << 30},

@@ -53,11 +53,11 @@ func (c *Chain) ExportConfig() ChainExport {
 }
 
 // Replay reconstructs and fully re-validates a chain from an export: it
-// rebuilds genesis from the embedded config and imports every block
-// through the normal validation path (seals, proposer rotation, tx
-// roots, gas accounting and state roots). applier must provide the same
-// transaction semantics the original chain ran (e.g. the same contract
-// runtime); a nil applier selects plain transfers.
+// rebuilds genesis from the embedded config and streams every block
+// through the normal validation path (ImportStream: seals, proposer
+// rotation, tx roots, gas accounting and state roots). applier must
+// provide the same transaction semantics the original chain ran (e.g. the
+// same contract runtime); a nil applier selects plain transfers.
 func Replay(r io.Reader, applier TxApplier) (*Chain, error) {
 	var exp ChainExport
 	dec := json.NewDecoder(r)
@@ -73,10 +73,14 @@ func Replay(r io.Reader, applier TxApplier) (*Chain, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, b := range exp.Blocks {
-		if err := chain.ImportBlock(b); err != nil {
-			return nil, fmt.Errorf("ledger: replay block %d: %w", i+1, err)
-		}
+	rejected, err := chain.ImportStream(BlocksOf(exp.Blocks...))
+	if rejected != nil {
+		// Replay starts at genesis, so the rejected block is the export's
+		// entry number Height()+1 whatever height its header claims.
+		return nil, fmt.Errorf("ledger: replay block %d: %w", chain.Height()+1, err)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return chain, nil
 }

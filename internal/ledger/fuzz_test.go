@@ -91,6 +91,11 @@ func FuzzBlockImport(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"authorities":[],"blocks":[]}`))
 	f.Add([]byte(`not json`))
+	// JSON nulls where a block or a transaction belongs: the pure checks
+	// run on worker goroutines ahead of the parent check, so they must
+	// reject a nil pointer rather than dereference it.
+	f.Add([]byte(`{"authorities":["0000000000000000000000000000000000000000"],"blocks":[null]}`))
+	f.Add([]byte(`{"authorities":["0000000000000000000000000000000000000000"],"blocks":[{"txs":[null]}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		chain, err := Replay(bytes.NewReader(data), nil)
 		if err != nil {
