@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-core vet loc bench proptest fuzz covgate load-smoke bench-compare bench-module diag-selftest pprof-smoke policy-smoke vm-smoke ci-fast ci
+.PHONY: build test race race-core vet loc bench proptest fuzz covgate load-smoke bench-pair bench-module diag-selftest pprof-smoke policy-smoke vm-smoke ci-fast ci
 
 build:
 	$(GO) build ./...
@@ -66,17 +66,23 @@ covgate:
 # load-smoke self-hosts a node and drives it over real HTTP with the
 # open-loop load harness for 30 seconds, failing on any SLO breach
 # (throughput floor, p99 ceiling, error rate). The report lands outside
-# the tree so a smoke run never dirties checked-in BENCH_*.json history;
+# the tree so a smoke run never leaves a report in the checkout;
 # full-scale baselines are produced explicitly with `go run ./cmd/pds2-load`.
 load-smoke:
 	$(GO) run ./cmd/pds2-load -accounts 5000 -workers 8 -rate 300 -duration 30s \
 		-slo-tx-per-sec 50 -slo-p99-ms 250 -slo-error-rate 0.02 \
 		-out $${TMPDIR:-/tmp}/pds2-load-smoke
 
-# bench-compare diffs the newest two checked-in BENCH_*.json reports and
-# fails on a >10% committed-throughput regression.
-bench-compare:
-	./scripts/bench_compare.sh
+# bench-pair is the pairing rule as a command: PAIRS alternating runs of
+# the frozen benchmark on PARENT (a `git archive` of that ref) and on the
+# working tree, then the harness's own `compare` — one verdict table. Run
+# it on an otherwise idle box. BENCH_ARGS narrows it, e.g.
+# `make bench-pair PAIRS=5 BENCH_ARGS='-workload transfer_large_state'`.
+PARENT ?= HEAD~1
+PAIRS ?= 10
+BENCH_ARGS ?= -workload all
+bench-pair:
+	./scripts/abpair.sh $(PARENT) $(PAIRS) $(BENCH_ARGS)
 
 # bench-module vets and tests the nested benchmark module (its own
 # go.mod, `replace pds2 => ../`). The root `go build ./... && go test
@@ -152,7 +158,8 @@ ci-fast: vet build
 # flight-recorder self-test (capture a bundle from a live node and
 # assert every artifact is present, parseable and component-labeled), a
 # 30-second open-loop load smoke against a self-hosted node (SLO-gated),
-# the BENCH_*.json regression diff, and the coverage ratchet.
+# and the coverage ratchet. (Benchmark regressions are judged by `make
+# bench-pair`, which needs an idle box and minutes, so it is not in ci.)
 ci: ci-fast
 	$(GO) test -race ./...
 	$(GO) test -run NONE -bench 'BenchmarkImportBlock|BenchmarkMempool|BenchmarkLedger|BenchmarkLog' -benchtime=1x .
@@ -163,5 +170,4 @@ ci: ci-fast
 	$(MAKE) pprof-smoke
 	$(MAKE) diag-selftest
 	$(MAKE) load-smoke
-	$(MAKE) bench-compare
 	$(MAKE) covgate

@@ -11,11 +11,14 @@ package pds2
 // EXPERIMENTS.md.
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/big"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"pds2/internal/chainstore"
 	"pds2/internal/contract"
 	"pds2/internal/core"
 	"pds2/internal/crypto"
@@ -23,6 +26,7 @@ import (
 	"pds2/internal/he"
 	"pds2/internal/identity"
 	"pds2/internal/ledger"
+	"pds2/internal/market"
 	"pds2/internal/ml"
 	"pds2/internal/reward"
 	"pds2/internal/smc"
@@ -276,6 +280,65 @@ func BenchmarkMempoolConcurrentAdmission(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkSealPooled measures the seal as a node pays it: 100k funded
+// accounts, a durable store with fsync on, and a block's worth of
+// transfers admitted through Pool.Add and sealed by Market.SealBlock — so
+// the proposer is handed candidates its own pool vouches for. Only the
+// seal is timed (signing and admission are the submitters' cost); each
+// sender has sent before, so the state root folds value updates, as in
+// steady state. 75 transfers is one 250 ms block at 300 tx/s, 600 a
+// saturated one.
+func BenchmarkSealPooled(b *testing.B) {
+	const accounts = 100_000
+	alloc := make(map[identity.Address]uint64, accounts)
+	funded := make([]identity.Address, accounts)
+	for i := range funded {
+		d := crypto.HashBytes(binary.BigEndian.AppendUint64(nil, uint64(i)))
+		copy(funded[i][:], d[:])
+		alloc[funded[i]] = 1_000_000
+	}
+	for _, txs := range []int{75, 600} {
+		b.Run(fmt.Sprintf("txs=%d", txs), func(b *testing.B) {
+			senders := make([]*identity.Identity, txs)
+			for i := range senders {
+				senders[i] = identity.New("s", crypto.NewDRBGFromUint64(uint64(i), "bench-seal"))
+				alloc[senders[i].Address()] = 1 << 40
+			}
+			store, err := chainstore.Open(b.TempDir(), nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer store.Close()
+			m, err := market.Open(market.Config{Seed: 23, GenesisAlloc: alloc, BlockGasLimit: 120_000_000}, store)
+			if err != nil {
+				b.Fatal(err)
+			}
+			seal := func(round int) {
+				for i, s := range senders {
+					tx := ledger.SignTx(s, funded[(round*txs+i)*7919%accounts], 1, uint64(round), 50_000, nil)
+					if err := m.Pool.Add(tx); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				block, err := m.SealBlock()
+				b.StopTimer()
+				if err != nil || len(block.Txs) != txs {
+					b.Fatalf("sealed %v, err %v", block, err)
+				}
+			}
+			b.StopTimer()
+			seal(0) // every sender's nonce record exists from here on
+			b.ReportAllocs()
+			b.ResetTimer() // stays stopped: seal starts it around SealBlock only
+			for i := 0; i < b.N; i++ {
+				seal(i + 1)
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/seal")
+		})
+	}
 }
 
 // BenchmarkTelemetryOverhead pins the cost of the instrumentation

@@ -6,8 +6,7 @@
 // rate. Committed throughput is read from the node's ledger counters,
 // per-class latency (p50/p95/p99) from the generator's telemetry
 // histograms, and the run is judged against SLO thresholds. Results are
-// written as BENCH_<date>.json, which scripts/bench_compare.sh diffs
-// across commits.
+// written as BENCH_<date>.json.
 //
 // With no -target the harness self-hosts: it starts an in-process node
 // (optionally durable, with -data-dir) on a loopback listener with the

@@ -38,20 +38,20 @@ func NewMerkleTree(leaves [][]byte) (*MerkleTree, error) {
 	}
 	t := &MerkleTree{levels: [][]Digest{level}}
 	for len(level) > 1 {
-		level = foldMerkleLevel(make([]Digest, 0, (len(level)+1)/2), level)
+		level = AppendMerkleLevel(make([]Digest, 0, (len(level)+1)/2), level)
 		t.levels = append(t.levels, level)
 	}
 	return t, nil
 }
 
-// foldMerkleLevel appends the level above level to dst: adjacent pairs
-// hash together, an odd node at the end is promoted unchanged. dst may
-// alias level's backing array from its start — each write lands behind
-// the reads that feed it.
-func foldMerkleLevel(dst, level []Digest) []Digest {
+// AppendMerkleLevel appends the level above level to dst: adjacent pairs
+// hash together (MerkleNode), an odd node at the end is promoted
+// unchanged. dst may alias level's backing array from its start — each
+// write lands behind the reads that feed it.
+func AppendMerkleLevel(dst, level []Digest) []Digest {
 	for i := 0; i < len(level); i += 2 {
 		if i+1 < len(level) {
-			dst = append(dst, hashMerkleNode(level[i], level[i+1]))
+			dst = append(dst, MerkleNode(level[i], level[i+1]))
 		} else {
 			dst = append(dst, level[i])
 		}
@@ -73,7 +73,7 @@ func MerkleRootOfLeaves(level []Digest) Digest {
 		return ZeroDigest
 	}
 	for len(level) > 1 {
-		level = foldMerkleLevel(level[:0], level)
+		level = AppendMerkleLevel(level[:0], level)
 	}
 	return level[0]
 }
@@ -88,7 +88,8 @@ func MerkleRootOf(leaves [][]byte) Digest {
 	return MerkleRootOfLeaves(level)
 }
 
-func hashMerkleNode(left, right Digest) Digest {
+// MerkleNode returns the digest of the interior node above two children.
+func MerkleNode(left, right Digest) Digest {
 	return HashConcat(merkleNodePrefix, left[:], right[:])
 }
 
@@ -144,9 +145,9 @@ func VerifyMerkleProof(root Digest, leaf []byte, proof MerkleProof) bool {
 		case sib.IsZero():
 			// promoted node: unchanged
 		case idx%2 == 0:
-			cur = hashMerkleNode(cur, sib)
+			cur = MerkleNode(cur, sib)
 		default:
-			cur = hashMerkleNode(sib, cur)
+			cur = MerkleNode(sib, cur)
 		}
 		idx /= 2
 	}

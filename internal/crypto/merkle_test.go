@@ -108,7 +108,7 @@ func TestMerkleLeafVsNodeDomainSeparation(t *testing.T) {
 	t4, _ := NewMerkleTree(four)
 	l01 := HashConcat(merkleLeafPrefix, four[0])
 	l23 := HashConcat(merkleLeafPrefix, four[1])
-	inner := hashMerkleNode(l01, l23)
+	inner := MerkleNode(l01, l23)
 	t2, _ := NewMerkleTree([][]byte{inner[:], inner[:]})
 	if t2.Root() == t4.Root() {
 		t.Fatal("second-preimage via node/leaf confusion succeeded")

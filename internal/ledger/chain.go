@@ -222,16 +222,27 @@ func (c *Chain) expectedProposer(h uint64) identity.Address {
 // untouched. Candidates that fail stateless verification or carry the
 // wrong nonce reject the whole proposal — a correct proposer never offers
 // them.
-func (c *Chain) ProposeBlock(proposer *identity.Identity, timestamp uint64, txs []*Transaction) (block *Block, err error) {
+func (c *Chain) ProposeBlock(proposer *identity.Identity, timestamp uint64, txs []*Transaction) (*Block, error) {
+	return c.ProposeFromPool(nil, proposer, timestamp, txs)
+}
+
+// ProposeFromPool is ProposeBlock for the node whose own mempool the
+// candidates came out of: a candidate the pool still holds byte for byte
+// as it admitted it (Mempool.vouch) passed VerifyBasic on this node
+// already and is not verified again; every other candidate is, exactly as
+// in ProposeBlock. A nil pool vouches for nothing. Importers verify every
+// signature regardless, so what a wrong vouch could cost is this node's
+// own block being rejected, never a bad signature in an accepted chain.
+func (c *Chain) ProposeFromPool(pool *Mempool, proposer *identity.Identity, timestamp uint64, txs []*Transaction) (block *Block, err error) {
 	// The component label makes seal cost (and everything it calls —
 	// execution, root hashing, commit) attributable in CPU profiles.
 	telemetry.WithComponent("ledger.seal", func() {
-		block, err = c.proposeBlock(proposer, timestamp, txs)
+		block, err = c.proposeBlock(pool, proposer, timestamp, txs)
 	})
 	return block, err
 }
 
-func (c *Chain) proposeBlock(proposer *identity.Identity, timestamp uint64, txs []*Transaction) (*Block, error) {
+func (c *Chain) proposeBlock(pool *Mempool, proposer *identity.Identity, timestamp uint64, txs []*Transaction) (*Block, error) {
 	timer := mSealSeconds.Time()
 	height := c.Height() + 1
 	if c.expectedProposer(height) != proposer.Address() {
@@ -242,7 +253,7 @@ func (c *Chain) proposeBlock(proposer *identity.Identity, timestamp uint64, txs 
 		return nil, ErrNonMonotonicTS
 	}
 
-	if err := c.checkOne(nil, txs).result(); err != nil {
+	if err := c.checkOne(nil, txs, pool.vouch(txs)).result(); err != nil {
 		return nil, err
 	}
 	snap := c.state.Snapshot()
@@ -398,7 +409,7 @@ func (c *Chain) admit(k *blockChecks) (receipts []*Receipt, snap int, err error)
 // chain use ImportBlock, which executes the transactions once and keeps
 // the result instead of throwing it away.
 func (c *Chain) VerifyBlock(block *Block) error {
-	_, snap, err := c.admit(c.checkOne(block, block.Txs))
+	_, snap, err := c.admit(c.checkOne(block, block.Txs, nil))
 	if err != nil {
 		return err
 	}
@@ -500,7 +511,7 @@ func (c *Chain) importStream(source func(yield func(*Block) error) error) (*Bloc
 			}
 			blocks++
 			txs += len(b.Txs)
-			checked <- pool.check(b, b.Txs)
+			checked <- pool.check(b, b.Txs, nil)
 			return nil
 		})
 	}()

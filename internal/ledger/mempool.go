@@ -1,8 +1,9 @@
 package ledger
 
 import (
+	"cmp"
 	"errors"
-	"sort"
+	"slices"
 	"sync"
 
 	"pds2/internal/crypto"
@@ -37,9 +38,26 @@ var (
 // against concurrent block execution remains the caller's job.
 type Mempool struct {
 	mu       sync.Mutex
-	bySender map[identity.Address][]*Transaction // sorted by nonce
-	byHash   map[crypto.Digest]*Transaction
+	bySender map[identity.Address][]*pooled // sorted by nonce
+	byHash   map[crypto.Digest]*pooled
 	maxSize  int
+}
+
+// pooled is one admitted transaction with the two digests admission
+// computed over it. The transaction stays the submitter's object, so the
+// pool's own bookkeeping reads the digests, never the transaction again.
+type pooled struct {
+	tx       *Transaction
+	hash     crypto.Digest // tx.Hash() at admission: the byHash key
+	verified crypto.Digest // verifiedDigest(tx) at admission
+}
+
+// verifiedDigest covers every byte Transaction.VerifyBasic reads — the
+// signed fields, the signature and the public key (which Hash leaves
+// out) — so a transaction whose digest still equals the one taken when
+// VerifyBasic passed would pass it again.
+func verifiedDigest(tx *Transaction) crypto.Digest {
+	return crypto.HashConcat([]byte("pds2/txverified"), tx.signingBytes(), tx.Sig, tx.Pub)
 }
 
 // DefaultMempoolSize bounds the total number of pending transactions.
@@ -51,8 +69,8 @@ func NewMempool(maxSize int) *Mempool {
 		maxSize = DefaultMempoolSize
 	}
 	return &Mempool{
-		bySender: make(map[identity.Address][]*Transaction),
-		byHash:   make(map[crypto.Digest]*Transaction),
+		bySender: make(map[identity.Address][]*pooled),
+		byHash:   make(map[crypto.Digest]*pooled),
 		maxSize:  maxSize,
 	}
 }
@@ -84,36 +102,66 @@ func (m *Mempool) add(tx *Transaction) error {
 	if err := tx.VerifyBasic(); err != nil {
 		return err
 	}
-	h := tx.Hash()
+	p := &pooled{tx: tx, hash: tx.Hash(), verified: verifiedDigest(tx)}
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.byHash[h]; ok {
+	if _, ok := m.byHash[p.hash]; ok {
 		return ErrMempoolDuplicate
 	}
 	list := m.bySender[tx.From]
-	for i, pending := range list {
-		if pending.Nonce == tx.Nonce {
-			// Same-nonce replacement: swap in place, no capacity check —
-			// the pool does not grow.
-			delete(m.byHash, pending.Hash())
-			list[i] = tx
-			m.byHash[h] = tx
-			mPoolReplaced.Inc()
-			return nil
-		}
+	i, found := searchNonce(list, tx.Nonce)
+	if found {
+		// Same-nonce replacement: swap in place, no capacity check — the
+		// pool does not grow.
+		delete(m.byHash, list[i].hash)
+		list[i] = p
+		m.byHash[p.hash] = p
+		mPoolReplaced.Inc()
+		return nil
 	}
 	if len(m.byHash) >= m.maxSize {
 		logPool.Warn("mempool full, rejecting transaction",
 			telemetry.Int("depth", len(m.byHash)), telemetry.Int("cap", m.maxSize))
 		return ErrMempoolFull
 	}
-	list = append(list, tx)
-	sort.Slice(list, func(i, j int) bool { return list[i].Nonce < list[j].Nonce })
-	m.bySender[tx.From] = list
-	m.byHash[h] = tx
+	m.bySender[tx.From] = slices.Insert(list, i, p)
+	m.byHash[p.hash] = p
 	mPoolDepth.Set(float64(len(m.byHash)))
 	return nil
+}
+
+// searchNonce finds nonce in a sender's nonce-sorted list: its position
+// (or where it would be inserted) and whether it is there.
+func searchNonce(list []*pooled, nonce uint64) (int, bool) {
+	return slices.BinarySearchFunc(list, nonce, func(p *pooled, n uint64) int { return cmp.Compare(p.tx.Nonce, n) })
+}
+
+// vouch reports, per candidate, whether the pool holds it exactly as
+// admitted: an entry at its sender and nonce whose verification digest
+// equals the one recomputed now. Such a transaction passed VerifyBasic
+// on this node as the bytes it still is, so the proposer need not run it
+// again; a candidate that never passed Add, was replaced or removed, or
+// was changed since is left to the checker. One SHA-256 each, no ed25519.
+// A nil pool vouches for nothing.
+func (m *Mempool) vouch(txs []*Transaction) []bool {
+	if m == nil {
+		return nil
+	}
+	vouched := make([]bool, len(txs))
+	for i, tx := range txs {
+		if tx == nil {
+			continue
+		}
+		d := verifiedDigest(tx) // outside the lock, like admission's hashing
+		m.mu.Lock()
+		list := m.bySender[tx.From]
+		if j, found := searchNonce(list, tx.Nonce); found {
+			vouched[i] = list[j].verified == d
+		}
+		m.mu.Unlock()
+	}
+	return vouched
 }
 
 // Len returns the number of pending transactions.
@@ -141,11 +189,11 @@ func (m *Mempool) NextNonce(addr identity.Address, chainNonce uint64) uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := chainNonce
-	for _, tx := range m.bySender[addr] {
-		if tx.Nonce < n {
+	for _, p := range m.bySender[addr] {
+		if p.tx.Nonce < n {
 			continue
 		}
-		if tx.Nonce != n {
+		if p.tx.Nonce != n {
 			break
 		}
 		n++
@@ -160,8 +208,8 @@ func (m *Mempool) NextNonce(addr identity.Address, chainNonce uint64) uint64 {
 func (m *Mempool) evictStaleLocked(addr identity.Address, next uint64) int {
 	list := m.bySender[addr]
 	i := 0
-	for i < len(list) && list[i].Nonce < next {
-		delete(m.byHash, list[i].Hash())
+	for i < len(list) && list[i].tx.Nonce < next {
+		delete(m.byHash, list[i].hash)
 		i++
 	}
 	if i == 0 {
@@ -238,7 +286,8 @@ func (m *Mempool) NextBatch(st *State, max int, gasBudget uint64) []*Transaction
 	for _, sender := range m.sendersLocked() {
 		next := st.Nonce(sender)
 		evicted += m.evictStaleLocked(sender, next)
-		for _, tx := range m.bySender[sender] {
+		for _, p := range m.bySender[sender] {
+			tx := p.tx
 			if len(batch) >= max {
 				break
 			}
@@ -278,25 +327,21 @@ func (m *Mempool) NextBatch(st *State, max int, gasBudget uint64) []*Transaction
 	return batch
 }
 
-// dropLocked removes one transaction from both indexes. Callers hold
-// m.mu and own depth-gauge/counter updates.
+// dropLocked removes one transaction from both indexes, if the pool
+// holds it: the entry at its sender and nonce must be tx itself or carry
+// its hash, so a transaction that was replaced takes nothing with it.
+// Callers hold m.mu and own depth-gauge/counter updates.
 func (m *Mempool) dropLocked(tx *Transaction) bool {
-	h := tx.Hash()
-	if _, ok := m.byHash[h]; !ok {
+	list := m.bySender[tx.From]
+	i, found := searchNonce(list, tx.Nonce)
+	if !found || (list[i].tx != tx && list[i].hash != tx.Hash()) {
 		return false
 	}
-	delete(m.byHash, h)
-	list := m.bySender[tx.From]
-	for i, pending := range list {
-		if pending.Hash() == h {
-			list = append(list[:i], list[i+1:]...)
-			break
-		}
-	}
-	if len(list) == 0 {
+	delete(m.byHash, list[i].hash)
+	if len(list) == 1 {
 		delete(m.bySender, tx.From)
 	} else {
-		m.bySender[tx.From] = list
+		m.bySender[tx.From] = slices.Delete(list, i, i+1)
 	}
 	return true
 }

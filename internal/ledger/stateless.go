@@ -50,6 +50,10 @@ var ErrNilTx = errors.New("ledger: nil transaction")
 // done is closed.
 type blockChecks struct {
 	block *Block // nil for a bare candidate batch (ProposeBlock)
+	// vouched marks the candidates the proposer's own mempool vouches for
+	// (Mempool.vouch); their VerifyBasic is skipped. Nil on every import
+	// and verify path: a block from elsewhere is checked in full.
+	vouched []bool
 
 	pending atomic.Int32 // tasks still running; the one that reaches zero closes done
 	timer   telemetry.Timer
@@ -105,6 +109,9 @@ func (k *blockChecks) checkTxs(chunk int, txs []*Transaction) {
 	defer k.finish()
 	base := chunk * verifyChunk
 	for i, tx := range txs {
+		if k.vouched != nil && k.vouched[base+i] {
+			continue
+		}
 		err := ErrNilTx
 		if tx != nil {
 			err = tx.VerifyBasic()
@@ -167,16 +174,18 @@ func (p *checker) run(task func()) {
 	p.tasks <- task
 }
 
-// check submits the pure checks of txs — and, when block is non-nil, of
-// its seal and transaction root — and returns at once with the handle
-// their results arrive on.
-func (p *checker) check(block *Block, txs []*Transaction) *blockChecks {
+// check submits the pure checks of txs (but for the vouched ones; nil
+// vouches for none) — and, when block is non-nil, of its seal and
+// transaction root — and returns at once with the handle their results
+// arrive on.
+func (p *checker) check(block *Block, txs []*Transaction, vouched []bool) *blockChecks {
 	nchunks := (len(txs) + verifyChunk - 1) / verifyChunk
 	k := &blockChecks{
-		block:  block,
-		timer:  mStatelessSeconds.Time(),
-		done:   make(chan struct{}),
-		chunks: make([]error, nchunks),
+		block:   block,
+		vouched: vouched,
+		timer:   mStatelessSeconds.Time(),
+		done:    make(chan struct{}),
+		chunks:  make([]error, nchunks),
 	}
 	tasks := nchunks
 	if block != nil {
@@ -196,14 +205,22 @@ func (p *checker) check(block *Block, txs []*Transaction) *blockChecks {
 
 // checkOne runs one block's (or, with a nil block, one candidate
 // batch's) pure checks to completion on a checker of its own. A batch
-// that fits one chunk is checked right here: there is nothing to spread,
-// and starting and waking workers showed up in the latency of a market
-// lifecycle, whose dozen blocks carry one to three transactions each.
-func (c *Chain) checkOne(block *Block, txs []*Transaction) *blockChecks {
+// with no more than one chunk of signatures to check — a small one, or
+// one its pool vouches for — is checked right here: there is nothing to
+// spread, and starting and waking workers showed up in the latency of a
+// market lifecycle, whose dozen blocks carry one to three transactions
+// each.
+func (c *Chain) checkOne(block *Block, txs []*Transaction, vouched []bool) *blockChecks {
+	unverified := len(txs)
+	for _, v := range vouched {
+		if v {
+			unverified--
+		}
+	}
 	p := &checker{}
-	if len(txs) > verifyChunk {
+	if unverified > verifyChunk {
 		p = c.newChecker()
 	}
 	defer p.stop()
-	return p.check(block, txs)
+	return p.check(block, txs, vouched)
 }

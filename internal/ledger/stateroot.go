@@ -29,11 +29,13 @@ import (
 // commits to ZeroDigest.
 //
 // Writes only append the record key to a dirty list; Root replays the
-// list — enter each key into its bucket, rehash the touched buckets
-// (dropping members no longer live) and their ancestor paths — so a
-// block costs O(touched · bucket size +
-// touched · log buckets) and a genesis or snapshot restore is the same
-// code with everything dirty.
+// list. Each bucket keeps the interior levels of its Merkle tree, so a
+// record whose value changed costs its own leaf, its sibling's and one
+// node per level above them; only a bucket that gained or lost a member
+// is rebuilt from its records. Then the touched buckets' ancestor paths
+// are rehashed. A block costs O(touched · log bucket size + touched · log
+// buckets), and a genesis or snapshot restore is the same code with
+// everything dirty.
 
 const (
 	stateBucketBits = 12
@@ -98,13 +100,23 @@ type commitment struct {
 	// dirty lists every record written since the last Root, in write
 	// order, duplicates included; Root releases it.
 	dirty []recKey
-	// buckets holds each bucket's live record keys in compare order, and
-	// nodes the tree over them in heap layout: nodes[1] is the root,
+	// buckets holds each bucket's members and cached tree, and nodes the
+	// tree over the buckets in heap layout: nodes[1] is the root,
 	// nodes[i]'s children are nodes[2i] and nodes[2i+1], and bucket b's
 	// digest is nodes[stateBuckets+b]. Both are nil until the first
 	// record is committed.
-	buckets [][]recKey
+	buckets []bucket
 	nodes   []crypto.Digest
+}
+
+// bucket is one bucket's live record keys in compare order and the
+// interior levels of the Merkle tree over their records, concatenated
+// bottom-up: the ⌈n/2⌉ nodes above the n leaves first, the root last.
+// Leaf digests are not kept (they are one hash away from the maps), so a
+// bucket of one record has no levels and its leaf is its digest.
+type bucket struct {
+	keys   []recKey
+	levels []crypto.Digest
 }
 
 // appendRecord appends the leaf encoding of record k to b and reports
@@ -137,56 +149,182 @@ func (s *State) Root() crypto.Digest {
 	return s.nodes[1]
 }
 
+// leafOf returns the leaf digest of the live record k.
+func (s *State) leafOf(sc *flushScratch, k recKey) crypto.Digest {
+	sc.buf, _ = s.appendRecord(sc.buf[:0], k)
+	return crypto.MerkleLeaf(sc.buf)
+}
+
 // flush folds the dirty list into buckets and nodes and releases it.
 func (s *State) flush() {
 	if s.nodes == nil {
-		s.buckets = make([][]recKey, stateBuckets)
+		s.buckets = make([]bucket, stateBuckets)
 		s.nodes = make([]crypto.Digest, 2*stateBuckets)
 	}
-	// Enter every dirty key into its bucket; whether it is still live is
-	// settled below, where the bucket's values are looked up anyway.
-	touched := make([]bool, 2*stateBuckets)
-	var buf []byte
-	for _, k := range s.dirty {
-		buf = k.appendTo(buf[:0])
-		h := sha256.Sum256(buf)
-		b := int(binary.BigEndian.Uint16(h[:])) >> (16 - stateBucketBits)
-		if i, found := slices.BinarySearchFunc(s.buckets[b], k, recKey.compare); !found {
-			s.buckets[b] = slices.Insert(s.buckets[b], i, k)
-		}
-		touched[stateBuckets+b] = true
+	// Group the dirty keys by bucket with a counting sort into one
+	// exact-size slice: pending[start[b]:start[b+1]] is bucket b's share.
+	sc := flushScratch{}
+	of := make([]uint16, len(s.dirty))
+	var start [stateBuckets + 1]int32
+	for i, k := range s.dirty {
+		sc.buf = k.appendTo(sc.buf[:0])
+		h := sha256.Sum256(sc.buf)
+		of[i] = binary.BigEndian.Uint16(h[:]) >> (16 - stateBucketBits)
+		start[of[i]]++
+	}
+	for b := 1; b <= stateBuckets; b++ {
+		start[b] += start[b-1] // for now the end of bucket b's share
+	}
+	pending := make([]recKey, len(s.dirty))
+	for i := len(s.dirty) - 1; i >= 0; i-- {
+		start[of[i]]--
+		pending[start[of[i]]] = s.dirty[i]
 	}
 	s.dirty = nil
 
-	// Rehash bottom-up: children sit at higher indices than parents, so
-	// one descending pass sees every touched node after its children.
-	var level []crypto.Digest
-	for i := 2*stateBuckets - 1; i >= 1; i-- {
+	touched := make([]bool, stateBuckets)
+	for b := range s.buckets {
+		if pend := pending[start[b]:start[b+1]]; len(pend) > 0 {
+			slices.SortFunc(pend, recKey.compare)
+			digest := &s.nodes[stateBuckets+b]
+			*digest = s.flushBucket(&s.buckets[b], slices.Compact(pend), *digest, &sc)
+			touched[(stateBuckets+b)/2] = true
+		}
+	}
+	// Rehash the tree above the buckets bottom-up: children sit at higher
+	// indices than parents, so one descending pass sees every touched
+	// node after its children.
+	for i := stateBuckets - 1; i >= 1; i-- {
 		if !touched[i] {
 			continue
 		}
 		touched[i/2] = true
-		if i < stateBuckets {
-			if l, r := s.nodes[2*i], s.nodes[2*i+1]; l.IsZero() && r.IsZero() {
-				s.nodes[i] = crypto.ZeroDigest
-			} else {
-				s.nodes[i] = crypto.HashConcat(stateNodePrefix, l[:], r[:])
-			}
-			continue
+		if l, r := s.nodes[2*i], s.nodes[2*i+1]; l.IsZero() && r.IsZero() {
+			s.nodes[i] = crypto.ZeroDigest
+		} else {
+			s.nodes[i] = crypto.HashConcat(stateNodePrefix, l[:], r[:])
 		}
-		// A bucket: drop the members that are no longer live, hash the rest.
-		bucket := s.buckets[i-stateBuckets]
-		members := bucket[:0]
-		level = level[:0]
-		for _, k := range bucket {
-			rec, live := s.appendRecord(buf[:0], k)
-			if buf = rec; live {
-				members = append(members, k)
-				level = append(level, crypto.MerkleLeaf(rec))
-			}
-		}
-		clear(bucket[len(members):]) // release the dropped keys' strings
-		s.buckets[i-stateBuckets] = members
-		s.nodes[i] = crypto.MerkleRootOfLeaves(level)
 	}
+}
+
+// flushScratch is the memory one flush reuses across its buckets.
+type flushScratch struct {
+	buf    []byte
+	writes []pendingWrite
+	leaves []crypto.Digest
+}
+
+// pendingWrite is what one dirty key turned out to be once looked up.
+type pendingWrite struct {
+	at    int           // position in the bucket's keys, or where it would be inserted
+	found bool          // the bucket holds the key
+	live  bool          // the maps hold the record
+	leaf  crypto.Digest // its leaf digest, when live
+}
+
+// flushBucket folds the writes to pend — the bucket's dirty keys, sorted
+// and distinct — into bk, whose digest is root, and returns the new
+// digest. Writes that only change values rehash their paths through the
+// cached levels; a key that enters or leaves the bucket has it rebuilt.
+func (s *State) flushBucket(bk *bucket, pend []recKey, root crypto.Digest, sc *flushScratch) crypto.Digest {
+	sc.writes = sc.writes[:0]
+	size, rebuild := len(bk.keys), false
+	for _, k := range pend {
+		var w pendingWrite
+		w.at, w.found = slices.BinarySearchFunc(bk.keys, k, recKey.compare)
+		if sc.buf, w.live = s.appendRecord(sc.buf[:0], k); w.live {
+			w.leaf = crypto.MerkleLeaf(sc.buf)
+		}
+		if w.live != w.found {
+			rebuild = true
+			if w.live {
+				size++
+			} else {
+				size--
+			}
+		}
+		sc.writes = append(sc.writes, w)
+	}
+	if !rebuild {
+		for _, w := range sc.writes {
+			if w.live {
+				root = s.rehashPath(bk, w.at, w.leaf, sc)
+			}
+		}
+		return root
+	}
+
+	// Membership changed: one merge of the old keys with the pending ones
+	// into exact-size slices. Members that were not written are live, and
+	// their leaves are recomputed from the maps.
+	if size == 0 {
+		*bk = bucket{}
+		return crypto.ZeroDigest
+	}
+	keys, leaves := make([]recKey, 0, size), sc.leaves[:0]
+	next := 0 // first old key not yet merged
+	keep := func(upTo int) {
+		for ; next < upTo; next++ {
+			keys, leaves = append(keys, bk.keys[next]), append(leaves, s.leafOf(sc, bk.keys[next]))
+		}
+	}
+	for j, w := range sc.writes {
+		keep(w.at)
+		if w.found {
+			next++ // replaced just below, or dropped
+		}
+		if w.live {
+			keys, leaves = append(keys, pend[j]), append(leaves, w.leaf)
+		}
+	}
+	keep(len(bk.keys))
+	sc.leaves = leaves
+	bk.keys, bk.levels = keys, merkleLevels(leaves)
+	if len(bk.levels) == 0 {
+		return leaves[0]
+	}
+	return bk.levels[len(bk.levels)-1]
+}
+
+// merkleLevels returns the interior levels above the given leaf level in
+// bucket.levels layout: none for fewer than two leaves.
+func merkleLevels(leaves []crypto.Digest) []crypto.Digest {
+	size := 0
+	for n := len(leaves); n > 1; size += n {
+		n = (n + 1) / 2
+	}
+	levels := make([]crypto.Digest, 0, size)
+	for level := leaves; len(level) > 1; {
+		at := len(levels)
+		levels = crypto.AppendMerkleLevel(levels, level)
+		level = levels[at:]
+	}
+	return levels
+}
+
+// rehashPath installs leaf as the digest of bk's i-th record and
+// recomputes the nodes above it, reading each sibling from the cached
+// level (the leaf's sibling from the maps), and returns the bucket digest.
+func (s *State) rehashPath(bk *bucket, i int, cur crypto.Digest, sc *flushScratch) crypto.Digest {
+	var level []crypto.Digest // the cached level cur sits in; nil at the leaves
+	above := bk.levels
+	for n := len(bk.keys); n > 1; {
+		if sib := i ^ 1; sib < n { // else an odd node at the end: promoted unchanged
+			var d crypto.Digest
+			if level == nil {
+				d = s.leafOf(sc, bk.keys[sib])
+			} else {
+				d = level[sib]
+			}
+			if i < sib {
+				cur = crypto.MerkleNode(cur, d)
+			} else {
+				cur = crypto.MerkleNode(d, cur)
+			}
+		}
+		i, n = i/2, (n+1)/2
+		level, above = above[:n], above[n:]
+		level[i] = cur
+	}
+	return cur
 }

@@ -89,11 +89,7 @@ func checkCommitment(t *testing.T, st *State) {
 		}
 		live += len(slot)
 	}
-	members := 0
-	for _, b := range st.buckets {
-		members += len(b)
-	}
-	if members != live {
+	if members := checkLevels(t, st); members != live {
 		t.Fatalf("commitment holds %d records, maps hold %d", members, live)
 	}
 	if want := specRoot(st.balances, st.nonces, st.storage); got != want {
@@ -114,6 +110,53 @@ func checkCommitment(t *testing.T, st *State) {
 	if want := fresh.Root(); got != want {
 		t.Fatalf("incremental root %s, from-scratch build gives %s", got.Short(), want.Short())
 	}
+}
+
+// checkLevels asserts, with no write pending, that every bucket's cached
+// interior levels and digest are what its records hash to now — a stale
+// node under a root that happens to be right would surface only at the
+// next write through it — and that its slices are exact-size. It returns
+// the number of records the buckets hold.
+func checkLevels(t *testing.T, st *State) (members int) {
+	t.Helper()
+	for b, bk := range st.buckets {
+		members += len(bk.keys)
+		level := make([]crypto.Digest, len(bk.keys))
+		for i, k := range bk.keys {
+			rec, live := st.appendRecord(nil, k)
+			if !live {
+				t.Fatalf("bucket %d holds dead record %q", b, rec)
+			}
+			level[i] = crypto.MerkleLeaf(rec)
+		}
+		var want []crypto.Digest
+		for len(level) > 1 {
+			var next []crypto.Digest
+			for i := 0; i+1 < len(level); i += 2 {
+				next = append(next, crypto.MerkleNode(level[i], level[i+1]))
+			}
+			if len(level)%2 == 1 {
+				next = append(next, level[len(level)-1])
+			}
+			want = append(want, next...)
+			level = next
+		}
+		if !slices.Equal(bk.levels, want) {
+			t.Fatalf("bucket %d (%d records): cached levels differ from a rebuild", b, len(bk.keys))
+		}
+		digest := crypto.ZeroDigest
+		if len(level) == 1 {
+			digest = level[0]
+		}
+		if st.nodes[stateBuckets+b] != digest {
+			t.Fatalf("bucket %d digest differs from a rebuild", b)
+		}
+		if cap(bk.keys) > len(bk.keys) || cap(bk.levels) > len(bk.levels) {
+			t.Fatalf("bucket %d over-allocated: keys %d/%d, levels %d/%d",
+				b, len(bk.keys), cap(bk.keys), len(bk.levels), cap(bk.levels))
+		}
+	}
+	return members
 }
 
 // TestStateMapsHoldLiveRecordsOnly pins that zero writes and reverted
@@ -183,13 +226,37 @@ func FuzzStateRoot(f *testing.F) {
 	rng := crypto.NewDRBGFromUint64(13, "state-root-fuzz")
 	f.Add(rng.Bytes(900))
 	f.Add(rng.Bytes(3000))
+	// One bucket shared by addrs[0]'s balance and its storage keys 5–7
+	// (second byte 40, 48, 56; see below). Three records there, then an update,
+	// an insert and a delete among them folded by one Root:
+	shared := []byte{0, 0, 5, 3, 40, 3, 3, 48, 4, 1, 0, 2, 6, 0, 0, 7, 0, 0}
+	f.Add(append(shared[:len(shared):len(shared)], 0, 0, 9, 3, 56, 2, 3, 40, 0, 7, 0, 0, 0, 0, 8, 7, 0, 0))
+	// the same writes with the Root taken inside a span that is then
+	// reverted (so the cached levels must be walked back), then value-only
+	// writes through the restored levels;
+	f.Add(append(shared[:len(shared):len(shared)], 4, 0, 0, 0, 0, 9, 3, 56, 2, 3, 40, 0, 7, 0, 0, 5, 0, 0, 7, 0, 0, 3, 48, 1, 0, 0, 7, 7, 0, 0))
+	// and deletes that shrink the bucket to one record, then to none, then
+	// refill it.
+	f.Add(append(shared[:len(shared):len(shared)], 3, 40, 0, 3, 48, 0, 7, 0, 0, 0, 0, 0, 7, 0, 0, 3, 56, 1, 0, 0, 1, 7, 0, 0))
 
 	addrs := make([]identity.Address, 8)
 	for i := range addrs {
 		addrs[i] = testAddr(uint64(100 + i))
 	}
 	// Keys of several lengths: the in-bucket order puts the length first.
+	// The last three are searched for: storage keys of addrs[0] that land
+	// in the bucket of addrs[0]'s balance record, so a program can put
+	// several records of one bucket into one flush.
 	keys := []string{"k", "kk", "a/long/key", "z", ""}
+	bucketOf := func(k recKey) uint16 {
+		h := sha256.Sum256(k.appendTo(nil))
+		return binary.BigEndian.Uint16(h[:]) >> (16 - stateBucketBits)
+	}
+	for i, home := 0, bucketOf(recKey{kind: recBalance, addr: addrs[0]}); len(keys) < 8; i++ {
+		if k := fmt.Sprint("shared/", i); bucketOf(recKey{kind: recStorage, addr: addrs[0], key: k}) == home {
+			keys = append(keys, k)
+		}
+	}
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		st := NewState()
 		var snaps []int
@@ -221,6 +288,7 @@ func FuzzStateRoot(f *testing.F) {
 				snaps = snaps[:0]
 			case 7:
 				st.Root()
+				checkLevels(t, st)
 			}
 		}
 		checkCommitment(t, st)

@@ -11,8 +11,8 @@ import (
 	"pds2/internal/telemetry"
 )
 
-// ReportSchema versions the BENCH_*.json layout so bench_compare.sh can
-// refuse to diff incompatible reports.
+// ReportSchema versions the BENCH_<date>.json layout so a reader can
+// refuse incompatible reports.
 const ReportSchema = "pds2/bench/v1"
 
 // ClassReport is the per-traffic-class result. Quantiles come from the

@@ -223,7 +223,7 @@ func (m *Market) sealBlockAt(timestamp uint64) (*ledger.Block, error) {
 		// the longest prefix that really fits and says so in block.Txs. The
 		// remainder stays pooled for the next seal.
 		batch := m.Pool.NextBatch(m.Chain.State(), 10_000, m.Chain.GasLimit())
-		block, err := m.Chain.ProposeBlock(proposer, timestamp, batch)
+		block, err := m.Chain.ProposeFromPool(m.Pool, proposer, timestamp, batch)
 		if errors.Is(err, ledger.ErrBlockGasLimit) && m.Pool.EvictOvergas(batch[0]) {
 			// The first candidate does not fit an empty block, so it fits no
 			// block: left pooled it would head every future batch and fail

@@ -19,9 +19,10 @@ import (
 // they break the transaction signature, the tx-root commitment, or the
 // proposer seal, and must be caught by the header/stateless checks. The
 // forged-block kinds (ForgeSkippedNonceBlock, ForgeBalanceClaimBlock,
-// ForgeFlatRootBlock) simulate a *malicious authority*: the seal is
-// genuine, every commitment is internally consistent with the hostile
-// payload, and only the execution-level checks (nonce continuity,
+// ForgeFlatRootBlock, ForgeUnverifiedSigBlock) simulate a *malicious
+// authority*: the seal is genuine, every commitment is internally
+// consistent with the hostile payload, and only the importer's own
+// signature check or the execution-level checks (nonce continuity,
 // recomputed state root) can catch them.
 
 // Corruption enumerates the export-level tampering kinds.
@@ -148,6 +149,21 @@ func ForgeBalanceClaimBlock(m *market.Market, authority, sender *identity.Identi
 			m.Chain.Head().Header.StateRoot, tx.IntrinsicGas()),
 		Txs: []*ledger.Transaction{tx},
 	}
+	blk.Seal(authority)
+	return blk
+}
+
+// ForgeUnverifiedSigBlock builds the block a proposer that skipped
+// signature verification would seal — ledger.ProposeFromPool trusts its
+// own mempool's vouch, so this is what a vouch bug would put on the wire:
+// the seal is genuine and the tx root commits to the transaction as
+// carried, but the sender never signed that value. Importers verify every
+// signature themselves; every mode must refuse it with
+// ledger.ErrTxSignature.
+func ForgeUnverifiedSigBlock(m *market.Market, authority, sender *identity.Identity) *ledger.Block {
+	blk := ForgeBalanceClaimBlock(m, authority, sender)
+	blk.Txs[0].Value++
+	blk.Header.TxRoot = ledger.TxRoot(blk.Txs)
 	blk.Seal(authority)
 	return blk
 }

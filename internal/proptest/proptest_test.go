@@ -172,7 +172,7 @@ func TestCorruptBlocksDetected(t *testing.T) {
 	}
 	// Malicious-authority forgeries: valid seals, hostile payloads. The
 	// two root forgeries must die at the recomputed state root, nowhere
-	// earlier.
+	// earlier, and the unverified signature at every importer's own check.
 	flatForgery, err := ForgeFlatRootBlock(res.Market, res.Authority, res.Sender)
 	if err != nil {
 		t.Fatal(err)
@@ -185,6 +185,7 @@ func TestCorruptBlocksDetected(t *testing.T) {
 		{"forged-skipped-nonce", ForgeSkippedNonceBlock(res.Market, res.Authority, res.Sender), nil},
 		{"forged-balance-claim", ForgeBalanceClaimBlock(res.Market, res.Authority, res.Sender), ledger.ErrBadStateRoot},
 		{"forged-flat-root", flatForgery, ledger.ErrBadStateRoot},
+		{"forged-unverified-sig", ForgeUnverifiedSigBlock(res.Market, res.Authority, res.Sender), ledger.ErrTxSignature},
 	} {
 		bad, err := AppendForgedBlock(data, fc.block)
 		if err != nil {

@@ -126,9 +126,10 @@ func TestStreamImportMatchesBlockAtATime(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, blk := range map[string]*ledger.Block{
-			"forged-skipped-nonce": ForgeSkippedNonceBlock(res.Market, res.Authority, res.Sender),
-			"forged-balance-claim": ForgeBalanceClaimBlock(res.Market, res.Authority, res.Sender),
-			"forged-flat-root":     flatForgery,
+			"forged-skipped-nonce":  ForgeSkippedNonceBlock(res.Market, res.Authority, res.Sender),
+			"forged-balance-claim":  ForgeBalanceClaimBlock(res.Market, res.Authority, res.Sender),
+			"forged-flat-root":      flatForgery,
+			"forged-unverified-sig": ForgeUnverifiedSigBlock(res.Market, res.Authority, res.Sender),
 		} {
 			bad, err := AppendForgedBlock(data, blk)
 			if err != nil {

@@ -8,7 +8,7 @@ set -eu
 cd "$(dirname "$0")/.."
 GO="${GO:-go}"
 
-# Floors sit one point under the measured baseline (ledger 95.7,
+# Floors sit one point under the measured baseline (ledger 96.7,
 # contract 84.2, token 76.6, semantic 84.3, vm 84.8) to absorb
 # formatting-level churn while still catching any real regression.
 # The ledger floor moved 86.7 -> 92.7 when the parallel executor was
@@ -16,7 +16,9 @@ GO="${GO:-go}"
 # the removed scheduler carried most of the uncovered abort/panic paths;
 # 92.7 -> 93.5 with the bucketed state root (94.5 measured);
 # 93.5 -> 93.7 when the chain took over block packing (94.7 measured);
-# and 93.7 -> 94.7 with the streamed import and its tests (95.7 measured).
+# 93.7 -> 94.7 with the streamed import and its tests (95.7 measured);
+# and 94.7 -> 95.7 with the pool's vouch and the cached bucket levels
+# (96.7 measured).
 check() {
 	pkg="$1"
 	floor="$2"
@@ -43,7 +45,7 @@ check() {
 	echo "covgate: internal/$pkg $pct% (floor $floor%)"
 }
 
-check ledger 94.7
+check ledger 95.7
 check contract 83.2
 check token 75.6
 check semantic 83.3
