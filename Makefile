@@ -85,9 +85,8 @@ bench-pair:
 	./scripts/abpair.sh $(PARENT) $(PAIRS) $(BENCH_ARGS)
 
 # bench-module vets and tests the nested benchmark module (its own
-# go.mod, `replace pds2 => ../`). The root `go build ./... && go test
-# ./...` neither builds nor tests it, so a change to an internal API the
-# benchmark calls would otherwise only fail when the benchmark is run.
+# go.mod, `replace pds2 => ../`) — what the root TestBenchmarkModule
+# runs inside `go test ./...`, as a target of its own.
 bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
@@ -135,12 +134,11 @@ pprof-smoke:
 # replay, the usage-control policy smoke (three-layer enforcement,
 # on-chain decision events, offline replay, API round trips) and the
 # bytecode-VM smoke (differential oracle agreement, built-in-policy
-# bit-identical equivalence, deploy gates) under -race. The nested
-# benchmark module is compiled too: root `go build ./...` does not see it,
-# and a signature it calls changing would otherwise surface only when the
-# benchmark is next run.
+# bit-identical equivalence, deploy gates) under -race, and
+# TestBenchmarkModule, which vets and tests the nested benchmark module
+# against this tree.
 ci-fast: vet build
-	cd benchmark && $(GO) build -o /dev/null ./...
+	$(GO) test -count=1 -run TestBenchmarkModule .
 	$(MAKE) race-core
 	$(MAKE) proptest
 	$(MAKE) policy-smoke
@@ -149,21 +147,20 @@ ci-fast: vet build
 # ci is the documented pre-PR gate: ci-fast, then the full race-enabled
 # test suite (including the telemetry trace/log/health tests), a
 # single-iteration smoke run of the ledger block-pipeline and
-# structured-log benchmarks, the nested benchmark module's own vet and
-# tests, the distributed-tracing self-test — the two-node stitching demo
-# must verify end to end — a seeded chaos smoke (the quick E15 subset
-# drives the full workload lifecycle through fault-injected client and
-# server and must converge), a short randomized pass over each fuzz
-# target, the pprof/history endpoint smoke under -race, the diag
-# flight-recorder self-test (capture a bundle from a live node and
-# assert every artifact is present, parseable and component-labeled), a
-# 30-second open-loop load smoke against a self-hosted node (SLO-gated),
-# and the coverage ratchet. (Benchmark regressions are judged by `make
-# bench-pair`, which needs an idle box and minutes, so it is not in ci.)
+# structured-log benchmarks, the distributed-tracing self-test — the
+# two-node stitching demo must verify end to end — a seeded chaos smoke
+# (the quick E15 subset drives the full workload lifecycle through
+# fault-injected client and server and must converge), a short
+# randomized pass over each fuzz target, the pprof/history endpoint
+# smoke under -race, the diag flight-recorder self-test (capture a
+# bundle from a live node and assert every artifact is present,
+# parseable and component-labeled), a 30-second open-loop load smoke
+# against a self-hosted node (SLO-gated), and the coverage ratchet.
+# (Benchmark regressions are judged by `make bench-pair`, which needs an
+# idle box and minutes, so it is not in ci.)
 ci: ci-fast
 	$(GO) test -race ./...
 	$(GO) test -run NONE -bench 'BenchmarkImportBlock|BenchmarkMempool|BenchmarkLedger|BenchmarkLog' -benchtime=1x .
-	$(MAKE) bench-module
 	$(GO) run ./cmd/pds2 trace -self-test
 	$(GO) run ./cmd/pds2-experiments -quick -telemetry=false -run E15
 	$(MAKE) fuzz

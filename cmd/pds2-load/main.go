@@ -6,7 +6,7 @@
 // rate. Committed throughput is read from the node's ledger counters,
 // per-class latency (p50/p95/p99) from the generator's telemetry
 // histograms, and the run is judged against SLO thresholds. Results are
-// written as BENCH_<date>.json.
+// written as LOAD_<date>.json.
 //
 // With no -target the harness self-hosts: it starts an in-process node
 // (optionally durable, with -data-dir) on a loopback listener with the
@@ -53,7 +53,7 @@ func main() {
 		duration = flag.Duration("duration", 30*time.Second, "measured-phase duration")
 		mixSpec  = flag.String("mix", "", "traffic mix, e.g. transfers=70,mints=10,reads=15,lifecycle=2,policy=3")
 		fundEach = flag.Uint64("fund-each", 1_000_000, "genesis balance per simulated account")
-		out      = flag.String("out", ".", "directory for the BENCH_<date>.json report")
+		out      = flag.String("out", ".", "directory for the LOAD_<date>.json report")
 
 		sloTxRate = flag.Float64("slo-tx-per-sec", 0, "SLO: committed-transaction throughput floor (0 disables)")
 		sloP99    = flag.Float64("slo-p99-ms", 0, "SLO: p99 latency ceiling for submit/read classes, ms (0 disables)")

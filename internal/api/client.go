@@ -240,18 +240,11 @@ func sleep(ctx context.Context, d time.Duration) error {
 // envelope-driven retryability (transport errors and truncated bodies
 // are always considered retryable — every endpoint is idempotent by
 // construction, transaction submission included via its idempotency
-// key). It returns the response body of the first attempt that lands a
-// 2xx, fully read.
-func (c *Client) call(ctx context.Context, method, path string, body []byte, header http.Header) ([]byte, error) {
-	data, _, err := c.callAccept(ctx, method, path, body, header, nil)
-	return data, err
-}
-
-// callAccept is call with a custom success predicate over the status
-// code (nil accepts any 2xx). The accepted response's body and status
-// are returned; non-accepted statuses become *APIError and retry per
-// the envelope's retryability.
-func (c *Client) callAccept(ctx context.Context, method, path string, body []byte, header http.Header, accept func(int) bool) ([]byte, int, error) {
+// key). accept is the success predicate over the status code (nil
+// accepts any 2xx). It returns the body of the first accepted response,
+// fully read; other statuses become *APIError and retry per the
+// envelope's retryability.
+func (c *Client) call(ctx context.Context, method, path string, body []byte, header http.Header, accept func(int) bool) ([]byte, error) {
 	mClientCalls.Inc()
 	if c.timeout > 0 {
 		var cancel context.CancelFunc
@@ -262,7 +255,7 @@ func (c *Client) callAccept(ctx context.Context, method, path string, body []byt
 	for attempt := 1; attempt <= c.retry.MaxAttempts; attempt++ {
 		if attempt > 1 {
 			if !c.spendRetryToken() {
-				return nil, 0, fmt.Errorf("api: %s %s: retry budget exhausted: %w", method, path, lastErr)
+				return nil, fmt.Errorf("api: %s %s: retry budget exhausted: %w", method, path, lastErr)
 			}
 			mClientRetries.Inc()
 			var hint time.Duration
@@ -271,29 +264,29 @@ func (c *Client) callAccept(ctx context.Context, method, path string, body []byt
 				hint = ae.RetryAfter
 			}
 			if err := sleep(ctx, c.backoff(attempt-1, hint)); err != nil {
-				return nil, 0, fmt.Errorf("api: %s %s: %w", method, path, err)
+				return nil, fmt.Errorf("api: %s %s: %w", method, path, err)
 			}
 		}
-		out, status, err := c.once(ctx, method, path, body, header, accept)
+		out, err := c.once(ctx, method, path, body, header, accept)
 		if err == nil {
 			c.refundSuccess()
-			return out, status, nil
+			return out, nil
 		}
 		if ctx.Err() != nil {
-			return nil, 0, fmt.Errorf("api: %s %s: %w", method, path, ctx.Err())
+			return nil, fmt.Errorf("api: %s %s: %w", method, path, ctx.Err())
 		}
 		if ae, ok := err.(*APIError); ok && !ae.Retryable {
-			return nil, 0, ae
+			return nil, ae
 		}
 		lastErr = err
 	}
-	return nil, 0, fmt.Errorf("api: %s %s: attempts exhausted: %w", method, path, lastErr)
+	return nil, fmt.Errorf("api: %s %s: attempts exhausted: %w", method, path, lastErr)
 }
 
 // once is a single attempt: issue the request, read the body in full
 // (so truncated responses fail here, retryably), map non-accepted
 // statuses to *APIError.
-func (c *Client) once(ctx context.Context, method, path string, body []byte, header http.Header, accept func(int) bool) ([]byte, int, error) {
+func (c *Client) once(ctx context.Context, method, path string, body []byte, header http.Header, accept func(int) bool) ([]byte, error) {
 	actx := ctx
 	if c.retry.PerAttemptTimeout > 0 {
 		var cancel context.CancelFunc
@@ -306,7 +299,7 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, hea
 	}
 	req, err := http.NewRequestWithContext(actx, method, c.baseURL+path, rd)
 	if err != nil {
-		return nil, 0, fmt.Errorf("api: %s %s: %w", method, path, err)
+		return nil, fmt.Errorf("api: %s %s: %w", method, path, err)
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -319,37 +312,34 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, hea
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return nil, 0, fmt.Errorf("api: %s %s: %w", method, path, err)
+		return nil, fmt.Errorf("api: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, 0, fmt.Errorf("api: %s %s: reading response: %w", method, path, err)
+		return nil, fmt.Errorf("api: %s %s: reading response: %w", method, path, err)
 	}
 	ok := resp.StatusCode >= 200 && resp.StatusCode <= 299
 	if accept != nil {
 		ok = accept(resp.StatusCode)
 	}
 	if !ok {
-		return nil, 0, newAPIError(path, resp.StatusCode, resp.Header, data)
+		return nil, newAPIError(path, resp.StatusCode, resp.Header, data)
 	}
-	return data, resp.StatusCode, nil
+	return data, nil
 }
 
-// get fetches a JSON endpoint into out, retrying per policy.
-func (c *Client) get(ctx context.Context, path string, out any) error {
-	data, err := c.call(ctx, http.MethodGet, path, nil, nil)
-	if err != nil {
-		return err
-	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(data, out)
+// fetch GETs a JSON endpoint and decodes it as a T, retrying per
+// policy.
+func fetch[T any](ctx context.Context, c *Client, path string) (T, error) {
+	var out T
+	err := c.send(ctx, http.MethodGet, path, nil, &out, nil)
+	return out, err
 }
 
-// post sends a JSON body and decodes the 2xx response into out.
-func (c *Client) post(ctx context.Context, path string, in, out any, header http.Header) error {
+// send marshals in (nil: no body), calls path and decodes the 2xx
+// response into out (nil: discard it).
+func (c *Client) send(ctx context.Context, method, path string, in, out any, header http.Header) error {
 	var body []byte
 	if in != nil {
 		var err error
@@ -357,53 +347,40 @@ func (c *Client) post(ctx context.Context, path string, in, out any, header http
 			return err
 		}
 	}
-	data, err := c.call(ctx, http.MethodPost, path, body, header)
-	if err != nil {
+	data, err := c.call(ctx, method, path, body, header, nil)
+	if err != nil || out == nil {
 		return err
-	}
-	if out == nil {
-		return nil
 	}
 	return json.Unmarshal(data, out)
 }
 
-// put sends a JSON body via PUT and decodes the 2xx response into out.
-func (c *Client) put(ctx context.Context, path string, in, out any, header http.Header) error {
-	var body []byte
-	if in != nil {
-		var err error
-		if body, err = json.Marshal(in); err != nil {
-			return err
-		}
+// submit sends a signed transaction (wrapped in body) with its hash as
+// the idempotency key, so retrying after a lost response can never
+// double-spend the nonce, and returns the hash the node admitted.
+func (c *Client) submit(ctx context.Context, method, path string, tx *ledger.Transaction, body any) (crypto.Digest, error) {
+	h := http.Header{}
+	h.Set(IdempotencyHeader, tx.Hash().Hex())
+	var out SubmitResponse
+	if err := c.send(ctx, method, path, body, &out, h); err != nil {
+		return crypto.ZeroDigest, err
 	}
-	data, err := c.call(ctx, http.MethodPut, path, body, header)
-	if err != nil {
-		return err
-	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(data, out)
+	return out.TxHash, nil
 }
 
 // Status fetches the node status.
 func (c *Client) Status(ctx context.Context) (StatusResponse, error) {
-	var out StatusResponse
-	err := c.get(ctx, "/v1/status", &out)
-	return out, err
+	return fetch[StatusResponse](ctx, c, "/v1/status")
 }
 
 // Account fetches balance and nonce for an address.
 func (c *Client) Account(ctx context.Context, addr identity.Address) (AccountResponse, error) {
-	var out AccountResponse
-	err := c.get(ctx, "/v1/accounts/"+addr.Hex(), &out)
-	return out, err
+	return fetch[AccountResponse](ctx, c, "/v1/accounts/"+addr.Hex())
 }
 
 // Block fetches a block by height.
 func (c *Client) Block(ctx context.Context, height uint64) (*ledger.Block, error) {
 	var out ledger.Block
-	if err := c.get(ctx, fmt.Sprintf("/v1/blocks/%d", height), &out); err != nil {
+	if err := c.send(ctx, http.MethodGet, fmt.Sprintf("/v1/blocks/%d", height), nil, &out, nil); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -412,7 +389,7 @@ func (c *Client) Block(ctx context.Context, height uint64) (*ledger.Block, error
 // Receipt fetches a transaction receipt.
 func (c *Client) Receipt(ctx context.Context, hash crypto.Digest) (*ledger.Receipt, error) {
 	var out ledger.Receipt
-	if err := c.get(ctx, "/v1/receipts/"+hash.Hex(), &out); err != nil {
+	if err := c.send(ctx, http.MethodGet, "/v1/receipts/"+hash.Hex(), nil, &out, nil); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -435,109 +412,51 @@ func listPath(base string, params ...[2]string) string {
 // topic. after is the cursor from a previous page's Next ("" starts
 // from the beginning); limit <= 0 selects the server default.
 func (c *Client) EventsPage(ctx context.Context, topic, after string, limit int) (EventsResponse, error) {
-	var out EventsResponse
-	lim := ""
-	if limit > 0 {
-		lim = strconv.Itoa(limit)
-	}
-	err := c.get(ctx, listPath("/v1/events",
-		[2]string{"topic", topic}, [2]string{"after", after}, [2]string{"limit", lim}), &out)
-	return out, err
+	return getPage[EventsResponse](ctx, c, "/v1/events", after, limit, [2]string{"topic", topic})
 }
 
 // Events fetches the complete audit log (all pages), optionally
 // filtered by topic.
 func (c *Client) Events(ctx context.Context, topic string) ([]ledger.Event, error) {
-	var all []ledger.Event
-	after := ""
-	for {
-		page, err := c.EventsPage(ctx, topic, after, 0)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, page.Items...)
-		if page.Next == "" {
-			break
-		}
-		after = page.Next
-	}
-	if all == nil {
-		all = []ledger.Event{}
-	}
-	return all, nil
+	return walk("/v1/events",
+		func(after string) (EventsResponse, error) { return c.EventsPage(ctx, topic, after, 0) })
 }
 
 // WorkloadsPage fetches one page of the workload directory.
 func (c *Client) WorkloadsPage(ctx context.Context, after string, limit int) (WorkloadsResponse, error) {
-	var out WorkloadsResponse
-	lim := ""
-	if limit > 0 {
-		lim = strconv.Itoa(limit)
-	}
-	err := c.get(ctx, listPath("/v1/workloads",
-		[2]string{"after", after}, [2]string{"limit", lim}), &out)
-	return out, err
+	return getPage[WorkloadsResponse](ctx, c, "/v1/workloads", after, limit)
 }
 
 // Workloads lists the complete workload directory (all pages).
 func (c *Client) Workloads(ctx context.Context) ([]WorkloadSummary, error) {
-	var all []WorkloadSummary
-	after := ""
-	for {
-		page, err := c.WorkloadsPage(ctx, after, 0)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, page.Items...)
-		if page.Next == "" {
-			break
-		}
-		after = page.Next
-	}
-	if all == nil {
-		all = []WorkloadSummary{}
-	}
-	return all, nil
+	return walk("/v1/workloads",
+		func(after string) (WorkloadsResponse, error) { return c.WorkloadsPage(ctx, after, 0) })
 }
 
 // Workload fetches one workload's detail view.
 func (c *Client) Workload(ctx context.Context, addr identity.Address) (WorkloadDetail, error) {
-	var out WorkloadDetail
-	err := c.get(ctx, "/v1/workloads/"+addr.Hex(), &out)
-	return out, err
+	return fetch[WorkloadDetail](ctx, c, "/v1/workloads/"+addr.Hex())
 }
 
 // LogsPage fetches one page of the node's structured-log ring
 // (component "" fetches every component). after is a LogEvent.Seq
 // cursor from a previous page's Next.
 func (c *Client) LogsPage(ctx context.Context, component, after string, limit int) (LogsResponse, error) {
-	var out LogsResponse
-	lim := ""
-	if limit > 0 {
-		lim = strconv.Itoa(limit)
-	}
-	err := c.get(ctx, listPath("/v1/logs",
-		[2]string{"component", component}, [2]string{"after", after}, [2]string{"limit", lim}), &out)
-	return out, err
+	return getPage[LogsResponse](ctx, c, "/v1/logs", after, limit, [2]string{"component", component})
 }
 
 // Logs fetches the node's full structured-log ring (all pages).
 func (c *Client) Logs(ctx context.Context, component string) (LogsResponse, error) {
-	var all LogsResponse
-	after := ""
-	for {
-		page, err := c.LogsPage(ctx, component, after, 0)
-		if err != nil {
-			return LogsResponse{}, err
-		}
-		all.Components = page.Components
-		all.Events = append(all.Events, page.Events...)
-		if page.Next == "" {
-			break
-		}
-		after = page.Next
+	var comps []string
+	events, err := walk("/v1/logs", func(after string) (Page[telemetry.LogEvent], error) {
+		p, err := c.LogsPage(ctx, component, after, 0)
+		comps = p.Components
+		return Page[telemetry.LogEvent]{Items: p.Events, Next: p.Next}, err
+	})
+	if err != nil {
+		return LogsResponse{}, err
 	}
-	return all, nil
+	return LogsResponse{Components: comps, Events: events}, nil
 }
 
 // Healthz fetches the node's component health report. A Degraded or
@@ -551,7 +470,7 @@ func (c *Client) Healthz(ctx context.Context) (telemetry.HealthReport, error) {
 	accept := func(status int) bool {
 		return (status >= 200 && status <= 299) || status == http.StatusServiceUnavailable
 	}
-	data, _, err := c.callAccept(ctx, http.MethodGet, "/healthz", nil, nil, accept)
+	data, err := c.call(ctx, http.MethodGet, "/healthz", nil, nil, accept)
 	if err != nil {
 		return out, err
 	}
@@ -564,24 +483,18 @@ func (c *Client) Healthz(ctx context.Context) (telemetry.HealthReport, error) {
 // it to read server-side throughput counters around a run. The node
 // answers 503 while telemetry is disabled; that surfaces as an APIError.
 func (c *Client) Metrics(ctx context.Context) (telemetry.Snapshot, error) {
-	var out telemetry.Snapshot
-	err := c.get(ctx, "/v1/metrics", &out)
-	return out, err
+	return fetch[telemetry.Snapshot](ctx, c, "/v1/metrics")
 }
 
 // BuildInfo fetches the node's build identity (GET /v1/buildinfo).
 func (c *Client) BuildInfo(ctx context.Context) (telemetry.BuildInfo, error) {
-	var out telemetry.BuildInfo
-	err := c.get(ctx, "/v1/buildinfo", &out)
-	return out, err
+	return fetch[telemetry.BuildInfo](ctx, c, "/v1/buildinfo")
 }
 
 // Trace fetches the node's finished-span ring (GET /v1/trace), oldest
 // first. The Collector merges traces from many nodes into one set.
 func (c *Client) Trace(ctx context.Context) (telemetry.Trace, error) {
-	var out telemetry.Trace
-	err := c.get(ctx, "/v1/trace", &out)
-	return out, err
+	return fetch[telemetry.Trace](ctx, c, "/v1/trace")
 }
 
 // MetricsHistory fetches the node's metrics-history ring (GET
@@ -590,13 +503,11 @@ func (c *Client) Trace(ctx context.Context) (telemetry.Trace, error) {
 // the whole ring). A node with history disabled answers a non-retryable
 // "disabled" APIError.
 func (c *Client) MetricsHistory(ctx context.Context, window time.Duration) (telemetry.HistoryDump, error) {
-	var out telemetry.HistoryDump
 	path := "/v1/metrics/history"
 	if window > 0 {
 		path += "?window=" + window.String()
 	}
-	err := c.get(ctx, path, &out)
-	return out, err
+	return fetch[telemetry.HistoryDump](ctx, c, path)
 }
 
 // Pprof fetches a profile from the node's /debug/pprof/ surface in raw
@@ -611,8 +522,7 @@ func (c *Client) Pprof(ctx context.Context, profile string, seconds int) ([]byte
 		path += "?seconds=" + strconv.Itoa(seconds)
 	}
 	mClientCalls.Inc()
-	data, _, err := c.once(ctx, http.MethodGet, path, nil, nil, nil)
-	return data, err
+	return c.once(ctx, http.MethodGet, path, nil, nil, nil)
 }
 
 // SubmitTx queues a signed transaction and returns its hash. The
@@ -621,66 +531,30 @@ func (c *Client) Pprof(ctx context.Context, profile string, seconds int) ([]byte
 // server answers an already-admitted or already-committed transaction
 // with its cached verdict instead of treating it as new work.
 func (c *Client) SubmitTx(ctx context.Context, tx *ledger.Transaction) (crypto.Digest, error) {
-	h := http.Header{}
-	h.Set(IdempotencyHeader, tx.Hash().Hex())
-	var out SubmitResponse
-	if err := c.post(ctx, "/v1/transactions", tx, &out, h); err != nil {
-		return crypto.ZeroDigest, err
-	}
-	return out.TxHash, nil
+	return c.submit(ctx, http.MethodPost, "/v1/transactions", tx, tx)
 }
 
 // DatasetsPage fetches one page of the dataset registry.
 func (c *Client) DatasetsPage(ctx context.Context, after string, limit int) (DatasetsResponse, error) {
-	var out DatasetsResponse
-	lim := ""
-	if limit > 0 {
-		lim = strconv.Itoa(limit)
-	}
-	err := c.get(ctx, listPath("/v1/datasets",
-		[2]string{"after", after}, [2]string{"limit", lim}), &out)
-	return out, err
+	return getPage[DatasetsResponse](ctx, c, "/v1/datasets", after, limit)
 }
 
 // Datasets lists the complete dataset registry (all pages).
 func (c *Client) Datasets(ctx context.Context) ([]DatasetSummary, error) {
-	var all []DatasetSummary
-	after := ""
-	for {
-		page, err := c.DatasetsPage(ctx, after, 0)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, page.Items...)
-		if page.Next == "" {
-			break
-		}
-		after = page.Next
-	}
-	if all == nil {
-		all = []DatasetSummary{}
-	}
-	return all, nil
+	return walk("/v1/datasets",
+		func(after string) (DatasetsResponse, error) { return c.DatasetsPage(ctx, after, 0) })
 }
 
 // Dataset fetches one dataset's detail view, policy included.
 func (c *Client) Dataset(ctx context.Context, id crypto.Digest) (DatasetResponse, error) {
-	var out DatasetResponse
-	err := c.get(ctx, "/v1/datasets/"+id.Hex(), &out)
-	return out, err
+	return fetch[DatasetResponse](ctx, c, "/v1/datasets/"+id.Hex())
 }
 
 // RegisterDataset submits a pre-signed registerData transaction through
 // POST /v1/datasets. Like SubmitTx, the transaction hash rides along as
 // an idempotency key, so retries can never double-spend the nonce.
 func (c *Client) RegisterDataset(ctx context.Context, tx *ledger.Transaction) (crypto.Digest, error) {
-	h := http.Header{}
-	h.Set(IdempotencyHeader, tx.Hash().Hex())
-	var out SubmitResponse
-	if err := c.post(ctx, "/v1/datasets", TxEnvelope{Tx: tx}, &out, h); err != nil {
-		return crypto.ZeroDigest, err
-	}
-	return out.TxHash, nil
+	return c.submit(ctx, http.MethodPost, "/v1/datasets", tx, TxEnvelope{Tx: tx})
 }
 
 // SetPolicy submits a pre-signed setPolicy transaction through PUT
@@ -688,13 +562,7 @@ func (c *Client) RegisterDataset(ctx context.Context, tx *ledger.Transaction) (c
 // before any gas is spent) envelopes whose dataset argument does not
 // match id or whose policy blob fails validation.
 func (c *Client) SetPolicy(ctx context.Context, id crypto.Digest, tx *ledger.Transaction) (crypto.Digest, error) {
-	h := http.Header{}
-	h.Set(IdempotencyHeader, tx.Hash().Hex())
-	var out SubmitResponse
-	if err := c.put(ctx, "/v1/datasets/"+id.Hex()+"/policy", TxEnvelope{Tx: tx}, &out, h); err != nil {
-		return crypto.ZeroDigest, err
-	}
-	return out.TxHash, nil
+	return c.submit(ctx, http.MethodPut, "/v1/datasets/"+id.Hex()+"/policy", tx, TxEnvelope{Tx: tx})
 }
 
 // DeployContract submits a pre-signed deployPolicy transaction through
@@ -703,13 +571,7 @@ func (c *Client) SetPolicy(ctx context.Context, id crypto.Digest, tx *ledger.Tra
 // spent) envelopes whose artifact fails container decoding or whose
 // bytecode does not re-verify against its embedded source.
 func (c *Client) DeployContract(ctx context.Context, tx *ledger.Transaction) (crypto.Digest, error) {
-	h := http.Header{}
-	h.Set(IdempotencyHeader, tx.Hash().Hex())
-	var out SubmitResponse
-	if err := c.post(ctx, "/v1/contracts", TxEnvelope{Tx: tx}, &out, h); err != nil {
-		return crypto.ZeroDigest, err
-	}
-	return out.TxHash, nil
+	return c.submit(ctx, http.MethodPost, "/v1/contracts", tx, TxEnvelope{Tx: tx})
 }
 
 // CheckPolicy evaluates a dataset's usage-control policy without
@@ -719,56 +581,32 @@ func (c *Client) DeployContract(ctx context.Context, tx *ledger.Transaction) (cr
 // enforcement layer. layer "" selects match, class "" the default
 // computation class, agg 0 an aggregation of 1.
 func (c *Client) CheckPolicy(ctx context.Context, id crypto.Digest, layer, class, purpose string, agg uint64) (PolicyDecision, error) {
-	var out PolicyDecision
 	aggStr := ""
 	if agg > 0 {
 		aggStr = strconv.FormatUint(agg, 10)
 	}
-	err := c.get(ctx, listPath("/v1/datasets/"+id.Hex()+"/check",
+	return fetch[PolicyDecision](ctx, c, listPath("/v1/datasets/"+id.Hex()+"/check",
 		[2]string{"layer", layer}, [2]string{"class", class},
-		[2]string{"purpose", purpose}, [2]string{"agg", aggStr}), &out)
-	return out, err
+		[2]string{"purpose", purpose}, [2]string{"agg", aggStr}))
 }
 
 // PolicyDecisionsPage fetches one page of the on-chain usage-control
 // decision log, oldest first.
 func (c *Client) PolicyDecisionsPage(ctx context.Context, after string, limit int) (PolicyDecisionsResponse, error) {
-	var out PolicyDecisionsResponse
-	lim := ""
-	if limit > 0 {
-		lim = strconv.Itoa(limit)
-	}
-	err := c.get(ctx, listPath("/v1/policies/decisions",
-		[2]string{"after", after}, [2]string{"limit", lim}), &out)
-	return out, err
+	return getPage[PolicyDecisionsResponse](ctx, c, "/v1/policies/decisions", after, limit)
 }
 
 // PolicyDecisions fetches the complete decision log (all pages).
 func (c *Client) PolicyDecisions(ctx context.Context) ([]PolicyDecision, error) {
-	var all []PolicyDecision
-	after := ""
-	for {
-		page, err := c.PolicyDecisionsPage(ctx, after, 0)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, page.Items...)
-		if page.Next == "" {
-			break
-		}
-		after = page.Next
-	}
-	if all == nil {
-		all = []PolicyDecision{}
-	}
-	return all, nil
+	return walk("/v1/policies/decisions",
+		func(after string) (PolicyDecisionsResponse, error) { return c.PolicyDecisionsPage(ctx, after, 0) })
 }
 
 // View performs a read-only contract call through the node.
 func (c *Client) View(ctx context.Context, caller, to identity.Address, method string, args []byte) ([]byte, error) {
 	var out ViewResponse
 	req := ViewRequest{Caller: caller, To: to, Method: method, Args: args}
-	if err := c.post(ctx, "/v1/views", req, &out, nil); err != nil {
+	if err := c.send(ctx, http.MethodPost, "/v1/views", req, &out, nil); err != nil {
 		return nil, err
 	}
 	return out.Return, nil
@@ -780,6 +618,6 @@ func (c *Client) View(ctx context.Context, caller, to identity.Address, method s
 // transaction execution.
 func (c *Client) Seal(ctx context.Context) (SealResponse, error) {
 	var out SealResponse
-	err := c.post(ctx, "/v1/blocks/seal", nil, &out, nil)
+	err := c.send(ctx, http.MethodPost, "/v1/blocks/seal", nil, &out, nil)
 	return out, err
 }

@@ -1,7 +1,6 @@
 package api
 
 import (
-	"encoding/json"
 	"net/http"
 
 	"pds2/internal/contract"
@@ -19,14 +18,8 @@ func (s *Server) handleDeployContract(w http.ResponseWriter, r *http.Request) {
 	if deadlineExceeded(w, r) {
 		return
 	}
-	var env TxEnvelope
-	if err := json.NewDecoder(r.Body).Decode(&env); err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad envelope: %v", err)
-		return
-	}
-	args, err := s.decodeRegistryCall(env, "deployPolicy")
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
+	tx, args, ok := s.registryCall(w, r, "deployPolicy")
+	if !ok {
 		return
 	}
 	d := contract.NewDecoder(args)
@@ -48,5 +41,5 @@ func (s *Server) handleDeployContract(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad artifact: %v", err)
 		return
 	}
-	s.admitTx(w, env.Tx)
+	s.admitTx(w, tx)
 }

@@ -7,7 +7,6 @@
 package api
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -51,14 +50,6 @@ type DatasetSummary struct {
 	Uses      uint64           `json:"uses"`
 }
 
-// DatasetsResponse is the GET /v1/datasets page envelope. Pages are
-// ordered by dataset ID (hex); Next is the last ID of the page, empty
-// on the final one.
-type DatasetsResponse struct {
-	Items []DatasetSummary `json:"items"`
-	Next  string           `json:"next,omitempty"`
-}
-
 // DatasetResponse is the GET /v1/datasets/{id} body. CodeSize is the
 // byte size of the deployed policy-program artifact (0 when the dataset
 // is governed declaratively or not at all).
@@ -72,39 +63,23 @@ type DatasetResponse struct {
 }
 
 func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
-	after, limit, err := pageParams(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
+	after, limit, ok := listParams(w, r, keyCursor)
+	if !ok {
 		return
 	}
 	s.locked(w, func() (int, any) {
-		ids, err := s.m.DatasetIDs()
+		ids, err := s.m.DatasetIDs() // hex-sorted
 		if err != nil {
 			return fail(http.StatusInternalServerError, CodeInternal, nil, "%v", err)
 		}
-		// DatasetIDs is already hex-sorted, so the last served ID is a
-		// stable cursor exactly like the workload directory's.
-		resp := DatasetsResponse{Items: []DatasetSummary{}}
-		for _, id := range ids {
-			h := id.Hex()
-			if after != "" && h <= after {
-				continue
-			}
-			if len(resp.Items) == limit {
-				resp.Next = resp.Items[len(resp.Items)-1].ID.Hex()
-				break
-			}
+		return http.StatusOK, keyPage(ids, crypto.Digest.Hex, after, limit, func(id crypto.Digest) (DatasetSummary, bool) {
 			info, ok, err := s.m.DatasetInfoOf(id)
-			if err != nil || !ok {
-				continue
-			}
-			resp.Items = append(resp.Items, DatasetSummary{
+			return DatasetSummary{
 				ID: id, Owner: info.Owner,
 				HasPolicy: info.Policy != nil || info.CodeSize > 0,
 				Uses:      info.Uses,
-			})
-		}
-		return http.StatusOK, resp
+			}, err == nil && ok
+		})
 	})
 }
 
@@ -135,16 +110,32 @@ type TxEnvelope struct {
 	Tx *ledger.Transaction `json:"tx"`
 }
 
-// decodeRegistryCall validates that the envelope carries a call of the
-// expected registry method and returns its ABI-encoded arguments.
-func (s *Server) decodeRegistryCall(env TxEnvelope, method string) ([]byte, error) {
-	if env.Tx == nil {
+// registryCall decodes a TxEnvelope body and checks that it carries a
+// call of the given registry method, returning the transaction and the
+// call's ABI-encoded arguments. On failure it has written the error.
+func (s *Server) registryCall(w http.ResponseWriter, r *http.Request, method string) (*ledger.Transaction, []byte, bool) {
+	var env TxEnvelope
+	if !decodeBody(w, r, "bad envelope", &env) {
+		return nil, nil, false
+	}
+	args, err := s.callArgs(env.Tx, method)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
+		return nil, nil, false
+	}
+	return env.Tx, args, true
+}
+
+// callArgs validates that tx is a call of the expected registry method
+// and returns its ABI-encoded arguments.
+func (s *Server) callArgs(tx *ledger.Transaction, method string) ([]byte, error) {
+	if tx == nil {
 		return nil, fmt.Errorf("missing tx")
 	}
-	if env.Tx.To != s.m.Registry {
-		return nil, fmt.Errorf("tx must target the registry %s, not %s", s.m.Registry.Hex(), env.Tx.To.Hex())
+	if tx.To != s.m.Registry {
+		return nil, fmt.Errorf("tx must target the registry %s, not %s", s.m.Registry.Hex(), tx.To.Hex())
 	}
-	d := contract.NewDecoder(env.Tx.Data)
+	d := contract.NewDecoder(tx.Data)
 	m, err := d.String()
 	if err != nil {
 		return nil, fmt.Errorf("tx data is not a contract call: %w", err)
@@ -167,14 +158,8 @@ func (s *Server) handleRegisterDataset(w http.ResponseWriter, r *http.Request) {
 	if deadlineExceeded(w, r) {
 		return
 	}
-	var env TxEnvelope
-	if err := json.NewDecoder(r.Body).Decode(&env); err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad envelope: %v", err)
-		return
-	}
-	args, err := s.decodeRegistryCall(env, "registerData")
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
+	tx, args, ok := s.registryCall(w, r, "registerData")
+	if !ok {
 		return
 	}
 	d := contract.NewDecoder(args)
@@ -186,7 +171,7 @@ func (s *Server) handleRegisterDataset(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad meta hash: %v", err)
 		return
 	}
-	s.admitTx(w, env.Tx)
+	s.admitTx(w, tx)
 }
 
 // handleSetPolicy serves PUT /v1/datasets/{id}/policy: a pre-signed
@@ -202,14 +187,8 @@ func (s *Server) handleSetPolicy(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad dataset id: %v", err)
 		return
 	}
-	var env TxEnvelope
-	if err := json.NewDecoder(r.Body).Decode(&env); err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad envelope: %v", err)
-		return
-	}
-	args, err := s.decodeRegistryCall(env, "setPolicy")
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
+	tx, args, ok := s.registryCall(w, r, "setPolicy")
+	if !ok {
 		return
 	}
 	d := contract.NewDecoder(args)
@@ -237,7 +216,7 @@ func (s *Server) handleSetPolicy(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad policy: %v", err)
 		return
 	}
-	s.admitTx(w, env.Tx)
+	s.admitTx(w, tx)
 }
 
 // PolicyDecision is the JSON shape of one usage-control decision — both
@@ -318,46 +297,22 @@ func (s *Server) handleCheckPolicy(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// PolicyDecisionsResponse is the GET /v1/policies/decisions page
-// envelope. The decision log is append-only, so the cursor is a plain
-// offset, like /v1/events.
-type PolicyDecisionsResponse struct {
-	Items []PolicyDecision `json:"items"`
-	Next  string           `json:"next,omitempty"`
-}
-
 // handlePolicyDecisions serves GET /v1/policies/decisions: the decoded
 // on-chain usage-control decision log, oldest first — what pds2-audit
 // replays offline against the PolicySet history.
 func (s *Server) handlePolicyDecisions(w http.ResponseWriter, r *http.Request) {
-	after, limit, err := pageParams(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
+	offset, limit, ok := listParams(w, r, offsetCursor)
+	if !ok {
 		return
-	}
-	offset := 0
-	if after != "" {
-		offset, err = strconv.Atoi(after)
-		if err != nil || offset < 0 {
-			writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad cursor %q", after)
-			return
-		}
 	}
 	// Events returns its own copy of the committed log: everything past
 	// the copy runs unlocked.
 	s.mu.Lock()
 	events := s.m.Chain.Events(policy.EvPolicyDecision)
 	s.mu.Unlock()
-	if offset > len(events) {
-		offset = len(events)
-	}
-	page := events[offset:]
-	resp := PolicyDecisionsResponse{Items: []PolicyDecision{}}
-	if len(page) > limit {
-		page = page[:limit]
-		resp.Next = strconv.Itoa(offset + limit)
-	}
-	for _, ev := range page {
+	page := offsetPage(events, offset, limit)
+	resp := Page[PolicyDecision]{Items: make([]PolicyDecision, 0, len(page.Items)), Next: page.Next}
+	for _, ev := range page.Items {
 		rec, err := policy.DecodeDecisionRecord(ev.Data)
 		if err != nil {
 			writeErr(w, http.StatusInternalServerError, CodeInternal, "corrupt decision event: %v", err)

@@ -49,6 +49,10 @@ const (
 	// burning its retry budget. No Retry-After hint is ever attached.
 	CodeDisabled = "disabled"
 
+	// CodeTooLarge: the request body exceeds MaxBodyBytes. Not
+	// retryable: the same body stays too large.
+	CodeTooLarge = "too_large"
+
 	// CodeTimeout: the per-request deadline expired server-side.
 	CodeTimeout = "timeout"
 

@@ -12,11 +12,12 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -230,6 +231,27 @@ func writeErr(w http.ResponseWriter, status int, code, format string, args ...an
 	writeJSON(w, status, body)
 }
 
+// MaxBodyBytes bounds every request body the node decodes. The largest
+// legitimate body is a deploy envelope carrying a vm.MaxArtifact
+// artifact, about 175 KiB as base64.
+const MaxBodyBytes = 1 << 20
+
+// decodeBody decodes the JSON request body into v, reading at most
+// MaxBodyBytes. On failure it writes the error under the route's prefix
+// (413 too_large past the limit, else 400) and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, prefix string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status, code := http.StatusBadRequest, CodeBadRequest
+	if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
+		status, code = http.StatusRequestEntityTooLarge, CodeTooLarge
+	}
+	writeErr(w, status, code, "%s: %v", prefix, err)
+	return false
+}
+
 // locked runs fn holding the market mutex and writes the response it
 // returns after releasing it. fn gets no ResponseWriter on purpose:
 // encoding to a socket blocks for as long as the client stops reading,
@@ -337,84 +359,23 @@ func (s *Server) handleReceipt(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// DefaultPageLimit bounds list endpoints when the caller sends no
-// ?limit; explicit limits are capped at MaxPageLimit.
-const (
-	DefaultPageLimit = 256
-	MaxPageLimit     = 1024
-)
-
-// pageParams parses the uniform ?after / ?limit pagination query.
-func pageParams(r *http.Request) (after string, limit int, err error) {
-	q := r.URL.Query()
-	after = q.Get("after")
-	limit = DefaultPageLimit
-	if raw := q.Get("limit"); raw != "" {
-		limit, err = strconv.Atoi(raw)
-		if err != nil || limit <= 0 {
-			return "", 0, fmt.Errorf("bad limit %q", raw)
-		}
-		if limit > MaxPageLimit {
-			limit = MaxPageLimit
-		}
-	}
-	return after, limit, nil
-}
-
-// EventsResponse is the GET /v1/events page envelope. Next is the
-// cursor for the following page, empty on the last one.
-type EventsResponse struct {
-	Items []ledger.Event `json:"items"`
-	Next  string         `json:"next,omitempty"`
-}
-
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	topic := r.URL.Query().Get("topic")
-	contractHex := r.URL.Query().Get("contract")
-	after, limit, err := pageParams(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
+	offset, limit, ok := listParams(w, r, offsetCursor)
+	if !ok {
 		return
 	}
-	// The audit log is append-only and the filter is deterministic, so a
-	// plain offset into the filtered sequence is a stable cursor: earlier
-	// entries never move, later pages only ever gain entries at the end.
-	offset := 0
-	if after != "" {
-		offset, err = strconv.Atoi(after)
-		if err != nil || offset < 0 {
-			writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad cursor %q", after)
-			return
-		}
-	}
-	var contractAddr identity.Address
-	if contractHex != "" {
-		if contractAddr, err = identity.AddressFromHex(contractHex); err != nil {
-			writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad contract: %v", err)
-			return
-		}
+	topic := r.URL.Query().Get("topic")
+	contractHex := r.URL.Query().Get("contract")
+	contractAddr, err := identity.AddressFromHex(contractHex)
+	if contractHex != "" && err != nil {
+		writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad contract: %v", err)
+		return
 	}
 	s.locked(w, func() (int, any) {
-		var events []ledger.Event
 		if contractHex != "" {
-			events = s.m.Chain.EventsFrom(contractAddr, topic)
-		} else {
-			events = s.m.Chain.Events(topic)
+			return http.StatusOK, offsetPage(s.m.Chain.EventsFrom(contractAddr, topic), offset, limit)
 		}
-		if offset > len(events) {
-			offset = len(events)
-		}
-		page := events[offset:]
-		resp := EventsResponse{}
-		if len(page) > limit {
-			page = page[:limit]
-			resp.Next = strconv.Itoa(offset + limit)
-		}
-		resp.Items = page
-		if resp.Items == nil {
-			resp.Items = []ledger.Event{}
-		}
-		return http.StatusOK, resp
+		return http.StatusOK, offsetPage(s.m.Chain.Events(topic), offset, limit)
 	})
 }
 
@@ -424,18 +385,9 @@ type WorkloadSummary struct {
 	State   string           `json:"state"`
 }
 
-// WorkloadsResponse is the GET /v1/workloads page envelope. Pages are
-// ordered by address; Next is the last address of the page, empty on
-// the final one.
-type WorkloadsResponse struct {
-	Items []WorkloadSummary `json:"items"`
-	Next  string            `json:"next,omitempty"`
-}
-
 func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
-	after, limit, err := pageParams(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
+	after, limit, ok := listParams(w, r, keyCursor)
+	if !ok {
 		return
 	}
 	s.locked(w, func() (int, any) {
@@ -443,33 +395,12 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return fail(http.StatusInternalServerError, CodeInternal, nil, "%v", err)
 		}
-		// Addresses sort lexically by hex, giving a stable total order: the
-		// cursor is simply the last address served, immune to insertions
-		// before or after it between pages.
-		hexes := make([]string, 0, len(addrs))
-		byHex := make(map[string]identity.Address, len(addrs))
-		for _, a := range addrs {
-			h := a.Hex()
-			hexes = append(hexes, h)
-			byHex[h] = a
-		}
-		sort.Strings(hexes)
-		resp := WorkloadsResponse{Items: []WorkloadSummary{}}
-		for _, h := range hexes {
-			if after != "" && h <= after {
-				continue
-			}
-			if len(resp.Items) == limit {
-				resp.Next = resp.Items[len(resp.Items)-1].Address.Hex()
-				break
-			}
-			st, err := s.m.WorkloadStateOf(byHex[h])
-			if err != nil {
-				continue
-			}
-			resp.Items = append(resp.Items, WorkloadSummary{Address: byHex[h], State: st.String()})
-		}
-		return http.StatusOK, resp
+		// Lower-case hex sorts as the bytes do.
+		slices.SortFunc(addrs, func(a, b identity.Address) int { return bytes.Compare(a[:], b[:]) })
+		return http.StatusOK, keyPage(addrs, identity.Address.Hex, after, limit, func(a identity.Address) (WorkloadSummary, bool) {
+			st, err := s.m.WorkloadStateOf(a)
+			return WorkloadSummary{Address: a, State: st.String()}, err == nil
+		})
 	})
 }
 
@@ -543,8 +474,7 @@ func (s *Server) handleSubmitTx(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var tx ledger.Transaction
-	if err := json.NewDecoder(r.Body).Decode(&tx); err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad transaction: %v", err)
+	if !decodeBody(w, r, "bad transaction", &tx) {
 		return
 	}
 	h := tx.Hash()
@@ -622,8 +552,7 @@ type ViewResponse struct {
 
 func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 	var req ViewRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad view request: %v", err)
+	if !decodeBody(w, r, "bad view request", &req) {
 		return
 	}
 	if req.Method == "" {
@@ -713,50 +642,15 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, telemetry.Default().Tracer().Export())
 }
 
-// LogsResponse is the GET /v1/logs page envelope. Next is a LogEvent.Seq
-// cursor for the following page, empty on the last one.
-type LogsResponse struct {
-	Components []string             `json:"components"`
-	Events     []telemetry.LogEvent `json:"events"`
-	Next       string               `json:"next,omitempty"`
-}
-
 // handleLogs serves GET /v1/logs: the structured-log ring, oldest first.
 // ?component=X filters to one component; the ring itself is always
-// served — an all-off log simply has no events. Pagination cursors are
-// record sequence numbers, which survive ring eviction: a page after
-// seq N simply starts at the oldest retained record above N.
+// served — an all-off log simply has no events.
 func (s *Server) handleLogs(w http.ResponseWriter, r *http.Request) {
-	after, limit, err := pageParams(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
+	after, limit, ok := listParams(w, r, seqCursor)
+	if !ok {
 		return
 	}
-	var afterSeq uint64
-	if after != "" {
-		afterSeq, err = strconv.ParseUint(after, 10, 64)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad cursor %q", after)
-			return
-		}
-	}
-	l := telemetry.DefaultLog()
-	events := l.Events()
-	comp := r.URL.Query().Get("component")
-	filtered := make([]telemetry.LogEvent, 0, len(events))
-	for _, e := range events {
-		if e.Seq <= afterSeq || (comp != "" && e.Component != comp) {
-			continue
-		}
-		filtered = append(filtered, e)
-	}
-	resp := LogsResponse{Components: l.Components()}
-	if len(filtered) > limit {
-		filtered = filtered[:limit]
-		resp.Next = strconv.FormatUint(filtered[len(filtered)-1].Seq, 10)
-	}
-	resp.Events = filtered
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, LogPage(r.URL.Query().Get("component"), after, limit))
 }
 
 // handleBuildInfo serves GET /v1/buildinfo: the node's Go version, git

@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime/pprof"
@@ -252,7 +253,9 @@ func CaptureLocal(opts Options) (string, Manifest, error) {
 	} else {
 		c.addJSON("metrics_history", "metrics_history.json", nil, fmt.Errorf("metrics history disabled"))
 	}
-	c.addJSON("logs", "logs.json", localLogs(opts.LogComponent), nil)
+	// The whole ring as one /v1/logs page: bundle consumers parse one
+	// format regardless of source.
+	c.addJSON("logs", "logs.json", api.LogPage(opts.LogComponent, 0, math.MaxInt), nil)
 	c.addJSON("health", "health.json", nil, fmt.Errorf("health checks live on the API server, not in local capture"))
 
 	trace := reg.Tracer().Export()
@@ -277,21 +280,6 @@ func CaptureLocal(opts Options) (string, Manifest, error) {
 
 	m, err := c.finish()
 	return dir, m, err
-}
-
-// localLogs snapshots the process log ring in the same shape the API
-// serves, so bundle consumers parse one format regardless of source.
-func localLogs(component string) api.LogsResponse {
-	l := telemetry.DefaultLog()
-	events := l.Events()
-	out := api.LogsResponse{Components: l.Components(), Events: []telemetry.LogEvent{}}
-	for _, e := range events {
-		if component != "" && e.Component != component {
-			continue
-		}
-		out.Events = append(out.Events, e)
-	}
-	return out
 }
 
 // requiredArtifacts is the set Verify insists on: a bundle missing any

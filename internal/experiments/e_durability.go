@@ -121,7 +121,7 @@ func E17Durability(quick bool) Table {
 	t.Notes = append(t.Notes,
 		"open-loop harness (internal/loadgen): ops fire on the wall clock at the offered rate; shed load is reported, never silently delayed",
 		"crash+reopen appends torn bytes to the active log segment before reopening — recovery must truncate the tear and resume from snapshot + log tail",
-		"the same harness is reproducible standalone: go run ./cmd/pds2-load (BENCH_<date>.json)")
+		"the same harness is reproducible standalone: go run ./cmd/pds2-load (LOAD_<date>.json)")
 	return t
 }
 

@@ -96,7 +96,7 @@ func E18Policy(quick bool) Table {
 	t.Notes = append(t.Notes,
 		"import/s: registerData transactions committed per second into a registry already holding <datasets> entries (plain: none carry policies; policy-bound: all do)",
 		"the plain arm pads to equal transaction counts and comparable stored state (a policy is one storage key, a registration about three); the tax isolates the enforcement engine, not generic storage growth",
-		"tax %: median of per-pair relative import-throughput loss; the gate in scripts/bench_compare.sh holds the API-path equivalent under 2%",
+		"tax %: median of per-pair relative import-throughput loss",
 		"per-layer ns: one policy.Evaluate over a policy carrying every clause (class, purpose, aggregation floor, expiry, invocation cap)")
 	return t
 }

@@ -10,8 +10,8 @@
 // Latency per traffic class is observed into the process-wide telemetry
 // histograms ("loadgen.<class>_seconds"), committed throughput is read
 // from the node's own ledger counters over GET /v1/metrics, and the run is
-// judged against SLO thresholds. Results serialize as a BENCH_<date>.json
-// report that scripts/bench_compare.sh diffs across commits.
+// judged against SLO thresholds. Results serialize as a LOAD_<date>.json
+// report.
 //
 // The generator and the node agree on the account population purely
 // through (seed, n): `pds2-node -load-accounts n -load-seed s` funds
@@ -76,8 +76,7 @@ type Mix struct {
 // DefaultMix approximates a marketplace in steady state: mostly value
 // movement, some token mints and reads, a trickle of workload
 // lifecycles (which are multi-transaction and receipt-gated, hence far
-// heavier per op) and of dataset/policy traffic — enough of the latter
-// that every default report carries the policy_overhead_pct gauge.
+// heavier per op) and of dataset/policy traffic.
 func DefaultMix() Mix { return Mix{Transfers: 70, Mints: 10, Reads: 15, Lifecycle: 2, Policy: 3} }
 
 func (m Mix) total() int { return m.Transfers + m.Mints + m.Reads + m.Lifecycle + m.Policy }

@@ -11,7 +11,7 @@ import (
 	"pds2/internal/telemetry"
 )
 
-// ReportSchema versions the BENCH_<date>.json layout so a reader can
+// ReportSchema versions the LOAD_<date>.json layout so a reader can
 // refuse incompatible reports.
 const ReportSchema = "pds2/bench/v1"
 
@@ -30,7 +30,7 @@ type ClassReport struct {
 	Max        float64 `json:"max_seconds"`
 }
 
-// Report is one load run's result — the BENCH_<date>.json payload.
+// Report is one load run's result — the LOAD_<date>.json payload.
 type Report struct {
 	Schema      string  `json:"schema"`
 	Date        string  `json:"date"`
@@ -57,14 +57,6 @@ type Report struct {
 	Errors    uint64  `json:"errors"`
 	Shed      uint64  `json:"shed"`
 	ErrorRate float64 `json:"error_rate"`
-
-	// PolicyOverheadPct is the median-latency tax of the policy-bearing
-	// submit path relative to plain transfers — both are single HTTP
-	// round trips to admission, but the dataset/policy endpoints add the
-	// server-side envelope decode and policy validation. Present only
-	// when the run drove both classes; scripts/bench_compare.sh gates it
-	// at 2%.
-	PolicyOverheadPct float64 `json:"policy_overhead_pct,omitempty"`
 
 	Classes []ClassReport `json:"classes"`
 
@@ -121,7 +113,7 @@ func runtimeFrom(s telemetry.Snapshot, source string) (RuntimeReport, bool) {
 }
 
 // Filename returns the canonical report name for its date.
-func (r *Report) Filename() string { return "BENCH_" + r.Date + ".json" }
+func (r *Report) Filename() string { return "LOAD_" + r.Date + ".json" }
 
 // WriteFile writes the report into dir under its canonical name and
 // returns the full path.
@@ -244,11 +236,6 @@ func buildReport(cfg Config, elapsed time.Duration, before, after telemetry.Snap
 	}
 	if rep.Ops > 0 {
 		rep.ErrorRate = float64(rep.Errors) / float64(rep.Ops)
-	}
-	if tm, ok := local[ClassTransfer]; ok && tm.P50 > 0 {
-		if pm, ok := local[ClassPolicy]; ok && pm.P50 > 0 {
-			rep.PolicyOverheadPct = (pm.P50 - tm.P50) / tm.P50 * 100
-		}
 	}
 	return rep
 }

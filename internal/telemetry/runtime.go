@@ -290,8 +290,8 @@ func ProfileRates() (mutexFraction, blockRateNS int) {
 // --- Build info ---
 
 // BuildInfo pins a measurement to the binary and machine that produced
-// it, so a BENCH_*.json or diag bundle from last month is attributable:
-// which commit, which Go, which host, how many cores.
+// it, so a LOAD_*.json report or diag bundle from last month is
+// attributable: which commit, which Go, which host, how many cores.
 type BuildInfo struct {
 	GoVersion  string `json:"go_version"`
 	OS         string `json:"os"`
