@@ -54,6 +54,7 @@ fuzz:
 	$(GO) test ./internal/ledger/ -run NONE -fuzz FuzzTxDecode -fuzztime 5s
 	$(GO) test ./internal/ledger/ -run NONE -fuzz FuzzBlockImport -fuzztime 5s
 	$(GO) test ./internal/ledger/ -run NONE -fuzz FuzzStateRoot -fuzztime 5s
+	$(GO) test ./internal/ledger/ -run NONE -fuzz FuzzSnapshotEncoding -fuzztime 5s
 	$(GO) test ./internal/contract/ -run NONE -fuzz FuzzEncoderRoundTrip -fuzztime 5s
 	$(GO) test ./internal/vm/ -run NONE -fuzz FuzzCompile -fuzztime 5s
 	$(GO) test ./internal/vm/ -run NONE -fuzz FuzzVMExecute -fuzztime 5s

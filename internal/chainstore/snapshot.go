@@ -1,8 +1,8 @@
 package chainstore
 
 import (
-	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -26,12 +26,8 @@ func (s *Store) WriteSnapshot(snap *ledger.StateSnapshot) error {
 	if snap == nil || snap.Head == nil {
 		return fmt.Errorf("chainstore: nil snapshot")
 	}
-	var buf bytes.Buffer
-	if err := ledger.WriteSnapshot(&buf, snap); err != nil {
-		return fmt.Errorf("chainstore: encode snapshot: %w", err)
-	}
 	path := filepath.Join(s.snapshotDir(), snapshotName(snap.Height()))
-	if err := writeFileSync(path, buf.Bytes()); err != nil {
+	if err := writeFileSync(path, func(w io.Writer) error { return ledger.WriteSnapshot(w, snap) }); err != nil {
 		return err
 	}
 	mSnapshots.Inc()

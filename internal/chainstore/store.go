@@ -20,6 +20,9 @@
 package chainstore
 
 import (
+	"bufio"
+	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -296,6 +299,14 @@ func (s *Store) openActive() error {
 	if err != nil {
 		return fmt.Errorf("chainstore: %w", err)
 	}
+	// A segment with no frames may be new: make its name durable before
+	// a block is acknowledged in it (once per segment, not per append).
+	if info.size == 0 && !s.opts.NoFsync {
+		if err := syncDir(s.segmentDir()); err != nil {
+			f.Close()
+			return err
+		}
+	}
 	s.active = f
 	return nil
 }
@@ -449,18 +460,18 @@ func (s *Store) Blocks(from uint64, fn func(*ledger.Block) error) error {
 // bound to one chain for life.
 func (s *Store) WriteGenesis(exp ledger.ChainExport) error {
 	exp.Blocks = nil
-	data, err := json.MarshalIndent(exp, "", " ")
-	if err != nil {
-		return fmt.Errorf("chainstore: %w", err)
-	}
 	path := filepath.Join(s.dir, "genesis.json")
 	if prev, err := os.ReadFile(path); err == nil {
-		if string(prev) == string(data) {
-			return nil
+		h := sha256.New()
+		if err := ledger.WriteConfig(h, exp); err != nil {
+			return fmt.Errorf("chainstore: %w", err)
 		}
-		return errors.New("chainstore: store already holds a different genesis")
+		if sum := sha256.Sum256(prev); !bytes.Equal(h.Sum(nil), sum[:]) {
+			return errors.New("chainstore: store already holds a different genesis")
+		}
+		return nil
 	}
-	return writeFileSync(path, data)
+	return writeFileSync(path, func(w io.Writer) error { return ledger.WriteConfig(w, exp) })
 }
 
 // ReadGenesis loads the persisted chain configuration.
@@ -489,7 +500,10 @@ func (s *Store) PutMeta(v any) error {
 	if err != nil {
 		return fmt.Errorf("chainstore: %w", err)
 	}
-	return writeFileSync(filepath.Join(s.dir, "meta.json"), data)
+	return writeFileSync(filepath.Join(s.dir, "meta.json"), func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
 // GetMeta loads metadata stored by PutMeta into out. It returns
@@ -564,31 +578,45 @@ func (s *Store) Close() error {
 	return s.active.Close()
 }
 
-// writeFileSync writes data to path via a temp file + rename, fsyncing
-// the file so the rename never publishes a torn write.
-func writeFileSync(path string, data []byte) error {
+// writeFileSync writes a file through write via a temp file + rename,
+// fsyncing the file so the rename never publishes a torn write, and
+// then the directory so the rename itself survives a power loss.
+func writeFileSync(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("chainstore: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
+	bw := bufio.NewWriter(f)
+	err = write(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("chainstore: %w", err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("chainstore: %w", err)
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir fsyncs a directory, making the names created or renamed in it
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err == nil {
+		err = errors.Join(d.Sync(), d.Close())
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("chainstore: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("chainstore: %w", err)
+	if err != nil {
+		return fmt.Errorf("chainstore: sync dir: %w", err)
 	}
 	return nil
 }

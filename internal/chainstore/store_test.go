@@ -3,10 +3,13 @@ package chainstore
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -668,5 +671,170 @@ func TestReplaySurfacesReadErrorsUnchanged(t *testing.T) {
 			t.Errorf("%s: reopen recovered %d bytes, VerifyChain: %v", tc.name, st2.RecoveredBytes(), err)
 		}
 		st2.Close()
+	}
+}
+
+// TestEncodingJSONStoresReopen writes genesis.json and a snapshot with
+// the encoding/json calls the store used before it streamed them
+// (json.MarshalIndent and json.Encoder), for seeded configs with 0, 1
+// and 3 authorities and 0, 1 and 1000 accounts: the store writes the
+// same bytes, accepts that genesis as its own, and restores the
+// snapshot to the sealed root.
+func TestEncodingJSONStoresReopen(t *testing.T) {
+	for _, auths := range []int{0, 1, 3} {
+		for _, accounts := range []int{0, 1, 1000} {
+			t.Run(fmt.Sprintf("auths=%d/accounts=%d", auths, accounts), func(t *testing.T) {
+				rng := crypto.NewDRBGFromUint64(uint64(auths*10_000+accounts), "encoding-json-store")
+				// With no authorities the chain still needs a sealer; the
+				// exported config and snapshot then carry none.
+				signers := make([]*identity.Identity, max(auths, 1))
+				for i := range signers {
+					signers[i] = identity.New("a", rng.Fork(fmt.Sprint("auth", i)))
+				}
+				var authorities []identity.Address
+				if auths > 0 {
+					authorities = addressesOf(signers)
+				}
+				alloc := map[identity.Address]uint64{}
+				var funded *identity.Identity
+				for i := 0; i < accounts; i++ {
+					id := identity.New("u", rng.Fork(fmt.Sprint("acct", i)))
+					alloc[id.Address()] = 1_000_000 + uint64(i)
+					funded = id
+				}
+				chain, err := ledger.NewChain(ledger.ChainConfig{Authorities: addressesOf(signers), GenesisAlloc: alloc})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for h := uint64(1); h <= 3; h++ {
+					var txs []*ledger.Transaction
+					if funded != nil {
+						txs = append(txs, ledger.SignTx(funded, signers[0].Address(), h, h-1, 50_000, nil))
+					}
+					key := fmt.Sprintf("<k&%d>\x01\t", h)
+					chain.State().SetStorage(signers[0].Address(), key, []byte("<>&"))
+					if _, err := chain.ProposeBlock(signers[(h-1)%uint64(len(signers))], h, txs); err != nil {
+						t.Fatal(err)
+					}
+				}
+				exp := chain.ExportConfig()
+				exp.Authorities = authorities
+				snap := chain.ExportSnapshot()
+				snap.Authorities = authorities
+
+				// The encoding/json bytes.
+				oldDir := t.TempDir()
+				genesis, err := json.MarshalIndent(exp, "", " ")
+				if err != nil {
+					t.Fatal(err)
+				}
+				var snapJSON bytes.Buffer
+				if err := json.NewEncoder(&snapJSON).Encode(snap); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.MkdirAll(filepath.Join(oldDir, "snapshots"), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(oldDir, "genesis.json"), genesis, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(oldDir, "snapshots", snapshotName(3)), snapJSON.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+
+				// The store writes exactly those bytes.
+				newDir := t.TempDir()
+				st, err := Open(newDir, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer st.Close()
+				if err := st.WriteGenesis(exp); err != nil {
+					t.Fatal(err)
+				}
+				if err := st.WriteSnapshot(snap); err != nil {
+					t.Fatal(err)
+				}
+				for name, want := range map[string][]byte{"genesis.json": genesis, filepath.Join("snapshots", snapshotName(3)): snapJSON.Bytes()} {
+					if got, err := os.ReadFile(filepath.Join(newDir, name)); err != nil || !bytes.Equal(got, want) {
+						t.Fatalf("%s differs from the encoding/json bytes (err %v)", name, err)
+					}
+				}
+
+				// A store encoding/json wrote reopens.
+				old, err := Open(oldDir, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer old.Close()
+				if err := old.WriteGenesis(exp); err != nil {
+					t.Fatalf("encoding/json genesis refused: %v", err)
+				}
+				latest, err := old.LatestSnapshot()
+				if err != nil || latest == nil {
+					t.Fatalf("encoding/json snapshot not read: %v", err)
+				}
+				restored, err := ledger.NewChainFromSnapshot(latest, nil)
+				if auths == 0 {
+					if err == nil {
+						t.Fatal("snapshot without authorities restored")
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if restored.State().Root() != chain.Head().Header.StateRoot {
+					t.Fatal("restored root differs from the sealed root")
+				}
+			})
+		}
+	}
+}
+
+func addressesOf(ids []*identity.Identity) []identity.Address {
+	out := make([]identity.Address, len(ids))
+	for i, id := range ids {
+		out[i] = id.Address()
+	}
+	return out
+}
+
+// TestWriteGenesisAllocation bounds what writing (and re-checking) a
+// 100k-account genesis record allocates, by MemStats.TotalAlloc, which
+// counts every allocation whatever the collector does. Through
+// json.MarshalIndent the write allocated about ten times the file's size
+// and left a pooled buffer of the whole document behind.
+func TestWriteGenesisAllocation(t *testing.T) {
+	const accounts = 100_000
+	alloc := make(map[identity.Address]uint64, accounts)
+	for i := uint32(0); i < accounts; i++ {
+		var a identity.Address
+		binary.BigEndian.PutUint32(a[:], i*2654435761)
+		alloc[a] = 1_000_000_000 + uint64(i)
+	}
+	exp := ledger.ChainExport{Authorities: []identity.Address{testIdentity(100).Address()}, GenesisAlloc: alloc}
+	dir := t.TempDir()
+	st, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, call := range []string{"write", "re-check"} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := st.WriteGenesis(exp); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		fi, err := os.Stat(filepath.Join(dir, "genesis.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocated := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: allocated %d B for a %d B file (%.2fx)", call, allocated, fi.Size(), float64(allocated)/float64(fi.Size()))
+		if allocated > 2*uint64(fi.Size()) {
+			t.Fatalf("%s allocated %d B, more than twice the %d B file", call, allocated, fi.Size())
+		}
 	}
 }

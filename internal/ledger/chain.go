@@ -115,10 +115,7 @@ func NewChain(cfg ChainConfig) (*Chain, error) {
 		cfg.Applier = TransferApplier{}
 	}
 	st := NewState()
-	for addr, bal := range cfg.GenesisAlloc {
-		st.SetBalance(addr, bal)
-	}
-	st.Commit()
+	st.load(cfg.GenesisAlloc, nil, nil)
 	genesis := &Block{Header: Header{
 		Height:    0,
 		StateRoot: st.Root(),

@@ -10,7 +10,7 @@ import (
 )
 
 // testChain builds a chain with a single authority and two funded users.
-func testChain(t *testing.T) (*Chain, *identity.Identity, *identity.Identity, *identity.Identity) {
+func testChain(t testing.TB) (*Chain, *identity.Identity, *identity.Identity, *identity.Identity) {
 	t.Helper()
 	authority := testIdentity(100)
 	alice := testIdentity(1)

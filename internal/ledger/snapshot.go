@@ -1,10 +1,15 @@
 package ledger
 
 import (
+	"bufio"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"strconv"
+	"strings"
 
 	"pds2/internal/crypto"
 	"pds2/internal/identity"
@@ -86,10 +91,116 @@ func (c *Chain) ExportSnapshot() *StateSnapshot {
 	return snap
 }
 
-// WriteSnapshot serializes a snapshot as JSON.
+// The genesis record and a snapshot are the two documents whose size is
+// O(accounts). encoding/json builds a whole document in a buffer it then
+// keeps in a pool (and MarshalIndent copies it twice more), so
+// WriteSnapshot and WriteConfig write them one map entry at a time
+// instead, byte for byte as encoding/json would, which the tests check
+// against it: fields in struct order, map keys in its order (an address
+// as its hex text, which sorts as its bytes do; a string by
+// strings.Compare), and json.Marshal only for the small pieces.
+
+// WriteSnapshot serializes a snapshot as JSON, byte-identical to
+// json.NewEncoder(w).Encode(snap).
 func WriteSnapshot(w io.Writer, snap *StateSnapshot) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(snap)
+	auth, err1 := json.Marshal(snap.Authorities)
+	head, err2 := json.Marshal(snap.Head)
+	if err := errors.Join(err1, err2); err != nil {
+		return fmt.Errorf("ledger: encode snapshot: %w", err)
+	}
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, `{"authorities":%s,"block_gas_limit":%d`, auth, snap.BlockGasLimit)
+	writeAmounts(bw, `,"genesis_alloc":`, snap.GenesisAlloc, "")
+	fmt.Fprintf(bw, `,"head":%s`, head)
+	writeAmounts(bw, `,"balances":`, snap.Balances, "")
+	writeAmounts(bw, `,"nonces":`, snap.Nonces, "")
+	if len(snap.Storage) > 0 {
+		bw.WriteString(`,"storage":{`)
+		for i, a := range sortedAddrs(snap.Storage) {
+			if i > 0 {
+				bw.WriteByte(',')
+			}
+			writeAddr(bw, a)
+			bw.WriteByte(':')
+			slot := snap.Storage[a]
+			if slot == nil {
+				bw.WriteString("null")
+				continue
+			}
+			keys := make([]string, 0, len(slot))
+			for k := range slot {
+				keys = append(keys, k)
+			}
+			slices.Sort(keys)
+			bw.WriteByte('{')
+			for j, k := range keys {
+				if j > 0 {
+					bw.WriteByte(',')
+				}
+				key, _ := json.Marshal(k) // a string and a []byte always encode
+				value, _ := json.Marshal(slot[k])
+				fmt.Fprintf(bw, "%s:%s", key, value)
+			}
+			bw.WriteByte('}')
+		}
+		bw.WriteByte('}')
+	}
+	bw.WriteString("}\n")
+	return bw.Flush()
+}
+
+// WriteConfig serializes a chain export as indented JSON, byte-identical
+// to json.MarshalIndent(exp, "", " "): the genesis record a durable
+// store keeps.
+func WriteConfig(w io.Writer, exp ChainExport) error {
+	auth, err1 := json.MarshalIndent(exp.Authorities, " ", " ")
+	blocks, err2 := json.MarshalIndent(exp.Blocks, " ", " ")
+	if err := errors.Join(err1, err2); err != nil {
+		return fmt.Errorf("ledger: encode config: %w", err)
+	}
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "{\n \"authorities\": %s,\n \"block_gas_limit\": %d", auth, exp.BlockGasLimit)
+	writeAmounts(bw, ",\n \"genesis_alloc\": ", exp.GenesisAlloc, "\n  ")
+	fmt.Fprintf(bw, ",\n \"blocks\": %s\n}", blocks)
+	return bw.Flush()
+}
+
+// writeAmounts writes an address → amount map, an omitempty field, after
+// member (its comma, name and colon); indent is "" for the compact
+// layout, else the line break and indent that start each entry.
+func writeAmounts(w *bufio.Writer, member string, m map[identity.Address]uint64, indent string) {
+	if len(m) == 0 {
+		return
+	}
+	colon := ":"
+	if indent != "" {
+		colon = ": "
+	}
+	w.WriteString(member + "{")
+	for i, a := range sortedAddrs(m) {
+		if i > 0 {
+			w.WriteByte(',')
+		}
+		w.WriteString(indent)
+		writeAddr(w, a)
+		w.WriteString(colon)
+		w.Write(strconv.AppendUint(w.AvailableBuffer(), m[a], 10))
+	}
+	w.WriteString(strings.TrimSuffix(indent, " ") + "}")
+}
+
+// writeAddr writes an address as Address.MarshalText spells it, quoted.
+func writeAddr(w *bufio.Writer, a identity.Address) {
+	w.Write(append(hex.AppendEncode(append(w.AvailableBuffer(), '"'), a[:]), '"'))
+}
+
+func sortedAddrs[V any](m map[identity.Address]V) []identity.Address {
+	addrs := make([]identity.Address, 0, len(m))
+	for a := range m {
+		addrs = append(addrs, a)
+	}
+	sortAddresses(addrs)
+	return addrs
 }
 
 // ReadSnapshot parses a serialized snapshot. Integrity is checked by
@@ -145,18 +256,7 @@ func NewChainFromSnapshot(snap *StateSnapshot, applier TxApplier) (*Chain, error
 		}
 	}
 	st := NewState()
-	for a, v := range snap.Balances {
-		st.SetBalance(a, v)
-	}
-	for a, v := range snap.Nonces {
-		st.SetNonce(a, v)
-	}
-	for a, slot := range snap.Storage {
-		for k, v := range slot {
-			st.SetStorage(a, k, v)
-		}
-	}
-	st.Commit()
+	st.load(snap.Balances, snap.Nonces, snap.Storage)
 	if root := st.Root(); root != head.Header.StateRoot {
 		return nil, fmt.Errorf("%w: restored %s, head claims %s",
 			ErrSnapshotChecksum, root.Short(), head.Header.StateRoot.Short())

@@ -106,7 +106,7 @@ func (s *State) Nonce(addr identity.Address) uint64 {
 }
 
 // SetNonce sets addr's nonce, journaling the previous value. Normal
-// transaction flow only ever bumps; this exists for snapshot restore.
+// transaction flow only ever bumps it.
 func (s *State) SetNonce(addr identity.Address, v uint64) {
 	s.mu.Lock()
 	s.putU64(recNonce, addr, v)
@@ -174,6 +174,27 @@ func (s *State) SetStorage(contract identity.Address, key string, value []byte) 
 	s.dirty = append(s.dirty, k)
 	s.mu.Unlock()
 	mStateWrites.Inc()
+}
+
+// load writes a genesis allocation or a snapshot's records without the
+// undo journal: both loaders commit at once, so an undo record per
+// account would only hold memory, and Commit keeps the journal's backing
+// array for the life of the state.
+func (s *State) load(balances, nonces map[identity.Address]uint64, storage map[identity.Address]map[string][]byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for kind, m := range map[recKind]map[identity.Address]uint64{recBalance: balances, recNonce: nonces} {
+		for a, v := range m {
+			setU64(s.u64s(kind), a, v)
+			s.dirty = append(s.dirty, recKey{kind: kind, addr: a})
+		}
+	}
+	for a, slot := range storage {
+		for k, v := range slot {
+			s.setStorage(a, k, bytes.Clone(v))
+			s.dirty = append(s.dirty, recKey{kind: recStorage, addr: a, key: k})
+		}
+	}
 }
 
 // setStorage installs value (which the state then owns) under
