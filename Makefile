@@ -31,9 +31,9 @@ race-core:
 vet:
 	$(GO) vet ./...
 
-# loc prints non-test Go line counts for the directories ROADMAP item 5
-# ("one of each") measures; quote it for parent and change when a PR
-# claims a deletion.
+# loc prints non-test Go line counts for the directories ROADMAP aim 2
+# ("the same behaviour and the same numbers from the least code")
+# measures; quote it for parent and change when a PR claims a deletion.
 loc:
 	./scripts/loc.sh
 
@@ -110,14 +110,15 @@ policy-smoke:
 
 # vm-smoke is the bytecode-engine gate: the compiler/VM differential
 # suite (tree-walking oracle vs gas-metered VM over hand-written and
-# seeded random programs), the built-in-policy equivalence acceptance
+# seeded random programs) and the oracle's own unit tests in
+# internal/proptest/refinterp, the built-in-policy equivalence acceptance
 # test — the DSL re-expression of the declarative engine must produce
 # bit-identical decision records, events and consumption through a full
 # settled lifecycle — the VM three-layer denial and deploy-gate tests,
 # and the proptest replay matrix (the vm rows re-execute every deployed
 # program under the reference interpreter), all under -race.
 vm-smoke:
-	$(GO) test -race -count=1 ./internal/vm/ ./internal/semantic/
+	$(GO) test -race -count=1 ./internal/vm/ ./internal/proptest/refinterp/ ./internal/semantic/
 	$(GO) test -race -count=1 ./internal/market/ -run 'TestVMBuiltinPolicyEquivalence|TestVMPolicy'
 	$(GO) test -race -count=1 ./internal/proptest/ -run 'TestVMPolicyReplay'
 	$(GO) test -race -count=1 ./internal/api/ -run 'TestDeployContractAPI'

@@ -82,7 +82,7 @@ func main() {
 		host, err := api.StartHost(api.HostConfig{
 			Market: market.Config{
 				Seed:          *seed,
-				GenesisAlloc:  loadgen.GenesisAlloc(*seed, *accounts, *fundEach),
+				GenesisAlloc:  market.GenesisAlloc(*seed, *accounts, *fundEach),
 				MempoolSize:   *mempool,
 				BlockGasLimit: *blockGas,
 			},

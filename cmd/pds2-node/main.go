@@ -64,7 +64,6 @@ import (
 
 	"pds2/internal/api"
 	"pds2/internal/identity"
-	"pds2/internal/loadgen"
 	"pds2/internal/market"
 	"pds2/internal/telemetry"
 )
@@ -135,7 +134,7 @@ func main() {
 
 	if *loadN > 0 {
 		log.Printf("funding %d pds2-load accounts (seed %d, %d each)", *loadN, *loadSeed, *loadFund)
-		for addr, amount := range loadgen.GenesisAlloc(*loadSeed, *loadN, *loadFund) {
+		for addr, amount := range market.GenesisAlloc(*loadSeed, *loadN, *loadFund) {
 			alloc[addr] = amount
 		}
 	}

@@ -1,10 +1,15 @@
 package api
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"pds2/internal/crypto"
@@ -57,6 +62,42 @@ func TestBodyLimit(t *testing.T) {
 	}
 	if m.Pool.Len() != pool || m.Height() != height || m.Chain.State().Root() != root {
 		t.Fatal("an over-limit body changed the mempool, the head or the state root")
+	}
+}
+
+// TestResponseLimit streams response bodies of MaxResponseBytes and one
+// byte more: the client reads the first in full and fails the second on
+// its first attempt with a non-retryable too_large error naming the
+// path and the limit.
+func TestResponseLimit(t *testing.T) {
+	var size, hits atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		io.Copy(w, io.LimitReader(zeros{}, size.Load()))
+	}))
+	defer srv.Close()
+	c := NewClient(srv.URL)
+	ctx := context.Background()
+
+	size.Store(MaxResponseBytes)
+	if got, err := c.Pprof(ctx, "heap", 0); err != nil || len(got) != MaxResponseBytes {
+		t.Fatalf("a body of exactly the limit: %d bytes, %v", len(got), err)
+	}
+
+	size.Store(MaxResponseBytes + 1)
+	hits.Store(0)
+	_, err := c.Status(ctx)
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.Code != CodeTooLarge || ae.Retryable {
+		t.Fatalf("a body over the limit: %v, want a non-retryable %s APIError", err, CodeTooLarge)
+	}
+	for _, want := range []string{"/v1/status", strconv.Itoa(MaxResponseBytes)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+	if n := hits.Load(); n != 1 {
+		t.Fatalf("the over-limit call made %d attempts, want 1", n)
 	}
 }
 

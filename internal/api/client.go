@@ -26,6 +26,18 @@ var (
 	mClientCalls   = telemetry.C("api.client.calls_total")
 )
 
+// MaxResponseBytes bounds every response body the client reads, so a
+// misbehaving server cannot make it buffer without end. It sits well
+// above the node's largest bodies: a full metrics-history ring (1,200
+// registry snapshots of ≈ 70 metrics at ≤ 250 B of JSON each, so ≤ 21 MB;
+// 7 MB measured on a loaded node), a block (calldata costs 16 gas a byte,
+// so ≤ 2.5 MB of base64 under a 30 M-gas limit), an events page (1,024
+// fixed-layout events of ≤ 250 B) and a pprof profile (≈ 10 KB). Only
+// events that each carry megabytes of program-emitted data can push a
+// page past it; a smaller ?limit reads them. A body over the limit fails
+// the call with a non-retryable CodeTooLarge *APIError naming the path.
+const MaxResponseBytes = 64 << 20
+
 // IdempotencyHeader carries the transaction hash on POST
 // /v1/transactions, so a retried submission is answered from the
 // mempool or the receipt store instead of being treated as new work.
@@ -284,8 +296,8 @@ func (c *Client) call(ctx context.Context, method, path string, body []byte, hea
 }
 
 // once is a single attempt: issue the request, read the body in full
-// (so truncated responses fail here, retryably), map non-accepted
-// statuses to *APIError.
+// up to MaxResponseBytes (so truncated responses fail here, retryably),
+// map non-accepted statuses to *APIError.
 func (c *Client) once(ctx context.Context, method, path string, body []byte, header http.Header, accept func(int) bool) ([]byte, error) {
 	actx := ctx
 	if c.retry.PerAttemptTimeout > 0 {
@@ -315,9 +327,13 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, hea
 		return nil, fmt.Errorf("api: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := io.ReadAll(io.LimitReader(resp.Body, MaxResponseBytes+1))
 	if err != nil {
 		return nil, fmt.Errorf("api: %s %s: reading response: %w", method, path, err)
+	}
+	if len(data) > MaxResponseBytes {
+		return nil, &APIError{Path: path, Status: resp.StatusCode, Code: CodeTooLarge,
+			Message: fmt.Sprintf("response body exceeds %d bytes", MaxResponseBytes)}
 	}
 	ok := resp.StatusCode >= 200 && resp.StatusCode <= 299
 	if accept != nil {

@@ -49,8 +49,9 @@ const (
 	// burning its retry budget. No Retry-After hint is ever attached.
 	CodeDisabled = "disabled"
 
-	// CodeTooLarge: the request body exceeds MaxBodyBytes. Not
-	// retryable: the same body stays too large.
+	// CodeTooLarge: the request body exceeds MaxBodyBytes, or (set by
+	// the client, never sent) the response body exceeds
+	// MaxResponseBytes. Not retryable: the same body stays too large.
 	CodeTooLarge = "too_large"
 
 	// CodeTimeout: the per-request deadline expired server-side.

@@ -65,12 +65,13 @@ func listParams[K any](w http.ResponseWriter, r *http.Request, cursor func(strin
 	q := r.URL.Query()
 	limit = DefaultPageLimit
 	if raw := q.Get("limit"); raw != "" {
-		n, err := strconv.Atoi(raw)
+		// 64-bit on every GOARCH, so a huge limit is capped, not a 400.
+		n, err := strconv.ParseInt(raw, 10, 64)
 		if err != nil || n <= 0 {
 			writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad limit %q", raw)
 			return after, 0, false
 		}
-		limit = min(n, MaxPageLimit)
+		limit = int(min(n, MaxPageLimit))
 	}
 	if raw := q.Get("after"); raw != "" {
 		var err error

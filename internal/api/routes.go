@@ -95,7 +95,7 @@ func (s *Server) install() {
 			h = telemetryGate(h)
 		}
 		if rt.flags&flagTimeoutExempt == 0 {
-			h = s.withTimeout(h)
+			h = withTimeout(h)
 		}
 		pattern := rt.path
 		if rt.method != "" {
@@ -105,19 +105,15 @@ func (s *Server) install() {
 	}
 }
 
-// withTimeout bounds the request context with the server's per-request
-// deadline (see SetRequestTimeout). Handlers check it before starting
-// expensive work; it cannot interrupt a write to a client that stopped
-// reading, which is why no handler writes under the market mutex
-// (Server.locked).
-func (s *Server) withTimeout(h http.HandlerFunc) http.HandlerFunc {
+// withTimeout bounds the request context with DefaultRequestTimeout.
+// Handlers check it before starting expensive work; it cannot interrupt
+// a write to a client that stopped reading, which is why no handler
+// writes under the market mutex (Server.locked).
+func withTimeout(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if s.reqTimeout > 0 {
-			ctx, cancel := context.WithTimeout(r.Context(), s.reqTimeout)
-			defer cancel()
-			r = r.WithContext(ctx)
-		}
-		h(w, r)
+		ctx, cancel := context.WithTimeout(r.Context(), DefaultRequestTimeout)
+		defer cancel()
+		h(w, r.WithContext(ctx))
 	}
 }
 

@@ -48,8 +48,8 @@ var (
 // distributed trace.
 const TraceHeader = "X-PDS2-Trace"
 
-// DefaultRequestTimeout bounds each request's context unless overridden
-// with SetRequestTimeout.
+// DefaultRequestTimeout bounds each request's context (except the
+// routes flagged flagTimeoutExempt).
 const DefaultRequestTimeout = 15 * time.Second
 
 // Server is the HTTP front end of one governance node.
@@ -63,9 +63,6 @@ type Server struct {
 
 	mux    *http.ServeMux
 	health *telemetry.Health
-
-	// reqTimeout bounds each request's context (see SetRequestTimeout).
-	reqTimeout time.Duration
 
 	// draining makes /readyz fail so load balancers stop routing here
 	// while in-flight requests finish (graceful shutdown).
@@ -88,7 +85,7 @@ type Server struct {
 
 // NewServer wraps a market.
 func NewServer(m *market.Market, allowSeal bool) *Server {
-	s := &Server{m: m, AllowSeal: allowSeal, mux: http.NewServeMux(), reqTimeout: DefaultRequestTimeout}
+	s := &Server{m: m, AllowSeal: allowSeal, mux: http.NewServeMux()}
 	s.health = telemetry.NewHealth(telemetry.Default())
 	s.health.Register("ledger.chain", s.checkChain)
 	s.health.Register("ledger.mempool", s.checkMempool)
@@ -128,18 +125,10 @@ func (s *Server) pprofGuard(h http.HandlerFunc) http.HandlerFunc {
 // register additional component checks (e.g. gossip connectivity).
 func (s *Server) Health() *telemetry.Health { return s.health }
 
-// SetRequestTimeout bounds every request's context (0 disables the
-// per-request deadline). Handlers observe the deadline before starting
-// expensive work.
-func (s *Server) SetRequestTimeout(d time.Duration) { s.reqTimeout = d }
-
 // SetDraining flips the drain flag: a draining node answers /readyz
 // with 503 (load balancers stop routing) while every other endpoint
 // keeps serving, so in-flight work finishes before Shutdown.
 func (s *Server) SetDraining(on bool) { s.draining.Store(on) }
-
-// Draining reports whether the node is draining.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // SetSealSkew installs a fault-injection hook supplying a logical-clock
 // offset for each seal (nil removes it). Used by chaos runs to exercise

@@ -116,16 +116,6 @@ func (c *Context) SetUint64(key string, v uint64) error {
 	return c.Set(key, NewEncoder().Uint64(v).Bytes())
 }
 
-// Keys lists the contract's storage keys with the given prefix, in sorted
-// order, charging one read per returned key.
-func (c *Context) Keys(prefix string) ([]string, error) {
-	keys := c.st.StorageKeys(c.Self, prefix)
-	if err := c.UseGas(GasSload * uint64(len(keys)+1)); err != nil {
-		return nil, err
-	}
-	return keys, nil
-}
-
 // Emit appends an event to the transaction's audit log.
 func (c *Context) Emit(topic string, data []byte) error {
 	if c.static {
@@ -140,11 +130,6 @@ func (c *Context) Emit(topic string, data []byte) error {
 		Data:     append([]byte(nil), data...),
 	})
 	return nil
-}
-
-// EmitEncoded is Emit with ABI-encoded fields.
-func (c *Context) EmitEncoded(topic string, enc *Encoder) error {
-	return c.Emit(topic, enc.Bytes())
 }
 
 // BalanceOf returns the native-token balance of any account.

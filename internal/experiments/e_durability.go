@@ -103,7 +103,7 @@ func E17Durability(quick bool) Table {
 		defer store.Close()
 		m2, err := market.Open(market.Config{
 			Seed:         cfg.Seed,
-			GenesisAlloc: loadgen.GenesisAlloc(cfg.Seed, accounts, 1_000_000),
+			GenesisAlloc: market.GenesisAlloc(cfg.Seed, accounts, 1_000_000),
 		}, store)
 		if err != nil {
 			return "recover: " + err.Error()
@@ -139,7 +139,7 @@ func loadNode(cfg loadgen.Config, dir string) (*loadgen.Report, finalState, erro
 	host, err := api.StartHost(api.HostConfig{
 		Market: market.Config{
 			Seed:         cfg.Seed,
-			GenesisAlloc: loadgen.GenesisAlloc(cfg.Seed, cfg.Accounts, 1_000_000),
+			GenesisAlloc: market.GenesisAlloc(cfg.Seed, cfg.Accounts, 1_000_000),
 			MempoolSize:  100_000,
 		},
 		DataDir:       dir,

@@ -217,7 +217,7 @@ func (s *State) setStorage(contract identity.Address, key string, value []byte) 
 }
 
 // StorageKeys returns the sorted keys under a contract's storage with the
-// given prefix. Sorted iteration keeps contract logic deterministic.
+// given prefix. Only read paths call it; no contract enumerates storage.
 func (s *State) StorageKeys(contract identity.Address, prefix string) []string {
 	s.mu.RLock()
 	var keys []string

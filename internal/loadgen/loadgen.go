@@ -29,8 +29,7 @@ import (
 	"time"
 
 	"pds2/internal/api"
-	"pds2/internal/crypto"
-	"pds2/internal/identity"
+	"pds2/internal/market"
 	"pds2/internal/telemetry"
 )
 
@@ -162,7 +161,7 @@ type Config struct {
 	Mix Mix
 
 	// Seed derives the account population and every random choice the
-	// generator makes. The node must have funded Accounts(Seed, n).
+	// generator makes. The node must have funded market.Accounts(Seed, n).
 	Seed uint64
 
 	// FundEach is the expected genesis balance per account, used only
@@ -204,28 +203,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Accounts derives the deterministic simulated population: same seed
-// and count always yield the same identities, on the generator and on
-// the node funding them.
-func Accounts(seed uint64, n int) []*identity.Identity {
-	rng := crypto.NewDRBGFromUint64(seed, "loadgen/accounts")
-	ids := make([]*identity.Identity, n)
-	for i := range ids {
-		ids[i] = identity.New("load-"+strconv.Itoa(i), rng)
-	}
-	return ids
-}
-
-// GenesisAlloc builds the genesis funding map for Accounts(seed, n),
-// amount native tokens each — what `pds2-node -load-accounts` installs.
-func GenesisAlloc(seed uint64, n int, amount uint64) map[identity.Address]uint64 {
-	alloc := make(map[identity.Address]uint64, n)
-	for _, id := range Accounts(seed, n) {
-		alloc[id.Address()] = amount
-	}
-	return alloc
-}
-
 // Run executes one load run against cfg.Target and returns the report.
 // An SLO breach is reported in Report.Breaches, not as an error; err is
 // reserved for runs that could not execute at all (unreachable node,
@@ -242,7 +219,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 
 	cfg.Logf("deriving %d accounts (seed %d)", cfg.Accounts, cfg.Seed)
-	ids := Accounts(cfg.Seed, cfg.Accounts)
+	ids := market.Accounts(cfg.Seed, cfg.Accounts)
 
 	// Pre-flight: the population must actually be funded, or every
 	// transfer would bounce and the run would measure nothing.

@@ -22,7 +22,7 @@ func startNode(t *testing.T, seed uint64, accounts int) (string, context.CancelF
 	telemetry.Enable()
 	m, err := market.New(market.Config{
 		Seed:         seed,
-		GenesisAlloc: GenesisAlloc(seed, accounts, 1_000_000),
+		GenesisAlloc: market.GenesisAlloc(seed, accounts, 1_000_000),
 		MempoolSize:  50_000,
 	})
 	if err != nil {
@@ -170,17 +170,31 @@ func TestParseMix(t *testing.T) {
 	}
 }
 
+// TestAccountsDeterministic pins the population the generator signs
+// with: pds2-node -load-accounts funds market.Accounts(seed, n) and Run
+// derives the same identities from (seed, n) alone, so these addresses
+// must never move.
 func TestAccountsDeterministic(t *testing.T) {
-	a, b := Accounts(3, 10), Accounts(3, 10)
+	want := []string{
+		"798769bffcbf2efb81c085b22338d20eadf35478",
+		"ca8589c1bdcc8e72cadc694ce3920b81c4359607",
+		"5ed80e8f1af9d7a6e13a9c57f99baa795d172534",
+	}
+	for i, id := range market.Accounts(1, 3) {
+		if got := id.Address().Hex(); got != want[i] {
+			t.Errorf("market.Accounts(1, 3)[%d] = %s, want %s", i, got, want[i])
+		}
+	}
+	a, b := market.Accounts(3, 10), market.Accounts(3, 10)
 	for i := range a {
 		if a[i].Address() != b[i].Address() {
 			t.Fatal("account derivation is not deterministic")
 		}
 	}
-	if Accounts(4, 1)[0].Address() == a[0].Address() {
+	if market.Accounts(4, 1)[0].Address() == a[0].Address() {
 		t.Fatal("different seeds derived the same account")
 	}
-	alloc := GenesisAlloc(3, 10, 500)
+	alloc := market.GenesisAlloc(3, 10, 500)
 	if len(alloc) != 10 || alloc[a[0].Address()] != 500 {
 		t.Fatalf("bad alloc: %d entries", len(alloc))
 	}

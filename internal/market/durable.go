@@ -8,9 +8,11 @@ import (
 	"pds2/internal/crypto"
 	"pds2/internal/identity"
 	"pds2/internal/ledger"
+	"pds2/internal/semantic"
 	"pds2/internal/tee"
 	"pds2/internal/telemetry"
 	"pds2/internal/token"
+	"pds2/internal/vm"
 )
 
 // NewRuntime builds a contract runtime with the full marketplace code
@@ -20,14 +22,12 @@ func NewRuntime() (*contract.Runtime, error) {
 	return newRuntime(RegistryContract{})
 }
 
-// NewReferenceRuntime builds a runtime whose registry runs deployed
-// policy programs on the tree-walking reference evaluator instead of
-// the bytecode VM. Both engines share one host and one gas schedule, so
-// replaying a VM-produced chain through this runtime must reproduce
-// every root and receipt bit-for-bit — the replay harness uses it as
-// the VM's differential oracle.
-func NewReferenceRuntime() (*contract.Runtime, error) {
-	return newRuntime(RegistryContract{RefInterp: true})
+// NewRuntimeWithExec is NewRuntime with deployed policy programs run by
+// exec instead of vm.Execute, on the same host and gas meter. It is the
+// seam differential tests use to put another engine for the same
+// program dialect under a whole chain; a node runs NewRuntime.
+func NewRuntimeWithExec(exec func(*vm.Module, semantic.Host) (semantic.Verdict, error)) (*contract.Runtime, error) {
+	return newRuntime(RegistryContract{exec: exec})
 }
 
 func newRuntime(reg RegistryContract) (*contract.Runtime, error) {

@@ -3,6 +3,7 @@ package market
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"pds2/internal/chainstore"
 	"pds2/internal/contract"
@@ -55,6 +56,29 @@ type Config struct {
 	// selects ledger.DefaultBlockGasLimit. Load rigs raise it so
 	// block packing, not an artificial gas ceiling, bounds throughput.
 	BlockGasLimit uint64
+}
+
+// Accounts derives the deterministic load-test population: the same
+// seed and count always yield the same identities, so the node funding
+// them at genesis (pds2-node -load-accounts) and the generator signing
+// with them (pds2-load) agree without exchanging keys.
+func Accounts(seed uint64, n int) []*identity.Identity {
+	rng := crypto.NewDRBGFromUint64(seed, "loadgen/accounts")
+	ids := make([]*identity.Identity, n)
+	for i := range ids {
+		ids[i] = identity.New("load-"+strconv.Itoa(i), rng)
+	}
+	return ids
+}
+
+// GenesisAlloc builds a Config.GenesisAlloc funding Accounts(seed, n)
+// with amount native tokens each.
+func GenesisAlloc(seed uint64, n int, amount uint64) map[identity.Address]uint64 {
+	alloc := make(map[identity.Address]uint64, n)
+	for _, id := range Accounts(seed, n) {
+		alloc[id.Address()] = amount
+	}
+	return alloc
 }
 
 // Market is one deployment of the PDS² governance layer: a

@@ -37,12 +37,9 @@ const RegistryCodeName = "pds2/registry"
 //	wlseq               — number of registered workloads
 //	wlreg/<addr>        — reverse marker: address is a registered workload
 type RegistryContract struct {
-	// RefInterp selects the reference tree-walking evaluator instead of
-	// the bytecode VM for deployed policy programs. Both engines share
-	// one host and one gas charge schedule, so a RefInterp replica must
-	// reproduce a VM chain bit-for-bit — the replay harness uses this as
-	// its differential oracle.
-	RefInterp bool
+	// exec runs deployed policy programs; nil runs vm.Execute. Only
+	// NewRuntimeWithExec sets it.
+	exec func(*vm.Module, semantic.Host) (semantic.Verdict, error)
 }
 
 // GasPolicyEval is charged per dataset for a usage-control policy
@@ -303,8 +300,8 @@ func (r RegistryContract) Call(ctx *contract.Context, method string, args []byte
 		// (dataID digest, artifact blob) — bind a compiled policy
 		// program to the dataset. The artifact must decode as a
 		// pds2/bytecode/v1 container AND re-verify against its embedded
-		// source — deployed code is auditable by construction, and the
-		// reference-interpreter replica can re-execute it from source.
+		// source — deployed code is auditable by construction, and a
+		// reference-evaluator replica can re-execute it from source.
 		// Deployed code takes precedence over a declarative policy.
 		dataID, err := dec.Digest()
 		if err != nil {
@@ -544,9 +541,7 @@ func (r RegistryContract) evalDatasetPolicy(ctx *contract.Context, dataID crypto
 }
 
 // runPolicyProgram executes a deployed policy artifact on the bytecode
-// VM (or, in a RefInterp replica, re-parses the embedded source and
-// runs the tree-walking oracle — same host, same gas charges, same
-// outcome by the vm package's differential guarantee). Program state
+// VM, or on the executor NewRuntimeWithExec substituted. Program state
 // lives under polstate/<dataID>/. Out-of-gas propagates unwrapped so
 // the journal unwinds the transaction; any other program failure is a
 // deterministic revert.
@@ -557,17 +552,11 @@ func (r RegistryContract) runPolicyProgram(ctx *contract.Context, dataID crypto.
 	if err != nil {
 		return semantic.Verdict{}, contract.Revertf("policy code for %s is corrupt: %v", dataID.Short(), err)
 	}
-	host := vm.NewContextHost(ctx, "polstate/"+dataID.Hex()+"/", req)
-	var verdict semantic.Verdict
-	if r.RefInterp {
-		prog, perr := semantic.ParseProgram(mod.Source)
-		if perr != nil {
-			return semantic.Verdict{}, contract.Revertf("policy code for %s is corrupt: %v", dataID.Short(), perr)
-		}
-		verdict, err = semantic.RunProgram(prog, host)
-	} else {
-		verdict, err = vm.Execute(mod, host)
+	exec := r.exec
+	if exec == nil {
+		exec = vm.Execute
 	}
+	verdict, err := exec(mod, vm.NewContextHost(ctx, "polstate/"+dataID.Hex()+"/", req))
 	if err != nil {
 		if errors.Is(err, contract.ErrOutOfGas) {
 			return semantic.Verdict{}, err
@@ -607,29 +596,12 @@ func DeployPolicyData(dataID crypto.Digest, artifact []byte) []byte {
 		Digest(dataID).Blob(artifact).Bytes())
 }
 
-// PolicyCodeOfData builds call data for the policyCodeOf view.
-func PolicyCodeOfData(dataID crypto.Digest) []byte {
-	return contract.CallData("policyCodeOf", contract.NewEncoder().Digest(dataID).Bytes())
-}
-
-// policyQueryArgs encodes the (layer, class, purpose, agg) tail shared
-// by evalPolicy and enforcePolicy call data.
-func policyQueryArgs(e *contract.Encoder, layer, class, purpose string, agg uint64) *contract.Encoder {
-	return e.String(layer).String(class).String(purpose).Uint64(agg)
-}
-
-// EvalPolicyData builds call data for the evalPolicy view.
-func EvalPolicyData(dataID crypto.Digest, layer, class, purpose string, agg uint64) []byte {
-	e := contract.NewEncoder().Digest(dataID)
-	return contract.CallData("evalPolicy", policyQueryArgs(e, layer, class, purpose, agg).Bytes())
-}
-
 // enforcePolicyArgs builds the raw argument encoding for enforcePolicy
 // (shared by the client-side CallData wrapper and the workload
 // contract's cross-contract admission call).
 func enforcePolicyArgs(layer, class, purpose string, agg uint64, ids ...crypto.Digest) []byte {
-	e := policyQueryArgs(contract.NewEncoder(), layer, class, purpose, agg)
-	e.Uint64(uint64(len(ids)))
+	e := contract.NewEncoder().String(layer).String(class).String(purpose).Uint64(agg).
+		Uint64(uint64(len(ids)))
 	for _, id := range ids {
 		e.Digest(id)
 	}

@@ -102,9 +102,9 @@ func ReplayDecisions(events []ledger.Event) ReplayReport {
 	// codes come from program execution — possibly over program state no
 	// event stream carries — so the declarative re-derivation below
 	// cannot apply; re-deriving those codes takes a full chain replay
-	// through the reference-interpreter runtime. The engine-independent
-	// invariants (counter derivability, admission consumption) still
-	// hold and stay checked.
+	// (the proptest "vm" rows run one on the reference evaluator). The
+	// engine-independent invariants (counter derivability, admission
+	// consumption) still hold and stay checked.
 	programmed := make(map[crypto.Digest]bool)
 
 	for i, ev := range events {

@@ -15,6 +15,9 @@ import (
 	"pds2/internal/ledger"
 	"pds2/internal/market"
 	"pds2/internal/proptest/flatroot"
+	"pds2/internal/proptest/refinterp"
+	"pds2/internal/semantic"
+	"pds2/internal/vm"
 )
 
 // The differential replay oracle: every generated chain is re-executed
@@ -26,10 +29,10 @@ import (
 //	step     import (ImportBlock, what a following node runs) | audit
 //	         (VerifyBlock first, which must leave the root untouched,
 //	         then ImportBlock)
-//	runtime  bytecode VM | reference interpreter (deployed policy
-//	         programs re-executed from embedded source by the
-//	         tree-walking oracle), checked block by block against a VM
-//	         witness on receipts and event order
+//	runtime  bytecode VM | reference evaluator (refExec: deployed
+//	         policy programs re-executed from embedded source by the
+//	         tree-walking oracle in refinterp), checked block by block
+//	         against a VM witness on receipts and event order
 //	store    none | a chainstore in a scratch directory, snapshotted
 //	         every few blocks and killed on a deterministic schedule:
 //	         torn bytes appended to the log (a crash mid-write), reopened
@@ -41,8 +44,10 @@ type replicaSpec struct {
 	mode   string
 	replay bool // entry point: ledger.Replay over the raw export
 	audit  bool // step: VerifyBlock with the purity check, then ImportBlock
-	ref    bool // runtime: reference interpreter beside a VM witness
-	store  bool // store: chainstore with the kill schedule
+	// exec, the runtime: nil runs deployed policy programs on the VM;
+	// refExec runs them on the reference evaluator beside a VM witness.
+	exec  func(*vm.Module, semantic.Host) (semantic.Verdict, error)
+	store bool // store: chainstore with the kill schedule
 	// kills overrides the store rows' kill schedule; by default it is
 	// seeded from the export so each generated chain crashes at
 	// different (but reproducible) heights.
@@ -58,8 +63,8 @@ var (
 		{mode: "audit", audit: true},
 		{mode: "replay", replay: true},
 		persistSpec,
-		{mode: "vm", ref: true},
-		{mode: "vm-persist", ref: true, store: true},
+		{mode: "vm", exec: refExec},
+		{mode: "vm-persist", exec: refExec, store: true},
 	}
 )
 
@@ -146,11 +151,7 @@ func runMode(data []byte, spec replicaSpec) ModeResult {
 // it could not be built or reopened) and the first error, recording the
 // failing height and the kill count in res.
 func (s replicaSpec) run(data []byte, res *ModeResult) (*ledger.Chain, error) {
-	newRuntime := market.NewRuntime
-	if s.ref {
-		newRuntime = market.NewReferenceRuntime
-	}
-	rt, err := newRuntime()
+	rt, err := market.NewRuntimeWithExec(s.exec)
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +167,7 @@ func (s replicaSpec) run(data []byte, res *ModeResult) (*ledger.Chain, error) {
 		return nil, err
 	}
 	var witness *ledger.Chain
-	if s.ref {
+	if s.exec != nil {
 		vmRT, err := market.NewRuntime()
 		if err != nil {
 			return nil, err
@@ -231,6 +232,18 @@ func (s replicaSpec) run(data []byte, res *ModeResult) (*ledger.Chain, error) {
 		i = int(chain.Height()) - firstImportOffset(exp)
 	}
 	return chain, nil
+}
+
+// refExec runs a deployed policy module on the reference evaluator: it
+// re-parses the module's embedded source (deployPolicy has checked that
+// the source compiles to the module's code) and tree-walks it on the
+// registry's host.
+func refExec(mod *vm.Module, h semantic.Host) (semantic.Verdict, error) {
+	prog, err := semantic.ParseProgram(mod.Source)
+	if err != nil {
+		return semantic.Verdict{}, err
+	}
+	return refinterp.RunProgram(prog, h)
 }
 
 // snapshotEvery is the store rows' snapshot cadence, in blocks.

@@ -194,18 +194,3 @@ func (hb *Heartbeat) Check() CheckResult {
 	}
 	return OK(fmt.Sprintf("%d beats", n))
 }
-
-// stdHealth is the process-wide health aggregator, exporting gauges
-// into the default registry.
-var stdHealth = NewHealth(std)
-
-// DefaultHealth returns the process-wide health aggregator.
-func DefaultHealth() *Health { return stdHealth }
-
-// RegisterHealthCheck adds a check to the process-wide aggregator.
-func RegisterHealthCheck(name string, check HealthCheck) {
-	stdHealth.Register(name, check)
-}
-
-// EvalHealth evaluates the process-wide aggregator.
-func EvalHealth() HealthReport { return stdHealth.Evaluate() }

@@ -74,9 +74,6 @@ func NewHistory(r *Registry, interval time.Duration, capacity int) *History {
 	}
 }
 
-// Interval returns the sampling cadence.
-func (h *History) Interval() time.Duration { return h.interval }
-
 // Capacity returns the ring size in samples.
 func (h *History) Capacity() int { return len(h.buf) }
 

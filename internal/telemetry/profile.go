@@ -22,9 +22,3 @@ const LabelComponent = "component"
 func WithComponent(name string, f func()) {
 	pprof.Do(context.Background(), pprof.Labels(LabelComponent, name), func(context.Context) { f() })
 }
-
-// WithComponentCtx is WithComponent for callers that already carry a
-// context and want the label set alongside it.
-func WithComponentCtx(ctx context.Context, name string, f func(context.Context)) {
-	pprof.Do(ctx, pprof.Labels(LabelComponent, name), f)
-}

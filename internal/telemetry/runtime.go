@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/metrics"
-	"sort"
 	"sync"
 	"time"
 )
@@ -327,18 +326,4 @@ func CollectBuildInfo() BuildInfo {
 		bi.GitDirty = settings["vcs.modified"] == "true"
 	}
 	return bi
-}
-
-// sortedRuntimeMetricNames returns every runtime.* gauge name the
-// sampler maintains — the diag bundle lists them so postmortems know
-// which series to expect in the history.
-func sortedRuntimeMetricNames() []string {
-	names := []string{
-		MetricHeapInuse, MetricHeapAlloc, MetricHeapSys, MetricHeapInusePeak,
-		MetricTotalAlloc, MetricGoroutines, MetricGoroutinesPeak, MetricGOMAXPROCS,
-		MetricGCCycles, MetricGCPauseP50, MetricGCPauseP99, MetricGCPauseMax,
-		MetricSchedLatP50, MetricSchedLatP99,
-	}
-	sort.Strings(names)
-	return names
 }

@@ -336,18 +336,6 @@ var CountBuckets = []float64{0, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 
 // GasBuckets covers contract gas consumption per call.
 var GasBuckets = []float64{1e3, 5e3, 1e4, 5e4, 1e5, 5e5, 1e6, 5e6, 1e7, 5e7}
 
-// ExpBuckets builds n buckets starting at start, each factor times the
-// previous — for callers that need a custom range.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
-}
-
 // --- Snapshot ---
 
 // Metric is one instrument's state at snapshot time. Histogram-only

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pds2/internal/proptest/refinterp"
 	"pds2/internal/semantic"
 )
 
@@ -35,7 +36,7 @@ func BenchmarkVMDispatch(b *testing.B) {
 	req := semantic.Request{Layer: "match", Class: "train", Aggregation: 4, Height: 9}
 
 	refHost := newDiffHost(1<<30, req, nil)
-	wantVerdict, err := semantic.RunProgram(prog, refHost)
+	wantVerdict, err := refinterp.RunProgram(prog, refHost)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func BenchmarkReferenceInterp(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h := newDiffHost(1<<30, req, nil)
-		if _, err := semantic.RunProgram(prog, h); err != nil {
+		if _, err := refinterp.RunProgram(prog, h); err != nil {
 			b.Fatal(err)
 		}
 	}

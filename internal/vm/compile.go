@@ -12,7 +12,7 @@ import (
 // bytecode from the embedded source).
 //
 // The opcode layout per construct is load-bearing: the reference
-// interpreter (semantic.RunProgram) charges gas in exactly this
+// evaluator (internal/proptest/refinterp) charges gas in exactly this
 // sequence, which is what makes the gas-exhaustion point differential
 // property hold. Change one side only with the other.
 func Compile(p *semantic.Program) (*Module, error) {

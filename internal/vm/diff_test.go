@@ -8,6 +8,7 @@ import (
 
 	"pds2/internal/contract"
 	"pds2/internal/policy"
+	"pds2/internal/proptest/refinterp"
 	"pds2/internal/semantic"
 )
 
@@ -120,7 +121,7 @@ func assertAgree(t *testing.T, src string, gas uint64, req semantic.Request, see
 	}
 	refHost := newDiffHost(gas, req, seedState)
 	ref := runEngine(refHost, func() (semantic.Verdict, error) {
-		return semantic.RunProgram(prog, refHost)
+		return refinterp.RunProgram(prog, refHost)
 	})
 	vmHost := newDiffHost(gas, req, seedState)
 	got := runEngine(vmHost, func() (semantic.Verdict, error) {
@@ -208,7 +209,7 @@ func TestDifferentialLoopBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	refHost := newDiffHost(1<<40, semantic.Request{}, nil)
-	_, refErr := semantic.RunProgram(prog, refHost)
+	_, refErr := refinterp.RunProgram(prog, refHost)
 	vmHost := newDiffHost(1<<40, semantic.Request{}, nil)
 	_, vmErr := Execute(mod, vmHost)
 	if !errors.Is(refErr, semantic.ErrLoopBound) || !errors.Is(vmErr, semantic.ErrLoopBound) {

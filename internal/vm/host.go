@@ -23,7 +23,8 @@ const GasEvalBuiltin = 500
 // out-of-gas unwinds through the journal), state lives under a
 // caller-chosen key prefix, and events are topic-namespaced. It is the
 // production host — the same instance drives both the VM and, in the
-// reference-replica runtime, the tree-walking oracle.
+// proptest replica rows that substitute the reference evaluator
+// (internal/proptest/refinterp), the tree-walking oracle.
 type ContextHost struct {
 	ctx    *contract.Context
 	prefix string

@@ -5,11 +5,12 @@
 // out-of-gas program reverts through the journal like any other
 // contract failure. Correctness is established differentially: every
 // value operation, host call, and error string is shared with the
-// reference tree-walking evaluator (semantic.RunProgram), and the
-// compiler's opcode layout mirrors the reference evaluator's charge
-// discipline exactly — verdicts, state writes, events, errors, and the
-// precise gas-exhaustion point must all agree, and the test suite
-// enforces it on randomized programs.
+// reference tree-walking evaluator (refinterp.RunProgram, in
+// internal/proptest/refinterp), and the compiler's opcode layout
+// mirrors the reference evaluator's charge discipline exactly —
+// verdicts, state writes, events, errors, and the precise
+// gas-exhaustion point must all agree, and the test suite enforces it
+// on randomized programs.
 package vm
 
 // Op is one bytecode opcode. Operand widths are fixed per opcode:

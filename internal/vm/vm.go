@@ -21,7 +21,8 @@ var (
 )
 
 // Execute runs a verified module against a host. It is the bytecode
-// twin of semantic.RunProgram: same Host contract, same verdicts, same
+// twin of the reference evaluator refinterp.RunProgram
+// (internal/proptest/refinterp): same Host contract, same verdicts, same
 // error text, same gas charge sequence. The dispatch loop carries the
 // pprof component label vm.exec so profiles attribute VM time.
 //

@@ -1,7 +1,9 @@
 #!/bin/sh
-# loc.sh — non-test Go line counts for the directories ROADMAP item 5
-# measures ("one of each": fewer lines, same behaviour). Quote the output
-# for parent and change in CHANGES.md when a PR claims a deletion.
+# loc.sh — non-test Go line counts for the directories ROADMAP aim 2
+# measures ("the same behaviour and the same numbers from the simplest
+# design and the least code"). Subdirectories count with their parent,
+# so moving code under internal/proptest/... is net zero. Quote the
+# output for parent and change in CHANGES.md when a PR claims a deletion.
 set -eu
 
 cd "$(dirname "$0")/.."
