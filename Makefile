@@ -148,7 +148,9 @@ ci-fast: vet build
 
 # ci is the documented pre-PR gate: ci-fast, then the full race-enabled
 # test suite (including the telemetry trace/log/health tests), a
-# single-iteration smoke run of the ledger block-pipeline and
+# 32-bit pass (GOARCH=386, which an amd64 kernel runs natively) over
+# the packages that decode wire or disk bytes or execute contracts,
+# where a length prefix could wrap a 32-bit int, a single-iteration smoke run of the ledger block-pipeline and
 # structured-log benchmarks, the distributed-tracing self-test — the
 # two-node stitching demo must verify end to end — a seeded chaos smoke
 # (the quick E15 subset drives the full workload lifecycle through
@@ -162,6 +164,9 @@ ci-fast: vet build
 # idle box and minutes, so it is not in ci.)
 ci: ci-fast
 	$(GO) test -race ./...
+	GOARCH=386 $(GO) test ./internal/contract/ ./internal/token/ ./internal/policy/ \
+		./internal/ledger/ ./internal/market/ ./internal/vm/ ./internal/semantic/ \
+		./internal/chainstore/ ./internal/api/ ./internal/proptest/...
 	$(GO) test -run NONE -bench 'BenchmarkImportBlock|BenchmarkMempool|BenchmarkLedger|BenchmarkLog' -benchtime=1x .
 	$(GO) run ./cmd/pds2 trace -self-test
 	$(GO) run ./cmd/pds2-experiments -quick -telemetry=false -run E15

@@ -74,7 +74,7 @@ func BenchmarkScenarioEndToEnd(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.State != core.StateComplete {
+		if res.State != market.StateComplete {
 			b.Fatalf("state %v", res.State)
 		}
 	}
@@ -507,11 +507,8 @@ type benchCounter struct{}
 
 func (benchCounter) Init(*contract.Context, []byte) error { return nil }
 func (benchCounter) Call(ctx *contract.Context, method string, _ []byte) ([]byte, error) {
-	v, err := ctx.GetUint64("n")
-	if err != nil {
-		return nil, err
-	}
-	return nil, ctx.SetUint64("n", v+1)
+	ctx.SetUint64("n", ctx.GetUint64("n")+1)
+	return nil, nil
 }
 
 // BenchmarkPaillierEncrypt measures a single 1024-bit encryption — the

@@ -40,6 +40,7 @@ import (
 	"sort"
 
 	"pds2/internal/core"
+	"pds2/internal/identity"
 	"pds2/internal/telemetry"
 )
 
@@ -126,7 +127,7 @@ func main() {
 	fmt.Printf("audit events  %d\n", res.AuditEvents)
 	fmt.Println("payouts:")
 	type payout struct {
-		addr   core.Address
+		addr   identity.Address
 		amount uint64
 	}
 	var payouts []payout

@@ -13,6 +13,7 @@ import (
 	"log"
 
 	"pds2/internal/core"
+	"pds2/internal/market"
 )
 
 func main() {
@@ -43,7 +44,7 @@ func main() {
 	}
 	fmt.Printf("  (total %d = the escrowed budget, settled exactly)\n", total)
 
-	if res.State != core.StateComplete {
+	if res.State != market.StateComplete {
 		log.Fatalf("quickstart: expected a complete workload, got %v", res.State)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"pds2/internal/core"
 	"pds2/internal/crypto"
 	"pds2/internal/gossip"
+	"pds2/internal/market"
 	"pds2/internal/ml"
 	"pds2/internal/simnet"
 	"pds2/internal/telemetry"
@@ -69,7 +70,7 @@ func TestErrorPathsReturnJSON(t *testing.T) {
 }
 
 // newTestHTTPServer serves an existing market over httptest.
-func newTestHTTPServer(t *testing.T, m *core.Market) *httptest.Server {
+func newTestHTTPServer(t *testing.T, m *market.Market) *httptest.Server {
 	t.Helper()
 	srv := httptest.NewServer(NewServer(m, false))
 	t.Cleanup(srv.Close)

@@ -140,12 +140,15 @@ func (d *Decoder) tag(want byte) error {
 	return nil
 }
 
-func (d *Decoder) take(n int) ([]byte, error) {
-	if d.off+n > len(d.buf) {
+// take consumes n bytes. n is unsigned and compared with the bytes
+// remaining before any conversion, so a 32-bit length prefix cannot
+// wrap negative on a 32-bit int.
+func (d *Decoder) take(n uint64) ([]byte, error) {
+	if n > uint64(len(d.buf)-d.off) {
 		return nil, ErrABITruncated
 	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
+	b := d.buf[d.off : d.off+int(n)]
+	d.off += int(n)
 	return b, nil
 }
 
@@ -193,40 +196,34 @@ func (d *Decoder) Int64() (int64, error) {
 
 // String decodes a string.
 func (d *Decoder) String() (string, error) {
-	start := d.off
-	if err := d.tag(tagString); err != nil {
-		return "", err
-	}
-	lb, err := d.take(4)
-	if err != nil {
-		d.off = start
-		return "", err
-	}
-	b, err := d.take(int(binary.BigEndian.Uint32(lb)))
-	if err != nil {
-		d.off = start
-		return "", err
-	}
-	return string(b), nil
+	b, err := d.chunk(tagString)
+	return string(b), err
 }
 
 // Blob decodes a byte slice (copied out of the buffer).
 func (d *Decoder) Blob() ([]byte, error) {
-	start := d.off
-	if err := d.tag(tagBytes); err != nil {
-		return nil, err
-	}
-	lb, err := d.take(4)
+	b, err := d.chunk(tagBytes)
 	if err != nil {
-		d.off = start
-		return nil, err
-	}
-	b, err := d.take(int(binary.BigEndian.Uint32(lb)))
-	if err != nil {
-		d.off = start
 		return nil, err
 	}
 	return append([]byte(nil), b...), nil
+}
+
+// chunk decodes a tagged run of bytes behind a 32-bit length prefix.
+func (d *Decoder) chunk(tag byte) ([]byte, error) {
+	start := d.off
+	if err := d.tag(tag); err != nil {
+		return nil, err
+	}
+	lb, err := d.take(4)
+	if err == nil {
+		var b []byte
+		if b, err = d.take(uint64(binary.BigEndian.Uint32(lb))); err == nil {
+			return b, nil
+		}
+	}
+	d.off = start
+	return nil, err
 }
 
 // Address decodes a ledger address.

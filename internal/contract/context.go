@@ -46,6 +46,13 @@ func Revertf(format string, args ...any) error {
 // scopes all storage access to the contract's own address, meters gas and
 // collects emitted events. A Context is valid only for the duration of
 // the call it was created for.
+//
+// Every environment operation except CallContract halts instead of
+// returning an error: running out of gas, a mutation in a view call, a
+// corrupt slot or a failed transfer stops the contract's frame, and the
+// runtime reverts it exactly as if the contract had returned that
+// error. Contract code therefore runs straight-line and returns only
+// its own decisions (Revertf).
 type Context struct {
 	rt      *Runtime
 	st      *ledger.State
@@ -60,9 +67,31 @@ type Context struct {
 	static  bool // true in view calls: all mutations are rejected
 }
 
-// UseGas consumes n units of gas, failing with ErrOutOfGas when the
-// budget is exhausted.
-func (c *Context) UseGas(n uint64) error {
+// halt carries the error of a failed Context operation out of the
+// contract frame it stops.
+type halt struct{ err error }
+
+// Catch, deferred at a frame boundary, turns a halt into *err and
+// re-panics every other value, so a genuine bug still crashes.
+func Catch(err *error) {
+	if v := recover(); v != nil {
+		h, ok := v.(halt)
+		if !ok {
+			panic(v)
+		}
+		*err = h.err
+	}
+}
+
+// Halt stops the contract's frame with err, as a failed Context
+// operation does. Contracts use it for stored state they cannot read
+// back (a corrupt slot), never for their own decisions, which they
+// return.
+func (c *Context) Halt(err error) { panic(halt{err}) }
+
+// charge consumes n units of gas, failing with ErrOutOfGas (and an
+// empty budget) when it is exhausted.
+func (c *Context) charge(n uint64) error {
 	if *c.gasLeft < n {
 		*c.gasLeft = 0
 		return ErrOutOfGas
@@ -71,97 +100,96 @@ func (c *Context) UseGas(n uint64) error {
 	return nil
 }
 
+// UseGas consumes n units of gas and halts with ErrOutOfGas when the
+// budget is exhausted.
+func (c *Context) UseGas(n uint64) {
+	if err := c.charge(n); err != nil {
+		c.Halt(err)
+	}
+}
+
+// mutable halts a view call that attempts the named mutation.
+func (c *Context) mutable(what string) {
+	if c.static {
+		c.Halt(Revertf("%s in view call", what))
+	}
+}
+
 // GasLeft returns the remaining gas budget.
 func (c *Context) GasLeft() uint64 { return *c.gasLeft }
 
 // Get reads a key from the contract's own storage.
-func (c *Context) Get(key string) ([]byte, error) {
-	if err := c.UseGas(GasSload); err != nil {
-		return nil, err
-	}
-	return c.st.GetStorage(c.Self, key), nil
+func (c *Context) Get(key string) []byte {
+	c.UseGas(GasSload)
+	return c.st.GetStorage(c.Self, key)
 }
 
 // Set writes a key in the contract's own storage. Empty values delete.
-func (c *Context) Set(key string, value []byte) error {
-	if c.static {
-		return Revertf("state write in view call")
-	}
-	if err := c.UseGas(GasSstore); err != nil {
-		return err
-	}
+func (c *Context) Set(key string, value []byte) {
+	c.mutable("state write")
+	c.UseGas(GasSstore)
 	c.st.SetStorage(c.Self, key, value)
-	return nil
 }
 
-// GetUint64 reads a uint64 slot; a missing key reads as zero.
-func (c *Context) GetUint64(key string) (uint64, error) {
-	b, err := c.Get(key)
-	if err != nil {
-		return 0, err
-	}
+// GetUint64 reads a uint64 slot; a missing key reads as zero and a
+// corrupt one halts.
+func (c *Context) GetUint64(key string) uint64 {
+	b := c.Get(key)
 	if len(b) == 0 {
-		return 0, nil
+		return 0
 	}
-	d := NewDecoder(b)
-	return d.Uint64()
+	v, err := NewDecoder(b).Uint64()
+	if err != nil {
+		c.Halt(err)
+	}
+	return v
 }
 
 // SetUint64 writes a uint64 slot. Zero deletes the slot, so unset and
 // zero are indistinguishable — the usual convention for balances.
-func (c *Context) SetUint64(key string, v uint64) error {
+func (c *Context) SetUint64(key string, v uint64) {
 	if v == 0 {
-		return c.Set(key, nil)
+		c.Set(key, nil)
+		return
 	}
-	return c.Set(key, NewEncoder().Uint64(v).Bytes())
+	c.Set(key, NewEncoder().Uint64(v).Bytes())
 }
 
 // Emit appends an event to the transaction's audit log.
-func (c *Context) Emit(topic string, data []byte) error {
-	if c.static {
-		return Revertf("event emission in view call")
-	}
-	if err := c.UseGas(GasLogBase + GasLogPerByte*uint64(len(topic)+len(data))); err != nil {
-		return err
-	}
+func (c *Context) Emit(topic string, data []byte) {
+	c.mutable("event emission")
+	c.UseGas(GasLogBase + GasLogPerByte*uint64(len(topic)+len(data)))
 	*c.events = append(*c.events, ledger.Event{
 		Contract: c.Self,
 		Topic:    topic,
 		Data:     append([]byte(nil), data...),
 	})
-	return nil
 }
 
 // BalanceOf returns the native-token balance of any account.
-func (c *Context) BalanceOf(addr identity.Address) (uint64, error) {
-	if err := c.UseGas(GasSload); err != nil {
-		return 0, err
-	}
-	return c.st.Balance(addr), nil
+func (c *Context) BalanceOf(addr identity.Address) uint64 {
+	c.UseGas(GasSload)
+	return c.st.Balance(addr)
 }
 
 // Transfer moves native tokens from the contract's own balance.
-func (c *Context) Transfer(to identity.Address, amount uint64) error {
-	if c.static {
-		return Revertf("transfer in view call")
-	}
-	if err := c.UseGas(GasTransfer); err != nil {
-		return err
-	}
+func (c *Context) Transfer(to identity.Address, amount uint64) {
+	c.mutable("transfer")
+	c.UseGas(GasTransfer)
 	if err := c.st.SubBalance(c.Self, amount); err != nil {
-		return Revertf("contract balance too low: %v", err)
+		c.Halt(Revertf("contract balance too low: %v", err))
 	}
 	if err := c.st.AddBalance(to, amount); err != nil {
-		return Revertf("credit failed: %v", err)
+		c.Halt(Revertf("credit failed: %v", err))
 	}
-	return nil
 }
 
 // CallContract invokes a method on another contract, transferring value
 // from the current contract. The callee runs against the same journal, so
-// an error reverts its effects while the caller may continue.
+// an error — returned or halted in the callee's frame — reverts its
+// effects and comes back here, while the caller may continue.
 func (c *Context) CallContract(to identity.Address, method string, args []byte, value uint64) ([]byte, error) {
-	if err := c.UseGas(GasCall); err != nil {
+	if err := c.charge(GasCall); err != nil {
 		return nil, err
 	}
 	if c.depth+1 > MaxCallDepth {
@@ -174,9 +202,7 @@ func (c *Context) CallContract(to identity.Address, method string, args []byte, 
 }
 
 // ContractExists reports whether an address holds deployed code.
-func (c *Context) ContractExists(addr identity.Address) (bool, error) {
-	if err := c.UseGas(GasSload); err != nil {
-		return false, err
-	}
-	return len(c.st.GetStorage(addr, codeKey)) > 0, nil
+func (c *Context) ContractExists(addr identity.Address) bool {
+	c.UseGas(GasSload)
+	return len(c.st.GetStorage(addr, codeKey)) > 0
 }

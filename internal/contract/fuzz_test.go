@@ -12,6 +12,12 @@ func FuzzDecoder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x03, 0xff, 0xff, 0xff, 0xff}) // string with absurd length
 	f.Add([]byte{0x05, 1, 2})                   // truncated address
+	// Length prefixes that wrap negative on a 32-bit int.
+	for _, tag := range []byte{tagString, tagBytes} {
+		for _, n := range []uint32{1<<31 - 1, 1 << 31, 1<<32 - 1} {
+			f.Add([]byte{tag, byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n), 'x'})
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewDecoder(data)
 		for i := 0; i < 16 && d.Remaining() > 0; i++ {

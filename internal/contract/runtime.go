@@ -155,7 +155,7 @@ func (r *Runtime) Apply(st *ledger.State, tx *ledger.Transaction, height uint64)
 			Value: tx.Value, Height: height,
 			gasLeft: &gasLeft, events: &events,
 		}
-		if err := code.Init(ctx, initArgs); err != nil {
+		if _, err := frame(func() ([]byte, error) { return nil, code.Init(ctx, initArgs) }); err != nil {
 			return fail(err)
 		}
 		rcpt.Return = addr[:]
@@ -192,7 +192,8 @@ func (r *Runtime) Apply(st *ledger.State, tx *ledger.Transaction, height uint64)
 }
 
 // call runs a (possibly nested) contract method. value moves from caller
-// to callee before execution. On error, all callee effects are reverted.
+// to callee before execution. On error, returned or halted, all callee
+// effects are reverted.
 func (r *Runtime) call(st *ledger.State, caller, origin, to identity.Address, method string, args []byte, value uint64, height uint64, gasLeft *uint64, events *[]ledger.Event, depth int) ([]byte, error) {
 	code, err := r.codeAt(st, to)
 	if err != nil {
@@ -214,7 +215,7 @@ func (r *Runtime) call(st *ledger.State, caller, origin, to identity.Address, me
 		Value: value, Height: height,
 		gasLeft: gasLeft, events: events, depth: depth,
 	}
-	ret, err := code.Call(ctx, method, args)
+	ret, err := frame(func() ([]byte, error) { return code.Call(ctx, method, args) })
 	if err != nil {
 		st.RevertTo(snap)
 		*events = (*events)[:eventsLen]
@@ -237,7 +238,15 @@ func (r *Runtime) callStatic(st *ledger.State, caller, origin, to identity.Addre
 		gasLeft: gasLeft, events: &events, depth: depth,
 		static: true,
 	}
-	return code.Call(ctx, method, args)
+	return frame(func() ([]byte, error) { return code.Call(ctx, method, args) })
+}
+
+// frame runs contract code for one call frame. A Context operation that
+// fails inside it halts the frame, and frame returns the halt's error
+// exactly as if the code had returned it.
+func frame(run func() ([]byte, error)) (ret []byte, err error) {
+	defer Catch(&err)
+	return run()
 }
 
 func (r *Runtime) codeAt(st *ledger.State, addr identity.Address) (Contract, error) {

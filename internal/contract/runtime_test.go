@@ -20,43 +20,27 @@ func (counterContract) Init(ctx *Context, args []byte) error {
 	if err != nil {
 		return Revertf("bad init args: %v", err)
 	}
-	if err := ctx.SetUint64("count", start); err != nil {
-		return err
-	}
-	return ctx.Set("owner", ctx.Caller[:])
+	ctx.SetUint64("count", start)
+	ctx.Set("owner", ctx.Caller[:])
+	return nil
 }
 
 func (counterContract) Call(ctx *Context, method string, args []byte) ([]byte, error) {
 	switch method {
 	case "inc":
-		v, err := ctx.GetUint64("count")
-		if err != nil {
-			return nil, err
-		}
-		if err := ctx.SetUint64("count", v+1); err != nil {
-			return nil, err
-		}
-		if err := ctx.Emit("Incremented", NewEncoder().Uint64(v+1).Bytes()); err != nil {
-			return nil, err
-		}
-		return NewEncoder().Uint64(v + 1).Bytes(), nil
-	case "get":
-		v, err := ctx.GetUint64("count")
-		if err != nil {
-			return nil, err
-		}
+		v := ctx.GetUint64("count") + 1
+		ctx.SetUint64("count", v)
+		ctx.Emit("Incremented", NewEncoder().Uint64(v).Bytes())
 		return NewEncoder().Uint64(v).Bytes(), nil
+	case "get":
+		return NewEncoder().Uint64(ctx.GetUint64("count")).Bytes(), nil
 	case "boom":
 		// Mutate first, then revert: effects must be rolled back.
-		if err := ctx.SetUint64("count", 9999); err != nil {
-			return nil, err
-		}
+		ctx.SetUint64("count", 9999)
 		return nil, Revertf("boom")
 	case "burn":
 		for {
-			if err := ctx.UseGas(10_000); err != nil {
-				return nil, err
-			}
+			ctx.UseGas(10_000)
 		}
 	case "callOther":
 		dec := NewDecoder(args)
@@ -90,7 +74,8 @@ func (payoutContract) Call(ctx *Context, method string, args []byte) ([]byte, er
 		if err != nil {
 			return nil, Revertf("bad args: %v", err)
 		}
-		return nil, ctx.Transfer(to, amount)
+		ctx.Transfer(to, amount)
+		return nil, nil
 	default:
 		return nil, ErrUnknownMethod
 	}

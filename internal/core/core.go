@@ -1,5 +1,4 @@
-// Package core is the public facade of the PDS² library: it re-exports
-// the marketplace types that applications interact with and provides a
+// Package core is the one-call entry point of the PDS² library: a
 // declarative Scenario runner that stands up a complete marketplace —
 // governance chain, storage node, providers with synthetic data,
 // TEE-backed executors — and drives a workload through the full Fig. 2
@@ -20,59 +19,6 @@ import (
 	"pds2/internal/semantic"
 	"pds2/internal/storage"
 )
-
-// Re-exported marketplace types, so that applications can depend on the
-// facade alone.
-type (
-	// Market is the governance-layer deployment.
-	Market = market.Market
-
-	// MarketConfig parameterizes a Market.
-	MarketConfig = market.Config
-
-	// Spec is a binding workload specification.
-	Spec = market.Spec
-
-	// TrainerParams defines the built-in training workload.
-	TrainerParams = market.TrainerParams
-
-	// Consumer, Provider and Executor are the marketplace actors.
-	Consumer = market.Consumer
-	Provider = market.Provider
-	Executor = market.Executor
-
-	// Authorization hands one dataset to one executor for one workload.
-	Authorization = market.Authorization
-
-	// Score is one provider's attested contribution weight.
-	Score = market.Score
-
-	// WorkloadState is the lifecycle state machine.
-	WorkloadState = market.WorkloadState
-
-	// Identity is an actor key pair.
-	Identity = identity.Identity
-
-	// Address identifies an actor on the ledger.
-	Address = identity.Address
-)
-
-// Lifecycle states, re-exported.
-const (
-	StateOpen      = market.StateOpen
-	StateRunning   = market.StateRunning
-	StateComplete  = market.StateComplete
-	StateCancelled = market.StateCancelled
-	StateDisputed  = market.StateDisputed
-)
-
-// NewMarket creates a governance-layer deployment.
-func NewMarket(cfg MarketConfig) (*Market, error) { return market.New(cfg) }
-
-// NewIdentity derives a deterministic identity from a seed.
-func NewIdentity(name string, seed uint64) *Identity {
-	return identity.New(name, crypto.NewDRBGFromUint64(seed, "core/"+name))
-}
 
 // Scenario declares a complete end-to-end marketplace run.
 type Scenario struct {
@@ -118,15 +64,15 @@ func (s *Scenario) Defaults() {
 
 // Result summarizes a scenario run.
 type Result struct {
-	Workload     Address
-	State        WorkloadState
+	Workload     identity.Address
+	State        market.WorkloadState
 	Accuracy     float64 // final model accuracy on held-out data
-	Payouts      map[Address]uint64
+	Payouts      map[identity.Address]uint64
 	Blocks       uint64
 	TotalGas     uint64
 	AuditEvents  int
-	ProviderAddr []Address
-	ExecutorAddr []Address
+	ProviderAddr []identity.Address
+	ExecutorAddr []identity.Address
 }
 
 // Run stands up a marketplace and drives the scenario through the full
@@ -139,7 +85,7 @@ func Run(s Scenario) (*Result, error) {
 // RunDetailed is Run, additionally returning the live market so callers
 // can inspect contracts, query the audit log or export the chain for
 // third-party auditing.
-func RunDetailed(s Scenario) (*Result, *Market, error) {
+func RunDetailed(s Scenario) (*Result, *market.Market, error) {
 	s.Defaults()
 	rng := crypto.NewDRBGFromUint64(s.Seed, "scenario")
 

@@ -1,13 +1,17 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"pds2/internal/market"
+)
 
 func TestRunDefaultScenario(t *testing.T) {
 	res, err := Run(Scenario{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.State != StateComplete {
+	if res.State != market.StateComplete {
 		t.Fatalf("state = %v", res.State)
 	}
 	if res.Accuracy < 0.85 {
@@ -44,7 +48,7 @@ func TestRunScalesProviders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.State != StateComplete {
+	if res.State != market.StateComplete {
 		t.Fatalf("state = %v", res.State)
 	}
 	if len(res.Payouts) < 8 {
@@ -57,13 +61,5 @@ func TestScenarioDefaults(t *testing.T) {
 	s.Defaults()
 	if s.Providers == 0 || s.Executors == 0 || s.Budget == 0 || s.MinProviders == 0 {
 		t.Fatalf("defaults not filled: %+v", s)
-	}
-}
-
-func TestNewIdentityDeterministic(t *testing.T) {
-	a := NewIdentity("x", 1)
-	b := NewIdentity("x", 1)
-	if a.Address() != b.Address() {
-		t.Fatal("identity not deterministic")
 	}
 }

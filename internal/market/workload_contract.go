@@ -73,30 +73,24 @@ func (WorkloadContract) Init(ctx *contract.Context, args []byte) error {
 	if spec.ExpiryHeight <= ctx.Height {
 		return contract.Revertf("workload init: expiry %d not after current height %d", spec.ExpiryHeight, ctx.Height)
 	}
-	if err := ctx.Set("spec", args); err != nil {
-		return err
-	}
-	if err := ctx.Set("consumer", ctx.Caller[:]); err != nil {
-		return err
-	}
+	ctx.Set("spec", args)
+	ctx.Set("consumer", ctx.Caller[:])
 	if !spec.RewardToken.IsZero() {
 		// ERC-20 mode: the budget is pulled in a separate "fund" call
 		// once the consumer has approved this contract.
 		if ctx.Value != 0 {
 			return contract.Revertf("workload init: token-denominated workloads take no native value")
 		}
-		if err := ctx.SetUint64("budget", spec.TokenBudget); err != nil {
-			return err
-		}
-		return ctx.SetUint64("state", uint64(StateFunding))
+		ctx.SetUint64("budget", spec.TokenBudget)
+		ctx.SetUint64("state", uint64(StateFunding))
+		return nil
 	}
 	if ctx.Value == 0 {
 		return contract.Revertf("workload init: no reward budget attached")
 	}
-	if err := ctx.SetUint64("budget", ctx.Value); err != nil {
-		return err
-	}
-	return ctx.SetUint64("state", uint64(StateOpen))
+	ctx.SetUint64("budget", ctx.Value)
+	ctx.SetUint64("state", uint64(StateOpen))
+	return nil
 }
 
 // Call implements contract.Contract.
@@ -116,44 +110,25 @@ func (w WorkloadContract) Call(ctx *contract.Context, method string, args []byte
 	case "cancel":
 		return w.cancel(ctx)
 	case "state":
-		st, err := ctx.GetUint64("state")
-		if err != nil {
-			return nil, err
-		}
-		return contract.NewEncoder().Uint64(st).Bytes(), nil
+		return contract.NewEncoder().Uint64(ctx.GetUint64("state")).Bytes(), nil
 	case "spec":
-		return ctx.Get("spec")
+		return ctx.Get("spec"), nil
 	case "result":
-		raw, err := ctx.Get("resulthash")
-		if err != nil {
-			return nil, err
-		}
 		var h crypto.Digest
-		copy(h[:], raw)
-		scores, err := ctx.Get("scores")
-		if err != nil {
-			return nil, err
-		}
-		return contract.NewEncoder().Digest(h).Blob(scores).Bytes(), nil
+		copy(h[:], ctx.Get("resulthash"))
+		return contract.NewEncoder().Digest(h).Blob(ctx.Get("scores")).Bytes(), nil
 	case "contributionOf":
 		addr, err := dec.Address()
 		if err != nil {
 			return nil, contract.Revertf("contributionOf: %v", err)
 		}
-		n, err := ctx.GetUint64("prov/" + addr.Hex())
-		if err != nil {
-			return nil, err
-		}
-		return contract.NewEncoder().Uint64(n).Bytes(), nil
+		return contract.NewEncoder().Uint64(ctx.GetUint64("prov/" + addr.Hex())).Bytes(), nil
 	case "providerAt":
 		idx, err := dec.Uint64()
 		if err != nil {
 			return nil, contract.Revertf("providerAt: %v", err)
 		}
-		raw, err := ctx.Get(fmt.Sprintf("provlist/%016d", idx))
-		if err != nil {
-			return nil, err
-		}
+		raw := ctx.Get(fmt.Sprintf("provlist/%016d", idx))
 		if len(raw) != identity.AddressSize {
 			return nil, contract.Revertf("providerAt: index %d out of range", idx)
 		}
@@ -162,48 +137,28 @@ func (w WorkloadContract) Call(ctx *contract.Context, method string, args []byte
 		return contract.NewEncoder().Address(addr).Bytes(), nil
 	case "progress":
 		// → (providerCount, items, execCount, resultCount)
-		pc, err := ctx.GetUint64("provcount")
-		if err != nil {
-			return nil, err
+		e := contract.NewEncoder()
+		for _, key := range []string{"provcount", "items", "execcount", "resultcount"} {
+			e.Uint64(ctx.GetUint64(key))
 		}
-		items, err := ctx.GetUint64("items")
-		if err != nil {
-			return nil, err
-		}
-		ec, err := ctx.GetUint64("execcount")
-		if err != nil {
-			return nil, err
-		}
-		rc, err := ctx.GetUint64("resultcount")
-		if err != nil {
-			return nil, err
-		}
-		return contract.NewEncoder().Uint64(pc).Uint64(items).Uint64(ec).Uint64(rc).Bytes(), nil
+		return e.Bytes(), nil
 	default:
 		return nil, fmt.Errorf("%w: workload.%s", contract.ErrUnknownMethod, method)
 	}
 }
 
-// loadSpec reads and decodes the stored spec.
-func (WorkloadContract) loadSpec(ctx *contract.Context) (*Spec, error) {
-	raw, err := ctx.Get("spec")
+// loadSpec reads and decodes the stored spec; a corrupt one halts.
+func (WorkloadContract) loadSpec(ctx *contract.Context) *Spec {
+	spec, err := DecodeSpec(ctx.Get("spec"))
 	if err != nil {
-		return nil, err
+		ctx.Halt(contract.Revertf("corrupt spec: %v", err))
 	}
-	spec, err := DecodeSpec(raw)
-	if err != nil {
-		return nil, contract.Revertf("corrupt spec: %v", err)
-	}
-	return spec, nil
+	return spec
 }
 
 func (WorkloadContract) requireState(ctx *contract.Context, want WorkloadState) error {
-	st, err := ctx.GetUint64("state")
-	if err != nil {
-		return err
-	}
-	if WorkloadState(st) != want {
-		return contract.Revertf("workload is %v, expected %v", WorkloadState(st), want)
+	if st := WorkloadState(ctx.GetUint64("state")); st != want {
+		return contract.Revertf("workload is %v, expected %v", st, want)
 	}
 	return nil
 }
@@ -214,33 +169,26 @@ func (w WorkloadContract) fund(ctx *contract.Context) ([]byte, error) {
 	if err := w.requireState(ctx, StateFunding); err != nil {
 		return nil, err
 	}
-	consumerRaw, err := ctx.Get("consumer")
-	if err != nil {
-		return nil, err
-	}
-	if string(consumerRaw) != string(ctx.Caller[:]) {
+	if string(ctx.Get("consumer")) != string(ctx.Caller[:]) {
 		return nil, contract.Revertf("fund: only the consumer can fund")
 	}
-	spec, err := w.loadSpec(ctx)
-	if err != nil {
-		return nil, err
-	}
+	spec := w.loadSpec(ctx)
 	args := contract.NewEncoder().
 		Address(ctx.Caller).Address(ctx.Self).Uint64(spec.TokenBudget).Bytes()
 	if _, err := ctx.CallContract(spec.RewardToken, "transferFrom", args, 0); err != nil {
 		return nil, contract.Revertf("fund: escrow pull failed: %v", err)
 	}
-	if err := ctx.SetUint64("state", uint64(StateOpen)); err != nil {
-		return nil, err
-	}
-	return nil, ctx.Emit("WorkloadFunded", contract.NewEncoder().
+	ctx.SetUint64("state", uint64(StateOpen))
+	ctx.Emit("WorkloadFunded", contract.NewEncoder().
 		Address(spec.RewardToken).Uint64(spec.TokenBudget).Bytes())
+	return nil, nil
 }
 
 // pay moves reward value to an account in the workload's denomination.
 func (w WorkloadContract) pay(ctx *contract.Context, spec *Spec, to identity.Address, amount uint64) error {
 	if spec.RewardToken.IsZero() {
-		return ctx.Transfer(to, amount)
+		ctx.Transfer(to, amount)
+		return nil
 	}
 	args := contract.NewEncoder().Address(to).Uint64(amount).Bytes()
 	_, err := ctx.CallContract(spec.RewardToken, "transfer", args, 0)
@@ -255,10 +203,7 @@ func (w WorkloadContract) registerExecution(ctx *contract.Context, dec *contract
 	if err := w.requireState(ctx, StateOpen); err != nil {
 		return nil, err
 	}
-	spec, err := w.loadSpec(ctx)
-	if err != nil {
-		return nil, err
-	}
+	spec := w.loadSpec(ctx)
 	if ctx.Height > spec.ExpiryHeight {
 		return nil, contract.Revertf("workload expired at height %d", spec.ExpiryHeight)
 	}
@@ -271,11 +216,7 @@ func (w WorkloadContract) registerExecution(ctx *contract.Context, dec *contract
 		return nil, contract.Revertf("registerExecution: %v", err)
 	}
 
-	already, err := ctx.Get("exec/" + ctx.Caller.Hex())
-	if err != nil {
-		return nil, err
-	}
-	if len(already) > 0 {
+	if len(ctx.Get("exec/"+ctx.Caller.Hex())) > 0 {
 		return nil, contract.Revertf("executor %s already registered", ctx.Caller.Short())
 	}
 
@@ -286,9 +227,7 @@ func (w WorkloadContract) registerExecution(ctx *contract.Context, dec *contract
 	if err := json.Unmarshal(quoteRaw, &quote); err != nil {
 		return nil, contract.Revertf("registerExecution: bad quote: %v", err)
 	}
-	if err := ctx.UseGas(2 * GasSigVerify); err != nil {
-		return nil, err
-	}
+	ctx.UseGas(2 * GasSigVerify)
 	if err := tee.VerifyQuote(spec.QAPub, quote, spec.Measurement); err != nil {
 		return nil, contract.Revertf("registerExecution: %v", err)
 	}
@@ -312,15 +251,11 @@ func (w WorkloadContract) registerExecution(ctx *contract.Context, dec *contract
 	// the decision log — so the registration is abandoned with the
 	// encoded decisions as the return value and no state change.
 	if !spec.Registry.IsZero() {
-		itemsBefore, err := ctx.GetUint64("items")
-		if err != nil {
-			return nil, err
-		}
 		ids := make([]crypto.Digest, len(certs))
 		for i, cert := range certs {
 			ids[i] = cert.DataRef
 		}
-		agg := itemsBefore + uint64(len(certs))
+		agg := ctx.GetUint64("items") + uint64(len(certs))
 		args := enforcePolicyArgs(policy.LayerAdmission, spec.ComputationClass(), spec.Purpose, agg, ids...)
 		ret, err := ctx.CallContract(spec.Registry, "enforcePolicy", args, 0)
 		if err != nil {
@@ -336,81 +271,39 @@ func (w WorkloadContract) registerExecution(ctx *contract.Context, dec *contract
 	}
 
 	for i, cert := range certs {
-		if err := ctx.UseGas(GasSigVerify); err != nil {
-			return nil, err
-		}
+		ctx.UseGas(GasSigVerify)
 		if err := cert.Verify(wid, ctx.Caller, ctx.Height); err != nil {
 			return nil, contract.Revertf("registerExecution: certificate %d: %v", i, err)
 		}
 		certID := cert.ID()
-		used, err := ctx.Get("cert/" + certID.Hex())
-		if err != nil {
-			return nil, err
-		}
-		if len(used) > 0 {
+		if len(ctx.Get("cert/"+certID.Hex())) > 0 {
 			return nil, contract.Revertf("registerExecution: certificate %d already consumed", i)
 		}
-		dataSeen, err := ctx.Get("data/" + cert.DataRef.Hex())
-		if err != nil {
-			return nil, err
-		}
-		if len(dataSeen) > 0 {
+		if len(ctx.Get("data/"+cert.DataRef.Hex())) > 0 {
 			return nil, contract.Revertf("registerExecution: data %s already contributed", cert.DataRef.Short())
 		}
-		if err := ctx.Set("cert/"+certID.Hex(), []byte{1}); err != nil {
-			return nil, err
-		}
-		if err := ctx.Set("data/"+cert.DataRef.Hex(), []byte{1}); err != nil {
-			return nil, err
-		}
+		ctx.Set("cert/"+certID.Hex(), []byte{1})
+		ctx.Set("data/"+cert.DataRef.Hex(), []byte{1})
 		// Track the provider's contribution count and ordering.
-		cnt, err := ctx.GetUint64("prov/" + cert.Provider.Hex())
-		if err != nil {
-			return nil, err
-		}
+		cnt := ctx.GetUint64("prov/" + cert.Provider.Hex())
 		if cnt == 0 {
-			pc, err := ctx.GetUint64("provcount")
-			if err != nil {
-				return nil, err
-			}
-			if err := ctx.Set(fmt.Sprintf("provlist/%016d", pc), cert.Provider[:]); err != nil {
-				return nil, err
-			}
-			if err := ctx.SetUint64("provcount", pc+1); err != nil {
-				return nil, err
-			}
+			pc := ctx.GetUint64("provcount")
+			ctx.Set(fmt.Sprintf("provlist/%016d", pc), cert.Provider[:])
+			ctx.SetUint64("provcount", pc+1)
 		}
-		if err := ctx.SetUint64("prov/"+cert.Provider.Hex(), cnt+1); err != nil {
-			return nil, err
-		}
-		items, err := ctx.GetUint64("items")
-		if err != nil {
-			return nil, err
-		}
-		if err := ctx.SetUint64("items", items+1); err != nil {
-			return nil, err
-		}
-		if err := ctx.Emit(EvDataContributed, contract.NewEncoder().
-			Digest(cert.DataRef).Address(cert.Provider).Address(ctx.Caller).Bytes()); err != nil {
-			return nil, err
-		}
+		ctx.SetUint64("prov/"+cert.Provider.Hex(), cnt+1)
+		ctx.SetUint64("items", ctx.GetUint64("items")+1)
+		ctx.Emit(EvDataContributed, contract.NewEncoder().
+			Digest(cert.DataRef).Address(cert.Provider).Address(ctx.Caller).Bytes())
 	}
 
-	ec, err := ctx.GetUint64("execcount")
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Set(fmt.Sprintf("execlist/%016d", ec), ctx.Caller[:]); err != nil {
-		return nil, err
-	}
-	if err := ctx.SetUint64("execcount", ec+1); err != nil {
-		return nil, err
-	}
-	if err := ctx.Set("exec/"+ctx.Caller.Hex(), []byte{1}); err != nil {
-		return nil, err
-	}
-	return nil, ctx.Emit(EvExecutorRegistered, contract.NewEncoder().
+	ec := ctx.GetUint64("execcount")
+	ctx.Set(fmt.Sprintf("execlist/%016d", ec), ctx.Caller[:])
+	ctx.SetUint64("execcount", ec+1)
+	ctx.Set("exec/"+ctx.Caller.Hex(), []byte{1})
+	ctx.Emit(EvExecutorRegistered, contract.NewEncoder().
 		Address(ctx.Caller).Uint64(uint64(len(certs))).Bytes())
+	return nil, nil
 }
 
 // start transitions Open → Running once the consumer's conditions hold
@@ -420,31 +313,16 @@ func (w WorkloadContract) start(ctx *contract.Context) ([]byte, error) {
 	if err := w.requireState(ctx, StateOpen); err != nil {
 		return nil, err
 	}
-	spec, err := w.loadSpec(ctx)
-	if err != nil {
-		return nil, err
-	}
-	pc, err := ctx.GetUint64("provcount")
-	if err != nil {
-		return nil, err
-	}
-	items, err := ctx.GetUint64("items")
-	if err != nil {
-		return nil, err
-	}
-	ec, err := ctx.GetUint64("execcount")
-	if err != nil {
-		return nil, err
-	}
+	spec := w.loadSpec(ctx)
+	pc, items, ec := ctx.GetUint64("provcount"), ctx.GetUint64("items"), ctx.GetUint64("execcount")
 	if pc < spec.MinProviders || items < spec.MinItems || ec == 0 {
 		return nil, contract.Revertf("conditions not met: providers %d/%d, items %d/%d, executors %d",
 			pc, spec.MinProviders, items, spec.MinItems, ec)
 	}
-	if err := ctx.SetUint64("state", uint64(StateRunning)); err != nil {
-		return nil, err
-	}
-	return nil, ctx.Emit(EvWorkloadStarted, contract.NewEncoder().
+	ctx.SetUint64("state", uint64(StateRunning))
+	ctx.Emit(EvWorkloadStarted, contract.NewEncoder().
 		Uint64(pc).Uint64(items).Uint64(ec).Bytes())
+	return nil, nil
 }
 
 // submitResult accepts an executor's attested result. The first
@@ -468,33 +346,20 @@ func (w WorkloadContract) submitResult(ctx *contract.Context, dec *contract.Deco
 	if err != nil {
 		return nil, contract.Revertf("submitResult: %v", err)
 	}
-	registered, err := ctx.Get("exec/" + ctx.Caller.Hex())
-	if err != nil {
-		return nil, err
-	}
-	if len(registered) == 0 {
+	if len(ctx.Get("exec/"+ctx.Caller.Hex())) == 0 {
 		return nil, contract.Revertf("submitResult: %s is not a registered executor", ctx.Caller.Short())
 	}
-	prev, err := ctx.Get("result/" + ctx.Caller.Hex())
-	if err != nil {
-		return nil, err
-	}
-	if len(prev) > 0 {
+	if len(ctx.Get("result/"+ctx.Caller.Hex())) > 0 {
 		return nil, contract.Revertf("submitResult: executor already submitted")
 	}
 
-	spec, err := w.loadSpec(ctx)
-	if err != nil {
-		return nil, err
-	}
+	spec := w.loadSpec(ctx)
 	wid := WorkloadIDFor(ctx.Self)
 	var quote tee.Quote
 	if err := json.Unmarshal(quoteRaw, &quote); err != nil {
 		return nil, contract.Revertf("submitResult: bad quote: %v", err)
 	}
-	if err := ctx.UseGas(2 * GasSigVerify); err != nil {
-		return nil, err
-	}
+	ctx.UseGas(2 * GasSigVerify)
 	if err := tee.VerifyQuote(spec.QAPub, quote, spec.Measurement); err != nil {
 		return nil, contract.Revertf("submitResult: %v", err)
 	}
@@ -502,48 +367,32 @@ func (w WorkloadContract) submitResult(ctx *contract.Context, dec *contract.Deco
 		return nil, contract.Revertf("submitResult: quote not bound to this result")
 	}
 
-	accepted, err := ctx.Get("resulthash")
-	if err != nil {
-		return nil, err
-	}
-	if len(accepted) == 0 {
+	if accepted := ctx.Get("resulthash"); len(accepted) == 0 {
 		// First submission: validate and store the scores.
 		if err := w.validateScores(ctx, scoresRaw); err != nil {
 			return nil, err
 		}
-		if err := ctx.Set("resulthash", resultHash[:]); err != nil {
-			return nil, err
-		}
-		if err := ctx.Set("scores", scoresRaw); err != nil {
-			return nil, err
-		}
+		ctx.Set("resulthash", resultHash[:])
+		ctx.Set("scores", scoresRaw)
 	} else {
 		var acceptedHash crypto.Digest
 		copy(acceptedHash[:], accepted)
 		if acceptedHash != resultHash {
 			// Conflicting attested results: dispute and refund.
-			if err := ctx.SetUint64("state", uint64(StateDisputed)); err != nil {
-				return nil, err
-			}
+			ctx.SetUint64("state", uint64(StateDisputed))
 			if err := w.refundConsumer(ctx); err != nil {
 				return nil, err
 			}
-			return nil, ctx.Emit(EvWorkloadDisputed, contract.NewEncoder().
+			ctx.Emit(EvWorkloadDisputed, contract.NewEncoder().
 				Address(ctx.Caller).Digest(resultHash).Digest(acceptedHash).Bytes())
+			return nil, nil
 		}
 	}
-	if err := ctx.Set("result/"+ctx.Caller.Hex(), resultHash[:]); err != nil {
-		return nil, err
-	}
-	rc, err := ctx.GetUint64("resultcount")
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.SetUint64("resultcount", rc+1); err != nil {
-		return nil, err
-	}
-	return nil, ctx.Emit(EvResultSubmitted, contract.NewEncoder().
+	ctx.Set("result/"+ctx.Caller.Hex(), resultHash[:])
+	ctx.SetUint64("resultcount", ctx.GetUint64("resultcount")+1)
+	ctx.Emit(EvResultSubmitted, contract.NewEncoder().
 		Address(ctx.Caller).Digest(resultHash).Bytes())
+	return nil, nil
 }
 
 // validateScores checks that the submitted contribution scores cover
@@ -553,20 +402,12 @@ func (WorkloadContract) validateScores(ctx *contract.Context, raw []byte) error 
 	if err != nil {
 		return contract.Revertf("submitResult: bad scores: %v", err)
 	}
-	pc, err := ctx.GetUint64("provcount")
-	if err != nil {
-		return err
-	}
-	if uint64(len(scores)) != pc {
+	if pc := ctx.GetUint64("provcount"); uint64(len(scores)) != pc {
 		return contract.Revertf("submitResult: %d scores for %d providers", len(scores), pc)
 	}
 	for i, s := range scores {
-		raw, err := ctx.Get(fmt.Sprintf("provlist/%016d", i))
-		if err != nil {
-			return err
-		}
 		var want identity.Address
-		copy(want[:], raw)
+		copy(want[:], ctx.Get(fmt.Sprintf("provlist/%016d", i)))
 		if s.Provider != want {
 			return contract.Revertf("submitResult: score %d names %s, expected %s", i, s.Provider.Short(), want.Short())
 		}
@@ -582,25 +423,12 @@ func (w WorkloadContract) finalize(ctx *contract.Context) ([]byte, error) {
 	if err := w.requireState(ctx, StateRunning); err != nil {
 		return nil, err
 	}
-	ec, err := ctx.GetUint64("execcount")
-	if err != nil {
-		return nil, err
-	}
-	rc, err := ctx.GetUint64("resultcount")
-	if err != nil {
-		return nil, err
-	}
+	ec, rc := ctx.GetUint64("execcount"), ctx.GetUint64("resultcount")
 	if rc < ec {
 		return nil, contract.Revertf("finalize: %d of %d executors have submitted", rc, ec)
 	}
-	spec, err := w.loadSpec(ctx)
-	if err != nil {
-		return nil, err
-	}
-	budget, err := ctx.GetUint64("budget")
-	if err != nil {
-		return nil, err
-	}
+	spec := w.loadSpec(ctx)
+	budget := ctx.GetUint64("budget")
 	fee := budget * spec.ExecutorFeeBps / 10_000
 	providerPool := budget - fee
 
@@ -609,12 +437,8 @@ func (w WorkloadContract) finalize(ctx *contract.Context) ([]byte, error) {
 		each := fee / ec
 		rem := fee - each*ec
 		for i := uint64(0); i < ec; i++ {
-			raw, err := ctx.Get(fmt.Sprintf("execlist/%016d", i))
-			if err != nil {
-				return nil, err
-			}
 			var addr identity.Address
-			copy(addr[:], raw)
+			copy(addr[:], ctx.Get(fmt.Sprintf("execlist/%016d", i)))
 			amount := each
 			if i == 0 {
 				amount += rem
@@ -625,21 +449,15 @@ func (w WorkloadContract) finalize(ctx *contract.Context) ([]byte, error) {
 			if err := w.pay(ctx, spec, addr, amount); err != nil {
 				return nil, err
 			}
-			if err := ctx.Emit(EvRewardPaid, contract.NewEncoder().
-				Address(addr).Uint64(amount).String("executor-fee").Bytes()); err != nil {
-				return nil, err
-			}
+			ctx.Emit(EvRewardPaid, contract.NewEncoder().
+				Address(addr).Uint64(amount).String("executor-fee").Bytes())
 		}
 	}
 
 	// Pay providers pro rata by attested scores.
-	scoresRaw, err := ctx.Get("scores")
+	scores, err := DecodeScores(ctx.Get("scores"))
 	if err != nil {
-		return nil, err
-	}
-	scores, err := DecodeScores(scoresRaw)
-	if err != nil {
-		return nil, contract.Revertf("finalize: corrupt scores: %v", err)
+		ctx.Halt(contract.Revertf("finalize: corrupt scores: %v", err))
 	}
 	var total uint64
 	for _, s := range scores {
@@ -663,87 +481,53 @@ func (w WorkloadContract) finalize(ctx *contract.Context) ([]byte, error) {
 		if err := w.pay(ctx, spec, s.Provider, amount); err != nil {
 			return nil, err
 		}
-		if err := ctx.Emit(EvRewardPaid, contract.NewEncoder().
-			Address(s.Provider).Uint64(amount).String("provider-reward").Bytes()); err != nil {
-			return nil, err
-		}
+		ctx.Emit(EvRewardPaid, contract.NewEncoder().
+			Address(s.Provider).Uint64(amount).String("provider-reward").Bytes())
 	}
 
-	if err := ctx.SetUint64("state", uint64(StateComplete)); err != nil {
-		return nil, err
-	}
-	resultRaw, err := ctx.Get("resulthash")
-	if err != nil {
-		return nil, err
-	}
+	ctx.SetUint64("state", uint64(StateComplete))
 	var resultHash crypto.Digest
-	copy(resultHash[:], resultRaw)
-	return nil, ctx.Emit(EvWorkloadFinalized, contract.NewEncoder().
+	copy(resultHash[:], ctx.Get("resulthash"))
+	ctx.Emit(EvWorkloadFinalized, contract.NewEncoder().
 		Digest(resultHash).Uint64(budget).Bytes())
+	return nil, nil
 }
 
 // cancel refunds the consumer after expiry when the workload never
 // completed.
 func (w WorkloadContract) cancel(ctx *contract.Context) ([]byte, error) {
-	st, err := ctx.GetUint64("state")
-	if err != nil {
-		return nil, err
+	if st := WorkloadState(ctx.GetUint64("state")); st != StateOpen && st != StateRunning {
+		return nil, contract.Revertf("cancel: workload is %v", st)
 	}
-	if WorkloadState(st) != StateOpen && WorkloadState(st) != StateRunning {
-		return nil, contract.Revertf("cancel: workload is %v", WorkloadState(st))
-	}
-	spec, err := w.loadSpec(ctx)
-	if err != nil {
-		return nil, err
-	}
+	spec := w.loadSpec(ctx)
 	if ctx.Height <= spec.ExpiryHeight {
 		return nil, contract.Revertf("cancel: not expired until height %d", spec.ExpiryHeight)
 	}
-	if err := ctx.SetUint64("state", uint64(StateCancelled)); err != nil {
-		return nil, err
-	}
+	ctx.SetUint64("state", uint64(StateCancelled))
 	if err := w.refundConsumer(ctx); err != nil {
 		return nil, err
 	}
-	return nil, ctx.Emit(EvWorkloadCancelled, nil)
+	ctx.Emit(EvWorkloadCancelled, nil)
+	return nil, nil
 }
 
 func (w WorkloadContract) refundConsumer(ctx *contract.Context) error {
-	raw, err := ctx.Get("consumer")
-	if err != nil {
-		return err
-	}
 	var consumer identity.Address
-	copy(consumer[:], raw)
-	spec, err := w.loadSpec(ctx)
-	if err != nil {
-		return err
-	}
+	copy(consumer[:], ctx.Get("consumer"))
+	spec := w.loadSpec(ctx)
 	if spec.RewardToken.IsZero() {
-		balance, err := ctx.BalanceOf(ctx.Self)
-		if err != nil {
-			return err
+		if balance := ctx.BalanceOf(ctx.Self); balance > 0 {
+			ctx.Transfer(consumer, balance)
 		}
-		if balance == 0 {
-			return nil
-		}
-		return ctx.Transfer(consumer, balance)
+		return nil
 	}
 	// Token mode: no payouts happen before finalize, so the full escrow
 	// (if funding completed) goes back. An unfunded workload refunds
 	// nothing.
-	st, err := ctx.GetUint64("state")
-	if err != nil {
-		return err
-	}
-	if WorkloadState(st) == StateFunding {
+	if WorkloadState(ctx.GetUint64("state")) == StateFunding {
 		return nil
 	}
-	budget, err := ctx.GetUint64("budget")
-	if err != nil {
-		return err
-	}
-	return w.pay(ctx, spec, consumer, budget)
+	return w.pay(ctx, spec, consumer, ctx.GetUint64("budget"))
 }
 
 // Score is one provider's attested contribution weight.

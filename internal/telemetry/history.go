@@ -21,10 +21,8 @@ type History struct {
 	// skewed or out-of-order timelines.
 	now func() time.Time
 
-	mu   sync.Mutex
-	buf  []HistorySample
-	pos  int
-	full bool
+	mu      sync.Mutex
+	samples ring[HistorySample]
 
 	stop chan struct{}
 	done chan struct{}
@@ -70,12 +68,12 @@ func NewHistory(r *Registry, interval time.Duration, capacity int) *History {
 		r:        r,
 		interval: interval,
 		now:      time.Now,
-		buf:      make([]HistorySample, capacity),
+		samples:  newRing[HistorySample](capacity),
 	}
 }
 
 // Capacity returns the ring size in samples.
-func (h *History) Capacity() int { return len(h.buf) }
+func (h *History) Capacity() int { return len(h.samples.buf) }
 
 // Record takes one sample now. The ticker calls this; tests and the
 // diag capture path may call it directly for an up-to-the-instant tail
@@ -87,12 +85,7 @@ func (h *History) Record() {
 		Metrics: h.r.Snapshot().Metrics,
 	}
 	h.mu.Lock()
-	h.buf[h.pos] = s
-	h.pos++
-	if h.pos == len(h.buf) {
-		h.pos = 0
-		h.full = true
-	}
+	h.samples.push(s)
 	h.mu.Unlock()
 }
 
@@ -141,12 +134,7 @@ func (h *History) Stop() {
 func (h *History) Samples() []HistorySample {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if !h.full {
-		return append([]HistorySample(nil), h.buf[:h.pos]...)
-	}
-	out := make([]HistorySample, 0, len(h.buf))
-	out = append(out, h.buf[h.pos:]...)
-	return append(out, h.buf[:h.pos]...)
+	return h.samples.items()
 }
 
 // Window returns the samples from the trailing window d (0 returns

@@ -183,10 +183,8 @@ type Log struct {
 	overrides map[string]LogLevel
 	node      string
 	out       io.Writer // optional mirror, one Text line per record
-	buf       []LogEvent
-	pos       int
-	full      bool
-	seq       uint64 // last assigned LogEvent.Seq
+	events    ring[LogEvent]
+	seq       uint64 // last assigned LogEvent.Seq; Reset never rewinds it
 }
 
 // NewLog returns a log retaining up to capacity records (<= 0 selects
@@ -198,7 +196,7 @@ func NewLog(capacity int) *Log {
 	l := &Log{
 		comps:     make(map[string]*Component),
 		overrides: make(map[string]LogLevel),
-		buf:       make([]LogEvent, capacity),
+		events:    newRing[LogEvent](capacity),
 	}
 	l.def.Store(int32(LevelOff))
 	return l
@@ -309,12 +307,7 @@ func (l *Log) emit(lvl LogLevel, component, msg string, fields []F) {
 	ev.Seq = l.seq
 	ev.Node = l.node
 	out := l.out
-	l.buf[l.pos] = ev
-	l.pos++
-	if l.pos == len(l.buf) {
-		l.pos = 0
-		l.full = true
-	}
+	l.events.push(ev)
 	l.mu.Unlock()
 	if out != nil {
 		fmt.Fprintln(out, ev.Text())
@@ -325,18 +318,13 @@ func (l *Log) emit(lvl LogLevel, component, msg string, fields []F) {
 func (l *Log) Events() []LogEvent {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.full {
-		return append([]LogEvent(nil), l.buf[:l.pos]...)
-	}
-	out := make([]LogEvent, 0, len(l.buf))
-	out = append(out, l.buf[l.pos:]...)
-	return append(out, l.buf[:l.pos]...)
+	return l.events.items()
 }
 
 // Reset drops all retained records; levels and components persist.
 func (l *Log) Reset() {
 	l.mu.Lock()
-	l.pos, l.full = 0, false
+	l.events.reset()
 	l.mu.Unlock()
 }
 

@@ -126,6 +126,22 @@ func TestLogRingRetention(t *testing.T) {
 	}
 }
 
+// TestLogSeqSurvivesReset pins that Reset empties the ring but never
+// rewinds Seq, so a /v1/logs cursor taken before a reset stays valid.
+func TestLogSeqSurvivesReset(t *testing.T) {
+	l := NewLog(2)
+	l.SetDefaultLevel(LevelDebug)
+	c := l.Component("x")
+	for i := 0; i < 3; i++ {
+		c.Info("m")
+	}
+	l.Reset()
+	c.Info("after")
+	if got := l.Events(); len(got) != 1 || got[0].Seq != 4 {
+		t.Fatalf("events after reset = %+v, want one with Seq 4", got)
+	}
+}
+
 func itoa(n int) string {
 	if n == 0 {
 		return "0"

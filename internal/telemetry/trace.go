@@ -88,17 +88,15 @@ type Tracer struct {
 	next      atomic.Uint64
 	nextTrace atomic.Uint64
 
-	mu   sync.Mutex
-	buf  []Span
-	pos  int
-	full bool
+	mu    sync.Mutex
+	spans ring[Span]
 }
 
 func newTracer(r *Registry, capacity int) *Tracer {
 	if capacity < 1 {
 		capacity = DefaultSpanCapacity
 	}
-	return &Tracer{r: r, salt: idSalt(), buf: make([]Span, capacity)}
+	return &Tracer{r: r, salt: idSalt(), spans: newRing[Span](capacity)}
 }
 
 // idSalt draws the random high half of this tracer's span and trace IDs.
@@ -138,12 +136,7 @@ func (t *Tracer) Start(name string, parent SpanContext) *ActiveSpan {
 // record appends a finished span, overwriting the oldest when full.
 func (t *Tracer) record(s Span) {
 	t.mu.Lock()
-	t.buf[t.pos] = s
-	t.pos++
-	if t.pos == len(t.buf) {
-		t.pos = 0
-		t.full = true
-	}
+	t.spans.push(s)
 	t.mu.Unlock()
 }
 
@@ -151,19 +144,14 @@ func (t *Tracer) record(s Span) {
 func (t *Tracer) Spans() []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.full {
-		return append([]Span(nil), t.buf[:t.pos]...)
-	}
-	out := make([]Span, 0, len(t.buf))
-	out = append(out, t.buf[t.pos:]...)
-	return append(out, t.buf[:t.pos]...)
+	return t.spans.items()
 }
 
 // Reset drops all recorded spans. Span IDs keep increasing, so parent
 // links from before a reset never collide with spans after it.
 func (t *Tracer) Reset() {
 	t.mu.Lock()
-	t.pos, t.full = 0, false
+	t.spans.reset()
 	t.mu.Unlock()
 }
 

@@ -47,25 +47,13 @@ func (ERC20) Init(ctx *contract.Context, args []byte) error {
 	if err := dec.Done(); err != nil {
 		return contract.Revertf("erc20 init: %v", err)
 	}
-	if err := ctx.Set("name", []byte(name)); err != nil {
-		return err
-	}
-	if err := ctx.Set("symbol", []byte(symbol)); err != nil {
-		return err
-	}
-	if err := ctx.Set("minter", ctx.Caller[:]); err != nil {
-		return err
-	}
-	if err := ctx.SetUint64("supply", supply); err != nil {
-		return err
-	}
+	ctx.Set("name", []byte(name))
+	ctx.Set("symbol", []byte(symbol))
+	ctx.Set("minter", ctx.Caller[:])
+	ctx.SetUint64("supply", supply)
 	if supply > 0 {
-		if err := ctx.SetUint64(balKey(ctx.Caller), supply); err != nil {
-			return err
-		}
-		if err := emitTransfer(ctx, identity.ZeroAddress, ctx.Caller, supply); err != nil {
-			return err
-		}
+		ctx.SetUint64(balKey(ctx.Caller), supply)
+		emitTransfer(ctx, identity.ZeroAddress, ctx.Caller, supply)
 	}
 	return nil
 }
@@ -76,8 +64,8 @@ func allowKey(owner, spender identity.Address) string {
 	return "allow/" + owner.Hex() + "/" + spender.Hex()
 }
 
-func emitTransfer(ctx *contract.Context, from, to identity.Address, amount uint64) error {
-	return ctx.Emit("Transfer", contract.NewEncoder().
+func emitTransfer(ctx *contract.Context, from, to identity.Address, amount uint64) {
+	ctx.Emit("Transfer", contract.NewEncoder().
 		Address(from).Address(to).Uint64(amount).Bytes())
 }
 
@@ -90,25 +78,13 @@ func (e ERC20) Call(ctx *contract.Context, method string, args []byte) ([]byte, 
 		if err != nil {
 			return nil, contract.Revertf("balanceOf: %v", err)
 		}
-		bal, err := ctx.GetUint64(balKey(addr))
-		if err != nil {
-			return nil, err
-		}
-		return contract.NewEncoder().Uint64(bal).Bytes(), nil
+		return contract.NewEncoder().Uint64(ctx.GetUint64(balKey(addr))).Bytes(), nil
 
 	case "totalSupply":
-		s, err := ctx.GetUint64("supply")
-		if err != nil {
-			return nil, err
-		}
-		return contract.NewEncoder().Uint64(s).Bytes(), nil
+		return contract.NewEncoder().Uint64(ctx.GetUint64("supply")).Bytes(), nil
 
 	case "name", "symbol":
-		v, err := ctx.Get(method)
-		if err != nil {
-			return nil, err
-		}
-		return contract.NewEncoder().String(string(v)).Bytes(), nil
+		return contract.NewEncoder().String(string(ctx.Get(method))).Bytes(), nil
 
 	case "transfer":
 		to, err := dec.Address()
@@ -130,11 +106,10 @@ func (e ERC20) Call(ctx *contract.Context, method string, args []byte) ([]byte, 
 		if err != nil {
 			return nil, contract.Revertf("approve: %v", err)
 		}
-		if err := ctx.SetUint64(allowKey(ctx.Caller, spender), amount); err != nil {
-			return nil, err
-		}
-		return nil, ctx.Emit("Approval", contract.NewEncoder().
+		ctx.SetUint64(allowKey(ctx.Caller, spender), amount)
+		ctx.Emit("Approval", contract.NewEncoder().
 			Address(ctx.Caller).Address(spender).Uint64(amount).Bytes())
+		return nil, nil
 
 	case "allowance":
 		owner, err := dec.Address()
@@ -145,11 +120,7 @@ func (e ERC20) Call(ctx *contract.Context, method string, args []byte) ([]byte, 
 		if err != nil {
 			return nil, contract.Revertf("allowance: %v", err)
 		}
-		a, err := ctx.GetUint64(allowKey(owner, spender))
-		if err != nil {
-			return nil, err
-		}
-		return contract.NewEncoder().Uint64(a).Bytes(), nil
+		return contract.NewEncoder().Uint64(ctx.GetUint64(allowKey(owner, spender))).Bytes(), nil
 
 	case "transferFrom":
 		from, err := dec.Address()
@@ -164,16 +135,11 @@ func (e ERC20) Call(ctx *contract.Context, method string, args []byte) ([]byte, 
 		if err != nil {
 			return nil, contract.Revertf("transferFrom: %v", err)
 		}
-		allowance, err := ctx.GetUint64(allowKey(from, ctx.Caller))
-		if err != nil {
-			return nil, err
-		}
+		allowance := ctx.GetUint64(allowKey(from, ctx.Caller))
 		if allowance < amount {
 			return nil, contract.Revertf("allowance %d < amount %d", allowance, amount)
 		}
-		if err := ctx.SetUint64(allowKey(from, ctx.Caller), allowance-amount); err != nil {
-			return nil, err
-		}
+		ctx.SetUint64(allowKey(from, ctx.Caller), allowance-amount)
 		return nil, e.move(ctx, from, to, amount)
 
 	case "mint":
@@ -185,55 +151,31 @@ func (e ERC20) Call(ctx *contract.Context, method string, args []byte) ([]byte, 
 		if err != nil {
 			return nil, contract.Revertf("mint: %v", err)
 		}
-		minter, err := ctx.Get("minter")
-		if err != nil {
-			return nil, err
-		}
-		if string(minter) != string(ctx.Caller[:]) {
+		if string(ctx.Get("minter")) != string(ctx.Caller[:]) {
 			return nil, contract.Revertf("mint: caller is not the minter")
 		}
-		supply, err := ctx.GetUint64("supply")
-		if err != nil {
-			return nil, err
-		}
+		supply := ctx.GetUint64("supply")
 		if supply+amount < supply {
 			return nil, contract.Revertf("mint: supply overflow")
 		}
-		if err := ctx.SetUint64("supply", supply+amount); err != nil {
-			return nil, err
-		}
-		bal, err := ctx.GetUint64(balKey(to))
-		if err != nil {
-			return nil, err
-		}
-		if err := ctx.SetUint64(balKey(to), bal+amount); err != nil {
-			return nil, err
-		}
-		return nil, emitTransfer(ctx, identity.ZeroAddress, to, amount)
+		ctx.SetUint64("supply", supply+amount)
+		ctx.SetUint64(balKey(to), ctx.GetUint64(balKey(to))+amount)
+		emitTransfer(ctx, identity.ZeroAddress, to, amount)
+		return nil, nil
 
 	case "burn":
 		amount, err := dec.Uint64()
 		if err != nil {
 			return nil, contract.Revertf("burn: %v", err)
 		}
-		bal, err := ctx.GetUint64(balKey(ctx.Caller))
-		if err != nil {
-			return nil, err
-		}
+		bal := ctx.GetUint64(balKey(ctx.Caller))
 		if bal < amount {
 			return nil, contract.Revertf("burn: balance %d < amount %d", bal, amount)
 		}
-		if err := ctx.SetUint64(balKey(ctx.Caller), bal-amount); err != nil {
-			return nil, err
-		}
-		supply, err := ctx.GetUint64("supply")
-		if err != nil {
-			return nil, err
-		}
-		if err := ctx.SetUint64("supply", supply-amount); err != nil {
-			return nil, err
-		}
-		return nil, emitTransfer(ctx, ctx.Caller, identity.ZeroAddress, amount)
+		ctx.SetUint64(balKey(ctx.Caller), bal-amount)
+		ctx.SetUint64("supply", ctx.GetUint64("supply")-amount)
+		emitTransfer(ctx, ctx.Caller, identity.ZeroAddress, amount)
+		return nil, nil
 
 	default:
 		return nil, fmt.Errorf("%w: erc20.%s", contract.ErrUnknownMethod, method)
@@ -243,10 +185,7 @@ func (e ERC20) Call(ctx *contract.Context, method string, args []byte) ([]byte, 
 // move transfers tokens between balances with overdraft and overflow
 // checks, emitting the Transfer event.
 func (ERC20) move(ctx *contract.Context, from, to identity.Address, amount uint64) error {
-	fromBal, err := ctx.GetUint64(balKey(from))
-	if err != nil {
-		return err
-	}
+	fromBal := ctx.GetUint64(balKey(from))
 	if fromBal < amount {
 		return contract.Revertf("erc20: balance %d < amount %d", fromBal, amount)
 	}
@@ -254,22 +193,17 @@ func (ERC20) move(ctx *contract.Context, from, to identity.Address, amount uint6
 		// A self-transfer must be a balance no-op. Debiting and crediting
 		// through separate reads would credit the stale pre-debit balance
 		// and mint `amount` out of thin air.
-		return emitTransfer(ctx, from, to, amount)
+		emitTransfer(ctx, from, to, amount)
+		return nil
 	}
-	toBal, err := ctx.GetUint64(balKey(to))
-	if err != nil {
-		return err
-	}
+	toBal := ctx.GetUint64(balKey(to))
 	if toBal+amount < toBal {
 		return contract.Revertf("erc20: balance overflow")
 	}
-	if err := ctx.SetUint64(balKey(from), fromBal-amount); err != nil {
-		return err
-	}
-	if err := ctx.SetUint64(balKey(to), toBal+amount); err != nil {
-		return err
-	}
-	return emitTransfer(ctx, from, to, amount)
+	ctx.SetUint64(balKey(from), fromBal-amount)
+	ctx.SetUint64(balKey(to), toBal+amount)
+	emitTransfer(ctx, from, to, amount)
+	return nil
 }
 
 // Client-side call-data builders.

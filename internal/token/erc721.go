@@ -35,10 +35,9 @@ func (ERC721) Init(ctx *contract.Context, args []byte) error {
 	if err := dec.Done(); err != nil {
 		return contract.Revertf("erc721 init: %v", err)
 	}
-	if err := ctx.Set("name", []byte(name)); err != nil {
-		return err
-	}
-	return ctx.Set("minter", ctx.Caller[:])
+	ctx.Set("name", []byte(name))
+	ctx.Set("minter", ctx.Caller[:])
+	return nil
 }
 
 func ownerKey(id crypto.Digest) string    { return "owner/" + id.Hex() }
@@ -54,11 +53,7 @@ func (e ERC721) Call(ctx *contract.Context, method string, args []byte) ([]byte,
 	dec := contract.NewDecoder(args)
 	switch method {
 	case "name":
-		v, err := ctx.Get("name")
-		if err != nil {
-			return nil, err
-		}
-		return contract.NewEncoder().String(string(v)).Bytes(), nil
+		return contract.NewEncoder().String(string(ctx.Get("name"))).Bytes(), nil
 
 	case "mint":
 		to, err := dec.Address()
@@ -73,35 +68,20 @@ func (e ERC721) Call(ctx *contract.Context, method string, args []byte) ([]byte,
 		if err != nil {
 			return nil, contract.Revertf("mint: %v", err)
 		}
-		minter, err := ctx.Get("minter")
-		if err != nil {
-			return nil, err
-		}
-		if string(minter) != string(ctx.Caller[:]) {
+		if string(ctx.Get("minter")) != string(ctx.Caller[:]) {
 			return nil, contract.Revertf("mint: caller is not the minter")
 		}
-		if existing, err := ctx.Get(ownerKey(id)); err != nil {
-			return nil, err
-		} else if len(existing) > 0 {
+		if len(ctx.Get(ownerKey(id))) > 0 {
 			return nil, contract.Revertf("mint: token %s already exists", id.Short())
 		}
-		if err := ctx.Set(ownerKey(id), to[:]); err != nil {
-			return nil, err
-		}
+		ctx.Set(ownerKey(id), to[:])
 		if len(uri) > 0 {
-			if err := ctx.Set(uriKey(id), uri); err != nil {
-				return nil, err
-			}
+			ctx.Set(uriKey(id), uri)
 		}
-		cnt, err := ctx.GetUint64(countKey(to))
-		if err != nil {
-			return nil, err
-		}
-		if err := ctx.SetUint64(countKey(to), cnt+1); err != nil {
-			return nil, err
-		}
-		return nil, ctx.Emit("TransferNFT", contract.NewEncoder().
+		ctx.SetUint64(countKey(to), ctx.GetUint64(countKey(to))+1)
+		ctx.Emit("TransferNFT", contract.NewEncoder().
 			Address(identity.ZeroAddress).Address(to).Digest(id).Bytes())
+		return nil, nil
 
 	case "transferMinter":
 		// (newMinter) — hand the mint capability to another account or
@@ -110,14 +90,11 @@ func (e ERC721) Call(ctx *contract.Context, method string, args []byte) ([]byte,
 		if err != nil {
 			return nil, contract.Revertf("transferMinter: %v", err)
 		}
-		minter, err := ctx.Get("minter")
-		if err != nil {
-			return nil, err
-		}
-		if string(minter) != string(ctx.Caller[:]) {
+		if string(ctx.Get("minter")) != string(ctx.Caller[:]) {
 			return nil, contract.Revertf("transferMinter: caller is not the minter")
 		}
-		return nil, ctx.Set("minter", newMinter[:])
+		ctx.Set("minter", newMinter[:])
+		return nil, nil
 
 	case "ownerOf":
 		id, err := dec.Digest()
@@ -135,11 +112,7 @@ func (e ERC721) Call(ctx *contract.Context, method string, args []byte) ([]byte,
 		if err != nil {
 			return nil, contract.Revertf("balanceOf: %v", err)
 		}
-		cnt, err := ctx.GetUint64(countKey(addr))
-		if err != nil {
-			return nil, err
-		}
-		return contract.NewEncoder().Uint64(cnt).Bytes(), nil
+		return contract.NewEncoder().Uint64(ctx.GetUint64(countKey(addr))).Bytes(), nil
 
 	case "tokenURI":
 		id, err := dec.Digest()
@@ -149,11 +122,7 @@ func (e ERC721) Call(ctx *contract.Context, method string, args []byte) ([]byte,
 		if _, err := e.ownerOf(ctx, id); err != nil {
 			return nil, err
 		}
-		uri, err := ctx.Get(uriKey(id))
-		if err != nil {
-			return nil, err
-		}
-		return contract.NewEncoder().Blob(uri).Bytes(), nil
+		return contract.NewEncoder().Blob(ctx.Get(uriKey(id))).Bytes(), nil
 
 	case "approve":
 		spender, err := dec.Address()
@@ -171,7 +140,8 @@ func (e ERC721) Call(ctx *contract.Context, method string, args []byte) ([]byte,
 		if owner != ctx.Caller {
 			return nil, contract.Revertf("approve: caller does not own token")
 		}
-		return nil, ctx.Set(approvedKey(id), spender[:])
+		ctx.Set(approvedKey(id), spender[:])
+		return nil, nil
 
 	case "setApprovalForAll":
 		op, err := dec.Address()
@@ -182,10 +152,12 @@ func (e ERC721) Call(ctx *contract.Context, method string, args []byte) ([]byte,
 		if err != nil {
 			return nil, contract.Revertf("setApprovalForAll: %v", err)
 		}
+		var v []byte
 		if approved {
-			return nil, ctx.Set(operatorKey(ctx.Caller, op), []byte{1})
+			v = []byte{1}
 		}
-		return nil, ctx.Set(operatorKey(ctx.Caller, op), nil)
+		ctx.Set(operatorKey(ctx.Caller, op), v)
+		return nil, nil
 
 	case "transferFrom":
 		from, err := dec.Address()
@@ -207,35 +179,16 @@ func (e ERC721) Call(ctx *contract.Context, method string, args []byte) ([]byte,
 		if owner != from {
 			return nil, contract.Revertf("transferFrom: %s does not own token", from.Short())
 		}
-		ok, err := e.authorized(ctx, owner, id)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
+		if !e.authorized(ctx, owner, id) {
 			return nil, contract.Revertf("transferFrom: caller not authorized")
 		}
-		if err := ctx.Set(ownerKey(id), to[:]); err != nil {
-			return nil, err
-		}
-		if err := ctx.Set(approvedKey(id), nil); err != nil {
-			return nil, err
-		}
-		fromCnt, err := ctx.GetUint64(countKey(from))
-		if err != nil {
-			return nil, err
-		}
-		if err := ctx.SetUint64(countKey(from), fromCnt-1); err != nil {
-			return nil, err
-		}
-		toCnt, err := ctx.GetUint64(countKey(to))
-		if err != nil {
-			return nil, err
-		}
-		if err := ctx.SetUint64(countKey(to), toCnt+1); err != nil {
-			return nil, err
-		}
-		return nil, ctx.Emit("TransferNFT", contract.NewEncoder().
+		ctx.Set(ownerKey(id), to[:])
+		ctx.Set(approvedKey(id), nil)
+		ctx.SetUint64(countKey(from), ctx.GetUint64(countKey(from))-1)
+		ctx.SetUint64(countKey(to), ctx.GetUint64(countKey(to))+1)
+		ctx.Emit("TransferNFT", contract.NewEncoder().
 			Address(from).Address(to).Digest(id).Bytes())
+		return nil, nil
 
 	default:
 		return nil, fmt.Errorf("%w: erc721.%s", contract.ErrUnknownMethod, method)
@@ -243,10 +196,7 @@ func (e ERC721) Call(ctx *contract.Context, method string, args []byte) ([]byte,
 }
 
 func (ERC721) ownerOf(ctx *contract.Context, id crypto.Digest) (identity.Address, error) {
-	raw, err := ctx.Get(ownerKey(id))
-	if err != nil {
-		return identity.ZeroAddress, err
-	}
+	raw := ctx.Get(ownerKey(id))
 	if len(raw) != identity.AddressSize {
 		return identity.ZeroAddress, contract.Revertf("erc721: token %s does not exist", id.Short())
 	}
@@ -257,22 +207,14 @@ func (ERC721) ownerOf(ctx *contract.Context, id crypto.Digest) (identity.Address
 
 // authorized reports whether the caller may move the token: owner,
 // per-token approvee or blanket operator.
-func (ERC721) authorized(ctx *contract.Context, owner identity.Address, id crypto.Digest) (bool, error) {
+func (ERC721) authorized(ctx *contract.Context, owner identity.Address, id crypto.Digest) bool {
 	if ctx.Caller == owner {
-		return true, nil
+		return true
 	}
-	approved, err := ctx.Get(approvedKey(id))
-	if err != nil {
-		return false, err
+	if approved := ctx.Get(approvedKey(id)); len(approved) == identity.AddressSize && string(approved) == string(ctx.Caller[:]) {
+		return true
 	}
-	if len(approved) == identity.AddressSize && string(approved) == string(ctx.Caller[:]) {
-		return true, nil
-	}
-	op, err := ctx.Get(operatorKey(owner, ctx.Caller))
-	if err != nil {
-		return false, err
-	}
-	return len(op) > 0, nil
+	return len(ctx.Get(operatorKey(owner, ctx.Caller))) > 0
 }
 
 // Client-side call-data builders.

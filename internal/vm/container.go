@@ -117,7 +117,7 @@ type decoder struct {
 }
 
 func (d *decoder) take(n int) ([]byte, error) {
-	if d.pos+n > len(d.b) {
+	if n > len(d.b)-d.pos {
 		return nil, fmt.Errorf("vm: truncated artifact at byte %d", d.pos)
 	}
 	out := d.b[d.pos : d.pos+n]
@@ -141,12 +141,14 @@ func (d *decoder) u16() (int, error) {
 	return int(b[0])<<8 | int(b[1]), nil
 }
 
-func (d *decoder) u32() (int, error) {
+// u32 reads a length prefix. It stays unsigned: callers bound it before
+// converting, so it cannot wrap negative on a 32-bit int.
+func (d *decoder) u32() (uint32, error) {
 	b, err := d.take(4)
 	if err != nil {
 		return 0, err
 	}
-	return int(b[0])<<24 | int(b[1])<<16 | int(b[2])<<8 | int(b[3]), nil
+	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3]), nil
 }
 
 // Decode parses and statically verifies a pds2/bytecode/v1 artifact.
@@ -231,7 +233,7 @@ func Decode(artifact []byte) (*Module, error) {
 	if codeLen > MaxCodeSize {
 		return nil, fmt.Errorf("vm: code exceeds %d bytes", MaxCodeSize)
 	}
-	code, err := d.take(codeLen)
+	code, err := d.take(int(codeLen))
 	if err != nil {
 		return nil, err
 	}
@@ -243,7 +245,7 @@ func Decode(artifact []byte) (*Module, error) {
 	if srcLen > MaxSrcSize {
 		return nil, fmt.Errorf("vm: source exceeds %d bytes", MaxSrcSize)
 	}
-	src, err := d.take(srcLen)
+	src, err := d.take(int(srcLen))
 	if err != nil {
 		return nil, err
 	}

@@ -1,12 +1,14 @@
 package vm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"pds2/internal/contract"
+	"pds2/internal/crypto"
 	"pds2/internal/policy"
 	"pds2/internal/proptest/refinterp"
 	"pds2/internal/semantic"
@@ -368,6 +370,34 @@ func TestContainerRejects(t *testing.T) {
 	}
 	if err := VerifySource(back); err == nil {
 		t.Error("tampered source passed VerifySource")
+	}
+}
+
+// TestContainerHugeLengths feeds length prefixes of 2³¹ and more behind
+// a valid checksum. They must be rejected with the same error on every
+// architecture: on a 32-bit int they used to wrap negative and panic.
+func TestContainerHugeLengths(t *testing.T) {
+	frame := func(codeLen, srcLen uint32, code []byte) []byte {
+		body := append([]byte(nil), magic...)
+		body = append(body, 0, Version, 0, 0, 0) // version, nlocals, nconsts
+		body = binary.BigEndian.AppendUint32(body, codeLen)
+		body = append(body, code...)
+		body = binary.BigEndian.AppendUint32(body, srcLen)
+		body = append(body, "allow"...)
+		sum := crypto.HashBytes(body)
+		return append(body, sum[:]...)
+	}
+	code := []byte{byte(OpAllow)}
+	for _, n := range []uint32{1<<31 - 1, 1 << 31, 0x80000011, 1<<32 - 1} {
+		if _, err := Decode(frame(n, 5, code)); err == nil || err.Error() != "vm: code exceeds 65536 bytes" {
+			t.Errorf("code length %#x: %v", n, err)
+		}
+		if _, err := Decode(frame(1, n, code)); err == nil || err.Error() != "vm: source exceeds 32768 bytes" {
+			t.Errorf("source length %#x: %v", n, err)
+		}
+	}
+	if _, err := Decode(frame(1, 5, code)); err != nil {
+		t.Fatalf("well-formed frame: %v", err)
 	}
 }
 

@@ -21,9 +21,12 @@ const GasEvalBuiltin = 500
 // ContextHost adapts a contract execution context to the semantic.Host
 // interface: gas flows into the journaled runtime's meter (so
 // out-of-gas unwinds through the journal), state lives under a
-// caller-chosen key prefix, and events are topic-namespaced. It is the
-// production host — the same instance drives both the VM and, in the
-// proptest replica rows that substitute the reference evaluator
+// caller-chosen key prefix, and events are topic-namespaced. A failed
+// Context operation halts the contract frame; each method here catches
+// that halt and returns its error, so the engines see the host errors
+// the semantic.Host contract promises. It is the production host — the
+// same instance drives both the VM and, in the proptest replica rows
+// that substitute the reference evaluator
 // (internal/proptest/refinterp), the tree-walking oracle.
 type ContextHost struct {
 	ctx    *contract.Context
@@ -38,33 +41,42 @@ func NewContextHost(ctx *contract.Context, prefix string, req semantic.Request) 
 }
 
 // UseGas charges the runtime gas meter.
-func (h *ContextHost) UseGas(n uint64) error { return h.ctx.UseGas(n) }
+func (h *ContextHost) UseGas(n uint64) (err error) {
+	defer contract.Catch(&err)
+	h.ctx.UseGas(n)
+	return nil
+}
 
 // Request returns the request under evaluation.
 func (h *ContextHost) Request() semantic.Request { return h.req }
 
 // Load reads from the program's state partition (charges GasSload via
 // the context).
-func (h *ContextHost) Load(key string) ([]byte, error) {
-	return h.ctx.Get(h.prefix + key)
+func (h *ContextHost) Load(key string) (v []byte, err error) {
+	defer contract.Catch(&err)
+	return h.ctx.Get(h.prefix + key), nil
 }
 
 // Store writes the program's state partition (charges GasSstore via the
 // context).
-func (h *ContextHost) Store(key string, val []byte) error {
-	return h.ctx.Set(h.prefix+key, val)
+func (h *ContextHost) Store(key string, val []byte) (err error) {
+	defer contract.Catch(&err)
+	h.ctx.Set(h.prefix+key, val)
+	return nil
 }
 
 // EmitEvent appends a namespaced program event (charges log gas via the
 // context).
-func (h *ContextHost) EmitEvent(topic string, data []byte) error {
-	return h.ctx.Emit(EventTopicPrefix+topic, data)
+func (h *ContextHost) EmitEvent(topic string, data []byte) (err error) {
+	defer contract.Catch(&err)
+	h.ctx.Emit(EventTopicPrefix+topic, data)
+	return nil
 }
 
 // EvalBuiltin charges GasEvalBuiltin and runs the built-in five-clause
 // evaluator against the host request.
 func (h *ContextHost) EvalBuiltin(classes []string, minAgg, expiry uint64, purposes []string, maxInv uint64) (string, error) {
-	if err := h.ctx.UseGas(GasEvalBuiltin); err != nil {
+	if err := h.UseGas(GasEvalBuiltin); err != nil {
 		return "", err
 	}
 	dec := policy.Evaluate(&policy.Policy{

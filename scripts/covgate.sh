@@ -18,7 +18,10 @@ GO="${GO:-go}"
 # 93.5 -> 93.7 when the chain took over block packing (94.7 measured);
 # 93.7 -> 94.7 with the streamed import and its tests (95.7 measured);
 # and 94.7 -> 95.7 with the pool's vouch and the cached bucket levels
-# (96.7 measured).
+# (96.7 measured). The contract and token floors moved 83.2 -> 88.0 and
+# 75.6 -> 89.3 when failed Context operations began to halt the frame
+# (89.0 and 90.3 measured): the deleted forwarding branches were the
+# uncovered ones.
 check() {
 	pkg="$1"
 	floor="$2"
@@ -46,7 +49,7 @@ check() {
 }
 
 check ledger 95.7
-check contract 83.2
-check token 75.6
+check contract 88.0
+check token 89.3
 check semantic 83.3
 check vm 83.8
