@@ -23,12 +23,12 @@ func (s *Server) handleDeployContract(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	d := contract.NewDecoder(args)
-	if _, err := d.Digest(); err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad dataset id: %v", err)
+	if d.Digest(); d.Err() != nil {
+		writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad dataset id: %v", d.Err())
 		return
 	}
-	artifact, err := d.Blob()
-	if err != nil {
+	artifact := d.Blob()
+	if err := d.Err(); err != nil {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad artifact blob: %v", err)
 		return
 	}

@@ -136,15 +136,15 @@ func (s *Server) callArgs(tx *ledger.Transaction, method string) ([]byte, error)
 		return nil, fmt.Errorf("tx must target the registry %s, not %s", s.m.Registry.Hex(), tx.To.Hex())
 	}
 	d := contract.NewDecoder(tx.Data)
-	m, err := d.String()
-	if err != nil {
+	m := d.String()
+	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("tx data is not a contract call: %w", err)
 	}
 	if m != method {
 		return nil, fmt.Errorf("tx calls %q, want %q", m, method)
 	}
-	args, err := d.Blob()
-	if err != nil {
+	args := d.Blob()
+	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("tx call arguments: %w", err)
 	}
 	return args, nil
@@ -163,12 +163,12 @@ func (s *Server) handleRegisterDataset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	d := contract.NewDecoder(args)
-	if _, err := d.Digest(); err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad dataset id: %v", err)
+	if d.Digest(); d.Err() != nil {
+		writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad dataset id: %v", d.Err())
 		return
 	}
-	if _, err := d.Digest(); err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad meta hash: %v", err)
+	if d.Digest(); d.Err() != nil {
+		writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad meta hash: %v", d.Err())
 		return
 	}
 	s.admitTx(w, tx)
@@ -192,8 +192,8 @@ func (s *Server) handleSetPolicy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	d := contract.NewDecoder(args)
-	txID, err := d.Digest()
-	if err != nil {
+	txID := d.Digest()
+	if err := d.Err(); err != nil {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad dataset id in tx: %v", err)
 		return
 	}
@@ -202,8 +202,8 @@ func (s *Server) handleSetPolicy(w http.ResponseWriter, r *http.Request) {
 			"tx sets the policy of %s, path names %s", txID.Short(), pathID.Short())
 		return
 	}
-	blob, err := d.Blob()
-	if err != nil {
+	blob := d.Blob()
+	if err := d.Err(); err != nil {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad policy blob: %v", err)
 		return
 	}

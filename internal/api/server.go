@@ -437,10 +437,7 @@ func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 		}
 		if raw, err := s.m.View(identity.ZeroAddress, addr, "progress", nil); err == nil {
 			d := contract.NewDecoder(raw)
-			detail.Providers, _ = d.Uint64()
-			detail.Items, _ = d.Uint64()
-			detail.Executors, _ = d.Uint64()
-			detail.Results, _ = d.Uint64()
+			detail.Providers, detail.Items, detail.Executors, detail.Results = d.Uint64(), d.Uint64(), d.Uint64(), d.Uint64()
 		}
 		if hash, _, err := s.m.WorkloadResultOf(addr); err == nil && !hash.IsZero() {
 			detail.ResultHash = &hash

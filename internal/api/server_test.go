@@ -394,7 +394,7 @@ func TestViewEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if has, _ := contractDecoder(ret).Bool(); has {
+	if contractDecoder(ret).Bool() {
 		t.Fatal("phantom role")
 	}
 	if _, err := market.NewConsumer(m, user); err != nil {
@@ -404,7 +404,7 @@ func TestViewEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if has, _ := contractDecoder(ret).Bool(); !has {
+	if !contractDecoder(ret).Bool() {
 		t.Fatal("role not visible through the view endpoint")
 	}
 

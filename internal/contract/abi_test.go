@@ -23,37 +23,47 @@ func TestABIRoundTrip(t *testing.T) {
 		Digest(dg)
 
 	dec := NewDecoder(enc.Bytes())
-	if v, err := dec.Bool(); err != nil || v != true {
-		t.Fatalf("Bool: %v %v", v, err)
+	if v := dec.Bool(); v != true {
+		t.Fatalf("Bool: %v", v)
 	}
-	if v, err := dec.Uint64(); err != nil || v != 42 {
-		t.Fatalf("Uint64: %v %v", v, err)
+	if v := dec.Uint64(); v != 42 {
+		t.Fatalf("Uint64: %v", v)
 	}
-	if v, err := dec.Int64(); err != nil || v != -7 {
-		t.Fatalf("Int64: %v %v", v, err)
+	if v := dec.Int64(); v != -7 {
+		t.Fatalf("Int64: %v", v)
 	}
-	if v, err := dec.String(); err != nil || v != "hello" {
-		t.Fatalf("String: %v %v", v, err)
+	if v := dec.String(); v != "hello" {
+		t.Fatalf("String: %v", v)
 	}
-	if v, err := dec.Blob(); err != nil || !bytes.Equal(v, []byte{1, 2, 3}) {
-		t.Fatalf("Blob: %v %v", v, err)
+	if v := dec.Blob(); !bytes.Equal(v, []byte{1, 2, 3}) {
+		t.Fatalf("Blob: %v", v)
 	}
-	if v, err := dec.Address(); err != nil || v != addr {
-		t.Fatalf("Address: %v %v", v, err)
+	if v := dec.Address(); v != addr {
+		t.Fatalf("Address: %v", v)
 	}
-	if v, err := dec.Digest(); err != nil || v != dg {
-		t.Fatalf("Digest: %v %v", v, err)
+	if v := dec.Digest(); v != dg {
+		t.Fatalf("Digest: %v", v)
 	}
 	if err := dec.Done(); err != nil {
 		t.Fatalf("Done: %v", err)
 	}
 }
 
+// A failed read is kept: the uint64 that follows a mismatched string
+// read is not decoded, and Done reports the mismatch, not the trailing
+// bytes.
 func TestABITypeMismatch(t *testing.T) {
 	enc := NewEncoder().Uint64(1)
 	dec := NewDecoder(enc.Bytes())
-	if _, err := dec.String(); !errors.Is(err, ErrABIType) {
-		t.Fatalf("want ErrABIType, got %v", err)
+	if v := dec.String(); v != "" || !errors.Is(dec.Err(), ErrABIType) {
+		t.Fatalf("want ErrABIType, got %q %v", v, dec.Err())
+	}
+	first := dec.Err()
+	if v := dec.Uint64(); v != 0 || dec.Err() != first || dec.Remaining() != 9 {
+		t.Fatalf("read after failure: %d, err %v, %d bytes left", v, dec.Err(), dec.Remaining())
+	}
+	if err := dec.Done(); err != first {
+		t.Fatalf("Done = %v, want %v", err, first)
 	}
 }
 
@@ -61,12 +71,12 @@ func TestABITruncated(t *testing.T) {
 	enc := NewEncoder().String("hello")
 	b := enc.Bytes()
 	dec := NewDecoder(b[:len(b)-2])
-	if _, err := dec.String(); !errors.Is(err, ErrABITruncated) {
-		t.Fatalf("want ErrABITruncated, got %v", err)
+	if s := dec.String(); s != "" || !errors.Is(dec.Err(), ErrABITruncated) {
+		t.Fatalf("want ErrABITruncated, got %q %v", s, dec.Err())
 	}
 	empty := NewDecoder(nil)
-	if _, err := empty.Uint64(); !errors.Is(err, ErrABITruncated) {
-		t.Fatalf("want ErrABITruncated, got %v", err)
+	if empty.Uint64(); !errors.Is(empty.Err(), ErrABITruncated) {
+		t.Fatalf("want ErrABITruncated, got %v", empty.Err())
 	}
 }
 
@@ -83,10 +93,10 @@ func TestABIBlobCopied(t *testing.T) {
 	enc := NewEncoder().Blob([]byte{9, 9})
 	buf := enc.Bytes()
 	dec := NewDecoder(buf)
-	blob, _ := dec.Blob()
+	blob := dec.Blob()
 	blob[0] = 0
 	dec2 := NewDecoder(buf)
-	blob2, _ := dec2.Blob()
+	blob2 := dec2.Blob()
 	if blob2[0] != 9 {
 		t.Fatal("decoded blob aliases the input buffer")
 	}
@@ -96,27 +106,8 @@ func TestABIPropertyQuick(t *testing.T) {
 	f := func(u uint64, i int64, s string, b []byte, flag bool) bool {
 		enc := NewEncoder().Uint64(u).Int64(i).String(s).Blob(b).Bool(flag)
 		dec := NewDecoder(enc.Bytes())
-		gu, err := dec.Uint64()
-		if err != nil || gu != u {
-			return false
-		}
-		gi, err := dec.Int64()
-		if err != nil || gi != i {
-			return false
-		}
-		gs, err := dec.String()
-		if err != nil || gs != s {
-			return false
-		}
-		gb, err := dec.Blob()
-		if err != nil || !bytes.Equal(gb, b) {
-			return false
-		}
-		gf, err := dec.Bool()
-		if err != nil || gf != flag {
-			return false
-		}
-		return dec.Done() == nil
+		return dec.Uint64() == u && dec.Int64() == i && dec.String() == s &&
+			bytes.Equal(dec.Blob(), b) && dec.Bool() == flag && dec.Done() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

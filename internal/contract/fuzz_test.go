@@ -6,7 +6,10 @@ import (
 )
 
 // FuzzDecoder checks that the ABI decoder never panics on arbitrary
-// input, whatever sequence of reads a contract performs.
+// input, whatever sequence of reads a contract performs, and that it
+// keeps its first error: once a read fails, Err never changes, every
+// later read returns the zero value and consumes nothing, and Done
+// returns that error. The read plan is taken from the input itself.
 func FuzzDecoder(f *testing.F) {
 	f.Add(NewEncoder().Uint64(1).String("x").Blob([]byte{1}).Bool(true).Bytes())
 	f.Add([]byte{})
@@ -18,37 +21,37 @@ func FuzzDecoder(f *testing.F) {
 			f.Add([]byte{tag, byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n), 'x'})
 		}
 	}
+	reads := []func(d *Decoder) bool{ // each reports whether it read a zero value
+		func(d *Decoder) bool { return d.Uint64() == 0 },
+		func(d *Decoder) bool { return d.Int64() == 0 },
+		func(d *Decoder) bool { return !d.Bool() },
+		func(d *Decoder) bool { return d.String() == "" },
+		func(d *Decoder) bool { return d.Blob() == nil },
+		func(d *Decoder) bool { return d.Address().IsZero() },
+		func(d *Decoder) bool { return d.Digest().IsZero() },
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewDecoder(data)
-		for i := 0; i < 16 && d.Remaining() > 0; i++ {
-			// Try every decode in turn from the current offset; at most
-			// one can succeed, the rest must fail cleanly.
+		var first error
+		for i := 0; i < 16; i++ {
+			kind := i
+			if len(data) > 0 {
+				kind = int(data[i%len(data)])
+			}
 			before := d.Remaining()
-			if _, err := d.Uint64(); err == nil {
-				continue
+			zero := reads[kind%len(reads)](d)
+			if first != nil {
+				if d.Err() != first {
+					t.Fatalf("read %d: error changed from %v to %v", i, first, d.Err())
+				}
+				if !zero || d.Remaining() != before {
+					t.Fatalf("read %d after failure: zero %v, consumed %d bytes", i, zero, before-d.Remaining())
+				}
 			}
-			if _, err := d.Int64(); err == nil {
-				continue
-			}
-			if _, err := d.Bool(); err == nil {
-				continue
-			}
-			if _, err := d.String(); err == nil {
-				continue
-			}
-			if _, err := d.Blob(); err == nil {
-				continue
-			}
-			if _, err := d.Address(); err == nil {
-				continue
-			}
-			if _, err := d.Digest(); err == nil {
-				continue
-			}
-			if d.Remaining() != before {
-				t.Fatal("failed decode consumed input")
-			}
-			break
+			first = d.Err()
+		}
+		if first != nil && d.Done() != first {
+			t.Fatalf("Done = %v, want %v", d.Done(), first)
 		}
 	})
 }
@@ -64,25 +67,20 @@ func FuzzEncoderRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, u uint64, i int64, b bool, s string, blob []byte) {
 		enc := NewEncoder().Uint64(u).Int64(i).Bool(b).String(s).Blob(blob).Bytes()
 		d := NewDecoder(enc)
-		gu, err := d.Uint64()
-		if err != nil || gu != u {
-			t.Fatalf("uint64 round-trip: got %d err %v, want %d", gu, err, u)
+		if gu := d.Uint64(); gu != u {
+			t.Fatalf("uint64 round-trip: got %d err %v, want %d", gu, d.Err(), u)
 		}
-		gi, err := d.Int64()
-		if err != nil || gi != i {
-			t.Fatalf("int64 round-trip: got %d err %v, want %d", gi, err, i)
+		if gi := d.Int64(); gi != i {
+			t.Fatalf("int64 round-trip: got %d err %v, want %d", gi, d.Err(), i)
 		}
-		gb, err := d.Bool()
-		if err != nil || gb != b {
-			t.Fatalf("bool round-trip: got %v err %v, want %v", gb, err, b)
+		if gb := d.Bool(); gb != b {
+			t.Fatalf("bool round-trip: got %v err %v, want %v", gb, d.Err(), b)
 		}
-		gs, err := d.String()
-		if err != nil || gs != s {
-			t.Fatalf("string round-trip: got %q err %v, want %q", gs, err, s)
+		if gs := d.String(); gs != s {
+			t.Fatalf("string round-trip: got %q err %v, want %q", gs, d.Err(), s)
 		}
-		gblob, err := d.Blob()
-		if err != nil || !bytes.Equal(gblob, blob) {
-			t.Fatalf("blob round-trip: got %x err %v, want %x", gblob, err, blob)
+		if gblob := d.Blob(); !bytes.Equal(gblob, blob) {
+			t.Fatalf("blob round-trip: got %x err %v, want %x", gblob, d.Err(), blob)
 		}
 		if err := d.Done(); err != nil {
 			t.Fatalf("trailing bytes after full decode: %v", err)
@@ -98,9 +96,7 @@ func FuzzDeployData(f *testing.F) {
 	f.Add([]byte("garbage"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewDecoder(data)
-		if _, err := d.String(); err != nil {
-			return
-		}
-		_, _ = d.Blob()
+		_ = d.String()
+		d.Blob()
 	})
 }

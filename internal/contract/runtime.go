@@ -120,12 +120,8 @@ func (r *Runtime) Apply(st *ledger.State, tx *ledger.Transaction, height uint64)
 
 	if tx.IsContractCreation() {
 		dec := NewDecoder(tx.Data)
-		codeName, err := dec.String()
-		if err != nil {
-			return fail(fmt.Errorf("contract: bad deploy data: %w", err))
-		}
-		initArgs, err := dec.Blob()
-		if err != nil {
+		codeName, initArgs := dec.String(), dec.Blob()
+		if err := dec.Err(); err != nil {
 			return fail(fmt.Errorf("contract: bad deploy data: %w", err))
 		}
 		code, ok := r.codes[codeName]
@@ -161,12 +157,8 @@ func (r *Runtime) Apply(st *ledger.State, tx *ledger.Transaction, height uint64)
 		rcpt.Return = addr[:]
 	} else {
 		dec := NewDecoder(tx.Data)
-		method, err := dec.String()
-		if err != nil {
-			return fail(fmt.Errorf("contract: bad call data: %w", err))
-		}
-		args, err := dec.Blob()
-		if err != nil {
+		method, args := dec.String(), dec.Blob()
+		if err := dec.Err(); err != nil {
 			return fail(fmt.Errorf("contract: bad call data: %w", err))
 		}
 		if err := st.SubBalance(tx.From, tx.Value); err != nil {

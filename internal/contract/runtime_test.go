@@ -15,12 +15,7 @@ import (
 type counterContract struct{}
 
 func (counterContract) Init(ctx *Context, args []byte) error {
-	dec := NewDecoder(args)
-	start, err := dec.Uint64()
-	if err != nil {
-		return Revertf("bad init args: %v", err)
-	}
-	ctx.SetUint64("count", start)
+	ctx.SetUint64("count", ctx.Args("bad init args", args).Uint64())
 	ctx.Set("owner", ctx.Caller[:])
 	return nil
 }
@@ -43,12 +38,7 @@ func (counterContract) Call(ctx *Context, method string, args []byte) ([]byte, e
 			ctx.UseGas(10_000)
 		}
 	case "callOther":
-		dec := NewDecoder(args)
-		other, err := dec.Address()
-		if err != nil {
-			return nil, Revertf("bad args: %v", err)
-		}
-		return ctx.CallContract(other, "inc", nil, 0)
+		return ctx.CallContract(ctx.Args("bad args", args).Address(), "inc", nil, 0)
 	case "recurse":
 		return ctx.CallContract(ctx.Self, "recurse", nil, 0)
 	default:
@@ -65,16 +55,8 @@ func (payoutContract) Init(*Context, []byte) error { return nil }
 func (payoutContract) Call(ctx *Context, method string, args []byte) ([]byte, error) {
 	switch method {
 	case "payout":
-		dec := NewDecoder(args)
-		to, err := dec.Address()
-		if err != nil {
-			return nil, Revertf("bad args: %v", err)
-		}
-		amount, err := dec.Uint64()
-		if err != nil {
-			return nil, Revertf("bad args: %v", err)
-		}
-		ctx.Transfer(to, amount)
+		in := ctx.Args("bad args", args)
+		ctx.Transfer(in.Address(), in.Uint64())
 		return nil, nil
 	default:
 		return nil, ErrUnknownMethod
@@ -156,9 +138,9 @@ func TestDeployAndCall(t *testing.T) {
 	if !rcpt.Succeeded() {
 		t.Fatalf("call failed: %s", rcpt.Err)
 	}
-	v, err := NewDecoder(rcpt.Return).Uint64()
-	if err != nil || v != 11 {
-		t.Fatalf("inc returned %d, %v", v, err)
+	dec := NewDecoder(rcpt.Return)
+	if v := dec.Uint64(); dec.Err() != nil || v != 11 {
+		t.Fatalf("inc returned %d, %v", v, dec.Err())
 	}
 	if len(rcpt.Events) != 1 || rcpt.Events[0].Topic != "Incremented" {
 		t.Fatalf("events: %+v", rcpt.Events)
@@ -172,7 +154,7 @@ func TestViewCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := NewDecoder(ret).Uint64(); v != 5 {
+	if v := NewDecoder(ret).Uint64(); v != 5 {
 		t.Fatalf("view returned %d", v)
 	}
 	// Views cannot mutate.
@@ -199,7 +181,7 @@ func TestRevertRollsBackState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := NewDecoder(ret).Uint64(); v != 7 {
+	if v := NewDecoder(ret).Uint64(); v != 7 {
 		t.Fatalf("state not rolled back: count = %d", v)
 	}
 	// Nonce was still consumed.
@@ -238,7 +220,7 @@ func TestCrossContractCall(t *testing.T) {
 		t.Fatalf("cross call failed: %s", rcpt.Err)
 	}
 	ret, _ := e.rt.View(e.chain.State(), e.alice.Address(), c2, "get", nil)
-	if v, _ := NewDecoder(ret).Uint64(); v != 101 {
+	if v := NewDecoder(ret).Uint64(); v != 101 {
 		t.Fatalf("callee count = %d, want 101", v)
 	}
 }

@@ -536,7 +536,7 @@ func TestRegistryDataFirstComeFirstServed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner, _ := contract.NewDecoder(raw).Address()
+	owner := contract.NewDecoder(raw).Address()
 	if owner != w.providers[0].ID.Address() {
 		t.Fatalf("owner = %s", owner.Short())
 	}
@@ -947,7 +947,7 @@ func (w *testWorld) erc20Balance(t *testing.T, tok, who identity.Address) uint64
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _ := contract.NewDecoder(ret).Uint64()
+	v := contract.NewDecoder(ret).Uint64()
 	return v
 }
 

@@ -60,8 +60,9 @@ func (m *Market) PolicyOf(dataID crypto.Digest) (*policy.Policy, error) {
 	if err != nil {
 		return nil, err
 	}
-	blob, err := contract.NewDecoder(raw).Blob()
-	if err != nil {
+	d := contract.NewDecoder(raw)
+	blob := d.Blob()
+	if err := d.Err(); err != nil {
 		return nil, err
 	}
 	if len(blob) == 0 {
@@ -77,7 +78,8 @@ func (m *Market) PolicyUses(dataID crypto.Digest) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return contract.NewDecoder(raw).Uint64()
+	d := contract.NewDecoder(raw)
+	return d.Uint64(), d.Err()
 }
 
 // EvalPolicy runs the registry's pure policy evaluation view: no event,
@@ -104,7 +106,8 @@ func (m *Market) PolicyCodeOf(dataID crypto.Digest) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return contract.NewDecoder(raw).Blob()
+	d := contract.NewDecoder(raw)
+	return d.Blob(), d.Err()
 }
 
 // anyPolicyBound reports whether any of the datasets has a policy —
@@ -227,8 +230,8 @@ func VerifyPolicySettlements(events []ledger.Event) []string {
 			// Emitted by the workload contract itself, so ev.Contract is
 			// the workload address — the admission decision's Subject.
 			d := contract.NewDecoder(ev.Data)
-			dataID, err := d.Digest()
-			if err != nil {
+			dataID := d.Digest()
+			if err := d.Err(); err != nil {
 				violations = append(violations, fmt.Sprintf("event %d: %v", i, err))
 				continue
 			}

@@ -75,14 +75,11 @@ const (
 
 // Call implements contract.Contract.
 func (r RegistryContract) Call(ctx *contract.Context, method string, args []byte) ([]byte, error) {
-	dec := contract.NewDecoder(args)
+	in := ctx.Args(method, args)
 	switch method {
 	case "registerActor":
 		// (role string) — the caller registers itself under a role.
-		role, err := dec.String()
-		if err != nil {
-			return nil, contract.Revertf("registerActor: %v", err)
-		}
+		role := in.String()
 		switch identity.Role(role) {
 		case identity.RoleConsumer, identity.RoleProvider, identity.RoleExecutor,
 			identity.RoleStorage, identity.RoleGovernor, identity.RoleDevice:
@@ -95,14 +92,7 @@ func (r RegistryContract) Call(ctx *contract.Context, method string, args []byte
 
 	case "hasRole":
 		// (addr, role) → bool
-		addr, err := dec.Address()
-		if err != nil {
-			return nil, contract.Revertf("hasRole: %v", err)
-		}
-		role, err := dec.String()
-		if err != nil {
-			return nil, contract.Revertf("hasRole: %v", err)
-		}
+		addr, role := in.Address(), in.String()
 		v := ctx.Get("role/" + role + "/" + addr.Hex())
 		return contract.NewEncoder().Bool(len(v) > 0).Bytes(), nil
 
@@ -111,10 +101,7 @@ func (r RegistryContract) Call(ctx *contract.Context, method string, args []byte
 		// are deeded as ERC-721 tokens (§III-A: NFTs "model data and
 		// workload code in PDS²"). The registry must hold the NFT
 		// contract's minter role.
-		nft, err := dec.Address()
-		if err != nil {
-			return nil, contract.Revertf("setDeeds: %v", err)
-		}
+		nft := in.Address()
 		if string(ctx.Get("owner")) != string(ctx.Caller[:]) {
 			return nil, contract.Revertf("setDeeds: caller is not the registry owner")
 		}
@@ -136,14 +123,7 @@ func (r RegistryContract) Call(ctx *contract.Context, method string, args []byte
 		// (dataID digest, metaHash digest) — caller claims ownership of a
 		// dataset by content hash. First registration wins, which is what
 		// prevents relisting someone else's published data.
-		dataID, err := dec.Digest()
-		if err != nil {
-			return nil, contract.Revertf("registerData: %v", err)
-		}
-		metaHash, err := dec.Digest()
-		if err != nil {
-			return nil, contract.Revertf("registerData: %v", err)
-		}
+		dataID, metaHash := in.Digest(), in.Digest()
 		if len(ctx.Get("data/"+dataID.Hex())) > 0 {
 			return nil, contract.Revertf("registerData: %s already registered", dataID.Short())
 		}
@@ -165,21 +145,14 @@ func (r RegistryContract) Call(ctx *contract.Context, method string, args []byte
 
 	case "dataOwner":
 		// (dataID) → address (zero when unregistered)
-		dataID, err := dec.Digest()
-		if err != nil {
-			return nil, contract.Revertf("dataOwner: %v", err)
-		}
 		var owner identity.Address
-		copy(owner[:], ctx.Get("data/"+dataID.Hex()))
+		copy(owner[:], ctx.Get("data/"+in.Digest().Hex()))
 		return contract.NewEncoder().Address(owner).Bytes(), nil
 
 	case "registerWorkload":
 		// (workloadAddr) — called by the consumer after deploying a
 		// workload contract; adds it to the public directory.
-		addr, err := dec.Address()
-		if err != nil {
-			return nil, contract.Revertf("registerWorkload: %v", err)
-		}
+		addr := in.Address()
 		if !ctx.ContractExists(addr) {
 			return nil, contract.Revertf("registerWorkload: %s is not a contract", addr.Short())
 		}
@@ -198,10 +171,7 @@ func (r RegistryContract) Call(ctx *contract.Context, method string, args []byte
 
 	case "workloadAt":
 		// (index) → address
-		idx, err := dec.Uint64()
-		if err != nil {
-			return nil, contract.Revertf("workloadAt: %v", err)
-		}
+		idx := in.Uint64()
 		raw := ctx.Get(fmt.Sprintf("wl/%016d", idx))
 		if len(raw) != identity.AddressSize {
 			return nil, contract.Revertf("workloadAt: index %d out of range", idx)
@@ -215,14 +185,7 @@ func (r RegistryContract) Call(ctx *contract.Context, method string, args []byte
 		// usage-control policy. Only the registered owner may set it; the
 		// mutation itself is a chain event so offline audit can replay
 		// every decision against the policy in force at the time.
-		dataID, err := dec.Digest()
-		if err != nil {
-			return nil, contract.Revertf("setPolicy: %v", err)
-		}
-		blob, err := dec.Blob()
-		if err != nil {
-			return nil, contract.Revertf("setPolicy: %v", err)
-		}
+		dataID, blob := in.Digest(), in.Blob()
 		if !callerOwns(ctx, dataID) {
 			return nil, contract.Revertf("setPolicy: caller does not own dataset %s", dataID.Short())
 		}
@@ -244,14 +207,7 @@ func (r RegistryContract) Call(ctx *contract.Context, method string, args []byte
 		// source — deployed code is auditable by construction, and a
 		// reference-evaluator replica can re-execute it from source.
 		// Deployed code takes precedence over a declarative policy.
-		dataID, err := dec.Digest()
-		if err != nil {
-			return nil, contract.Revertf("deployPolicy: %v", err)
-		}
-		blob, err := dec.Blob()
-		if err != nil {
-			return nil, contract.Revertf("deployPolicy: %v", err)
-		}
+		dataID, blob := in.Digest(), in.Blob()
 		if !callerOwns(ctx, dataID) {
 			return nil, contract.Revertf("deployPolicy: caller does not own dataset %s", dataID.Short())
 		}
@@ -269,40 +225,22 @@ func (r RegistryContract) Call(ctx *contract.Context, method string, args []byte
 
 	case "policyCodeOf":
 		// (dataID) → deployed artifact blob (empty when none deployed)
-		dataID, err := dec.Digest()
-		if err != nil {
-			return nil, contract.Revertf("policyCodeOf: %v", err)
-		}
-		return contract.NewEncoder().Blob(ctx.Get("polcode/" + dataID.Hex())).Bytes(), nil
+		return contract.NewEncoder().Blob(ctx.Get("polcode/" + in.Digest().Hex())).Bytes(), nil
 
 	case "policyOf":
 		// (dataID) → encoded policy blob (empty when none attached)
-		dataID, err := dec.Digest()
-		if err != nil {
-			return nil, contract.Revertf("policyOf: %v", err)
-		}
-		return contract.NewEncoder().Blob(ctx.Get("policy/" + dataID.Hex())).Bytes(), nil
+		return contract.NewEncoder().Blob(ctx.Get("policy/" + in.Digest().Hex())).Bytes(), nil
 
 	case "policyUses":
 		// (dataID) → number of admissions that consumed the dataset
-		dataID, err := dec.Digest()
-		if err != nil {
-			return nil, contract.Revertf("policyUses: %v", err)
-		}
-		return contract.NewEncoder().Uint64(ctx.GetUint64("poluse/" + dataID.Hex())).Bytes(), nil
+		return contract.NewEncoder().Uint64(ctx.GetUint64("poluse/" + in.Digest().Hex())).Bytes(), nil
 
 	case "evalPolicy":
 		// (dataID, layer, class, purpose, agg) → encoded DecisionRecord.
 		// Pure view: no event, no consumption — the cheap pre-check
 		// matchers and API clients use.
-		dataID, err := dec.Digest()
-		if err != nil {
-			return nil, contract.Revertf("evalPolicy: %v", err)
-		}
-		layer, class, purpose, agg, err := decodePolicyQuery(dec)
-		if err != nil {
-			return nil, contract.Revertf("evalPolicy: %v", err)
-		}
+		dataID := in.Digest()
+		layer, class, purpose, agg := decodePolicyQuery(ctx, in, method)
 		rec, _, err := r.evalDatasetPolicy(ctx, dataID, layer, class, purpose, agg)
 		if err != nil {
 			return nil, err
@@ -319,14 +257,8 @@ func (r RegistryContract) Call(ctx *contract.Context, method string, args []byte
 		// took effect); all-allow batches at the admission layer consume
 		// one invocation per dataset, and only registered workload
 		// contracts may run that layer.
-		layer, class, purpose, agg, err := decodePolicyQuery(dec)
-		if err != nil {
-			return nil, contract.Revertf("enforcePolicy: %v", err)
-		}
-		n, err := dec.Uint64()
-		if err != nil {
-			return nil, contract.Revertf("enforcePolicy: %v", err)
-		}
+		layer, class, purpose, agg := decodePolicyQuery(ctx, in, method)
+		n := in.Uint64()
 		if n == 0 || n > maxPolicyBatch {
 			return nil, contract.Revertf("enforcePolicy: batch of %d datasets out of range", n)
 		}
@@ -337,10 +269,7 @@ func (r RegistryContract) Call(ctx *contract.Context, method string, args []byte
 		hasPol := make([]bool, 0, n)
 		seen := make(map[crypto.Digest]bool, n)
 		for i := uint64(0); i < n; i++ {
-			dataID, err := dec.Digest()
-			if err != nil {
-				return nil, contract.Revertf("enforcePolicy: %v", err)
-			}
+			dataID := in.Digest()
 			if seen[dataID] {
 				return nil, contract.Revertf("enforcePolicy: duplicate dataset %s in batch", dataID.Short())
 			}
@@ -379,26 +308,15 @@ func callerOwns(ctx *contract.Context, dataID crypto.Digest) bool {
 }
 
 // decodePolicyQuery decodes the (layer, class, purpose, agg) tail shared
-// by evalPolicy and enforcePolicy, validating the layer name.
-func decodePolicyQuery(dec *contract.Decoder) (layer, class, purpose string, agg uint64, err error) {
-	if layer, err = dec.String(); err != nil {
-		return "", "", "", 0, err
-	}
-	switch layer {
+// by evalPolicy and enforcePolicy; an unknown layer name halts the
+// method's frame.
+func decodePolicyQuery(ctx *contract.Context, in *contract.Decoder, method string) (layer, class, purpose string, agg uint64) {
+	switch layer = in.String(); layer {
 	case policy.LayerMatch, policy.LayerAdmission, policy.LayerEnclave:
 	default:
-		return "", "", "", 0, fmt.Errorf("unknown enforcement layer %q", layer)
+		ctx.Halt(contract.Revertf("%s: unknown enforcement layer %q", method, layer))
 	}
-	if class, err = dec.String(); err != nil {
-		return "", "", "", 0, err
-	}
-	if purpose, err = dec.String(); err != nil {
-		return "", "", "", 0, err
-	}
-	if agg, err = dec.Uint64(); err != nil {
-		return "", "", "", 0, err
-	}
-	return layer, class, purpose, agg, nil
+	return layer, in.String(), in.String(), in.Uint64()
 }
 
 // evalDatasetPolicy runs one usage-control evaluation against the

@@ -178,46 +178,11 @@ func (s *Spec) Encode() []byte {
 // DecodeSpec inverts Encode.
 func DecodeSpec(b []byte) (*Spec, error) {
 	d := contract.NewDecoder(b)
-	var s Spec
-	var err error
-	if s.Predicate, err = d.String(); err != nil {
-		return nil, fmt.Errorf("market: decode spec: %w", err)
-	}
-	if s.MinProviders, err = d.Uint64(); err != nil {
-		return nil, fmt.Errorf("market: decode spec: %w", err)
-	}
-	if s.MinItems, err = d.Uint64(); err != nil {
-		return nil, fmt.Errorf("market: decode spec: %w", err)
-	}
-	if s.ExpiryHeight, err = d.Uint64(); err != nil {
-		return nil, fmt.Errorf("market: decode spec: %w", err)
-	}
-	if s.ExecutorFeeBps, err = d.Uint64(); err != nil {
-		return nil, fmt.Errorf("market: decode spec: %w", err)
-	}
-	if s.Measurement, err = d.Digest(); err != nil {
-		return nil, fmt.Errorf("market: decode spec: %w", err)
-	}
-	if s.QAPub, err = d.Blob(); err != nil {
-		return nil, fmt.Errorf("market: decode spec: %w", err)
-	}
-	if s.RewardToken, err = d.Address(); err != nil {
-		return nil, fmt.Errorf("market: decode spec: %w", err)
-	}
-	if s.TokenBudget, err = d.Uint64(); err != nil {
-		return nil, fmt.Errorf("market: decode spec: %w", err)
-	}
-	if s.Params, err = d.Blob(); err != nil {
-		return nil, fmt.Errorf("market: decode spec: %w", err)
-	}
-	if s.Class, err = d.String(); err != nil {
-		return nil, fmt.Errorf("market: decode spec: %w", err)
-	}
-	if s.Purpose, err = d.String(); err != nil {
-		return nil, fmt.Errorf("market: decode spec: %w", err)
-	}
-	if s.Registry, err = d.Address(); err != nil {
-		return nil, fmt.Errorf("market: decode spec: %w", err)
+	s := Spec{
+		Predicate: d.String(), MinProviders: d.Uint64(), MinItems: d.Uint64(),
+		ExpiryHeight: d.Uint64(), ExecutorFeeBps: d.Uint64(),
+		Measurement: d.Digest(), QAPub: d.Blob(), RewardToken: d.Address(), TokenBudget: d.Uint64(),
+		Params: d.Blob(), Class: d.String(), Purpose: d.String(), Registry: d.Address(),
 	}
 	if err := d.Done(); err != nil {
 		return nil, fmt.Errorf("market: decode spec: %w", err)

@@ -95,16 +95,16 @@ func (WorkloadContract) Init(ctx *contract.Context, args []byte) error {
 
 // Call implements contract.Contract.
 func (w WorkloadContract) Call(ctx *contract.Context, method string, args []byte) ([]byte, error) {
-	dec := contract.NewDecoder(args)
+	in := ctx.Args(method, args)
 	switch method {
 	case "fund":
 		return w.fund(ctx)
 	case "registerExecution":
-		return w.registerExecution(ctx, dec)
+		return w.registerExecution(ctx, in)
 	case "start":
 		return w.start(ctx)
 	case "submitResult":
-		return w.submitResult(ctx, dec)
+		return w.submitResult(ctx, in)
 	case "finalize":
 		return w.finalize(ctx)
 	case "cancel":
@@ -118,16 +118,9 @@ func (w WorkloadContract) Call(ctx *contract.Context, method string, args []byte
 		copy(h[:], ctx.Get("resulthash"))
 		return contract.NewEncoder().Digest(h).Blob(ctx.Get("scores")).Bytes(), nil
 	case "contributionOf":
-		addr, err := dec.Address()
-		if err != nil {
-			return nil, contract.Revertf("contributionOf: %v", err)
-		}
-		return contract.NewEncoder().Uint64(ctx.GetUint64("prov/" + addr.Hex())).Bytes(), nil
+		return contract.NewEncoder().Uint64(ctx.GetUint64("prov/" + in.Address().Hex())).Bytes(), nil
 	case "providerAt":
-		idx, err := dec.Uint64()
-		if err != nil {
-			return nil, contract.Revertf("providerAt: %v", err)
-		}
+		idx := in.Uint64()
 		raw := ctx.Get(fmt.Sprintf("provlist/%016d", idx))
 		if len(raw) != identity.AddressSize {
 			return nil, contract.Revertf("providerAt: index %d out of range", idx)
@@ -199,7 +192,7 @@ func (w WorkloadContract) pay(ctx *contract.Context, spec *Spec, to identity.Add
 // providers' participation certificates, recording the contributions
 // (the Fig. 2 "register participation + certificates" step).
 // Args: (quote blob, certs blob) — both JSON.
-func (w WorkloadContract) registerExecution(ctx *contract.Context, dec *contract.Decoder) ([]byte, error) {
+func (w WorkloadContract) registerExecution(ctx *contract.Context, in *contract.Decoder) ([]byte, error) {
 	if err := w.requireState(ctx, StateOpen); err != nil {
 		return nil, err
 	}
@@ -207,14 +200,7 @@ func (w WorkloadContract) registerExecution(ctx *contract.Context, dec *contract
 	if ctx.Height > spec.ExpiryHeight {
 		return nil, contract.Revertf("workload expired at height %d", spec.ExpiryHeight)
 	}
-	quoteRaw, err := dec.Blob()
-	if err != nil {
-		return nil, contract.Revertf("registerExecution: %v", err)
-	}
-	certsRaw, err := dec.Blob()
-	if err != nil {
-		return nil, contract.Revertf("registerExecution: %v", err)
-	}
+	quoteRaw, certsRaw := in.Blob(), in.Blob()
 
 	if len(ctx.Get("exec/"+ctx.Caller.Hex())) > 0 {
 		return nil, contract.Revertf("executor %s already registered", ctx.Caller.Short())
@@ -330,22 +316,11 @@ func (w WorkloadContract) start(ctx *contract.Context) ([]byte, error) {
 // submission marks the workload Disputed and refunds the consumer —
 // tamper-evident aggregation (§II-E).
 // Args: (resultHash digest, scores blob, quote blob).
-func (w WorkloadContract) submitResult(ctx *contract.Context, dec *contract.Decoder) ([]byte, error) {
+func (w WorkloadContract) submitResult(ctx *contract.Context, in *contract.Decoder) ([]byte, error) {
 	if err := w.requireState(ctx, StateRunning); err != nil {
 		return nil, err
 	}
-	resultHash, err := dec.Digest()
-	if err != nil {
-		return nil, contract.Revertf("submitResult: %v", err)
-	}
-	scoresRaw, err := dec.Blob()
-	if err != nil {
-		return nil, contract.Revertf("submitResult: %v", err)
-	}
-	quoteRaw, err := dec.Blob()
-	if err != nil {
-		return nil, contract.Revertf("submitResult: %v", err)
-	}
+	resultHash, scoresRaw, quoteRaw := in.Digest(), in.Blob(), in.Blob()
 	if len(ctx.Get("exec/"+ctx.Caller.Hex())) == 0 {
 		return nil, contract.Revertf("submitResult: %s is not a registered executor", ctx.Caller.Short())
 	}
@@ -548,23 +523,13 @@ func EncodeScores(scores []Score) []byte {
 // DecodeScores inverts EncodeScores.
 func DecodeScores(raw []byte) ([]Score, error) {
 	d := contract.NewDecoder(raw)
-	n, err := d.Uint64()
-	if err != nil {
-		return nil, err
-	}
+	n := d.Uint64()
 	if n > 1<<20 {
 		return nil, fmt.Errorf("market: absurd score count %d", n)
 	}
 	out := make([]Score, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var s Score
-		if s.Provider, err = d.Address(); err != nil {
-			return nil, err
-		}
-		if s.Score, err = d.Uint64(); err != nil {
-			return nil, err
-		}
-		out = append(out, s)
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
+		out = append(out, Score{Provider: d.Address(), Score: d.Uint64()})
 	}
 	if err := d.Done(); err != nil {
 		return nil, err

@@ -132,46 +132,33 @@ func (p *Policy) Encode() []byte {
 func Decode(b []byte) (*Policy, error) {
 	d := contract.NewDecoder(b)
 	var p Policy
-	n, err := d.Uint64()
-	if err != nil {
-		return nil, fmt.Errorf("policy: decode: %w", err)
+	var err error
+	if p.AllowedClasses, err = decodeList(d, "classes"); err != nil {
+		return nil, err
 	}
-	if n > maxListEntries {
-		return nil, fmt.Errorf("policy: decode: %d classes exceed limit", n)
+	p.MinAggregation, p.ExpiryHeight = d.Uint64(), d.Uint64()
+	if p.Purposes, err = decodeList(d, "purposes"); err != nil {
+		return nil, err
 	}
-	for i := uint64(0); i < n; i++ {
-		c, err := d.String()
-		if err != nil {
-			return nil, fmt.Errorf("policy: decode: %w", err)
-		}
-		p.AllowedClasses = append(p.AllowedClasses, c)
-	}
-	if p.MinAggregation, err = d.Uint64(); err != nil {
-		return nil, fmt.Errorf("policy: decode: %w", err)
-	}
-	if p.ExpiryHeight, err = d.Uint64(); err != nil {
-		return nil, fmt.Errorf("policy: decode: %w", err)
-	}
-	if n, err = d.Uint64(); err != nil {
-		return nil, fmt.Errorf("policy: decode: %w", err)
-	}
-	if n > maxListEntries {
-		return nil, fmt.Errorf("policy: decode: %d purposes exceed limit", n)
-	}
-	for i := uint64(0); i < n; i++ {
-		s, err := d.String()
-		if err != nil {
-			return nil, fmt.Errorf("policy: decode: %w", err)
-		}
-		p.Purposes = append(p.Purposes, s)
-	}
-	if p.MaxInvocations, err = d.Uint64(); err != nil {
-		return nil, fmt.Errorf("policy: decode: %w", err)
-	}
+	p.MaxInvocations = d.Uint64()
 	if err := d.Done(); err != nil {
 		return nil, fmt.Errorf("policy: decode: %w", err)
 	}
 	return &p, nil
+}
+
+// decodeList reads a counted list of strings, refusing more than
+// maxListEntries of them.
+func decodeList(d *contract.Decoder, what string) ([]string, error) {
+	n := d.Uint64()
+	if n > maxListEntries {
+		return nil, fmt.Errorf("policy: decode: %d %s exceed limit", n, what)
+	}
+	var out []string
+	for i := uint64(0); i < n; i++ {
+		out = append(out, d.String())
+	}
+	return out, nil
 }
 
 // Request describes one attempted use of a dataset, as seen by an
@@ -305,37 +292,11 @@ func (r *DecisionRecord) Encode() []byte {
 // DecodeDecisionRecord inverts DecisionRecord.Encode.
 func DecodeDecisionRecord(b []byte) (*DecisionRecord, error) {
 	d := contract.NewDecoder(b)
-	var r DecisionRecord
-	var err error
-	if r.DataID, err = d.Digest(); err != nil {
-		return nil, fmt.Errorf("policy: decode record: %w", err)
-	}
-	if r.Subject, err = d.Address(); err != nil {
-		return nil, fmt.Errorf("policy: decode record: %w", err)
-	}
-	if r.Layer, err = d.String(); err != nil {
-		return nil, fmt.Errorf("policy: decode record: %w", err)
-	}
-	if r.Class, err = d.String(); err != nil {
-		return nil, fmt.Errorf("policy: decode record: %w", err)
-	}
-	if r.Purpose, err = d.String(); err != nil {
-		return nil, fmt.Errorf("policy: decode record: %w", err)
-	}
-	if r.Aggregation, err = d.Uint64(); err != nil {
-		return nil, fmt.Errorf("policy: decode record: %w", err)
-	}
-	if r.Height, err = d.Uint64(); err != nil {
-		return nil, fmt.Errorf("policy: decode record: %w", err)
-	}
-	if r.Invocations, err = d.Uint64(); err != nil {
-		return nil, fmt.Errorf("policy: decode record: %w", err)
-	}
-	if r.Code, err = d.String(); err != nil {
-		return nil, fmt.Errorf("policy: decode record: %w", err)
-	}
-	if r.Clause, err = d.String(); err != nil {
-		return nil, fmt.Errorf("policy: decode record: %w", err)
+	r := DecisionRecord{
+		DataID: d.Digest(), Subject: d.Address(),
+		Layer: d.String(), Class: d.String(), Purpose: d.String(),
+		Aggregation: d.Uint64(), Height: d.Uint64(), Invocations: d.Uint64(),
+		Code: d.String(), Clause: d.String(),
 	}
 	if err := d.Done(); err != nil {
 		return nil, fmt.Errorf("policy: decode record: %w", err)
@@ -356,18 +317,15 @@ func EncodeDecisionRecords(recs []DecisionRecord) []byte {
 // DecodeDecisionRecords inverts EncodeDecisionRecords.
 func DecodeDecisionRecords(b []byte) ([]DecisionRecord, error) {
 	d := contract.NewDecoder(b)
-	n, err := d.Uint64()
-	if err != nil {
-		return nil, fmt.Errorf("policy: decode records: %w", err)
-	}
+	n := d.Uint64()
 	if n > 4096 {
 		return nil, fmt.Errorf("policy: decode records: %d entries exceed limit", n)
 	}
 	out := make([]DecisionRecord, 0, n)
 	for i := uint64(0); i < n; i++ {
-		blob, err := d.Blob()
-		if err != nil {
-			return nil, fmt.Errorf("policy: decode records: %w", err)
+		blob := d.Blob()
+		if d.Err() != nil {
+			break
 		}
 		r, err := DecodeDecisionRecord(blob)
 		if err != nil {

@@ -17,15 +17,7 @@ func EncodePolicySet(dataID crypto.Digest, owner identity.Address, pol []byte) [
 // DecodePolicySet inverts EncodePolicySet.
 func DecodePolicySet(b []byte) (dataID crypto.Digest, owner identity.Address, pol []byte, err error) {
 	d := contract.NewDecoder(b)
-	if dataID, err = d.Digest(); err != nil {
-		return dataID, owner, nil, fmt.Errorf("policy: decode set event: %w", err)
-	}
-	if owner, err = d.Address(); err != nil {
-		return dataID, owner, nil, fmt.Errorf("policy: decode set event: %w", err)
-	}
-	if pol, err = d.Blob(); err != nil {
-		return dataID, owner, nil, fmt.Errorf("policy: decode set event: %w", err)
-	}
+	dataID, owner, pol = d.Digest(), d.Address(), d.Blob()
 	if err = d.Done(); err != nil {
 		return dataID, owner, nil, fmt.Errorf("policy: decode set event: %w", err)
 	}

@@ -221,7 +221,8 @@ func storageUint64(st *ledger.State, c identity.Address, key string) (uint64, er
 	if raw == nil {
 		return 0, nil
 	}
-	return contract.NewDecoder(raw).Uint64()
+	d := contract.NewDecoder(raw)
+	return d.Uint64(), d.Err()
 }
 
 // checkERC20 verifies token conservation: the balance map sums to the

@@ -31,22 +31,9 @@ type ERC20 struct{}
 // Init expects (name string, symbol string, initialSupply uint64); the
 // initial supply is credited to the deployer, who also becomes minter.
 func (ERC20) Init(ctx *contract.Context, args []byte) error {
-	dec := contract.NewDecoder(args)
-	name, err := dec.String()
-	if err != nil {
-		return contract.Revertf("erc20 init: %v", err)
-	}
-	symbol, err := dec.String()
-	if err != nil {
-		return contract.Revertf("erc20 init: %v", err)
-	}
-	supply, err := dec.Uint64()
-	if err != nil {
-		return contract.Revertf("erc20 init: %v", err)
-	}
-	if err := dec.Done(); err != nil {
-		return contract.Revertf("erc20 init: %v", err)
-	}
+	in := ctx.Args("erc20 init", args)
+	name, symbol, supply := in.String(), in.String(), in.Uint64()
+	in.Done()
 	ctx.Set("name", []byte(name))
 	ctx.Set("symbol", []byte(symbol))
 	ctx.Set("minter", ctx.Caller[:])
@@ -71,14 +58,10 @@ func emitTransfer(ctx *contract.Context, from, to identity.Address, amount uint6
 
 // Call dispatches the ERC-20 method set.
 func (e ERC20) Call(ctx *contract.Context, method string, args []byte) ([]byte, error) {
-	dec := contract.NewDecoder(args)
+	in := ctx.Args(method, args)
 	switch method {
 	case "balanceOf":
-		addr, err := dec.Address()
-		if err != nil {
-			return nil, contract.Revertf("balanceOf: %v", err)
-		}
-		return contract.NewEncoder().Uint64(ctx.GetUint64(balKey(addr))).Bytes(), nil
+		return contract.NewEncoder().Uint64(ctx.GetUint64(balKey(in.Address()))).Bytes(), nil
 
 	case "totalSupply":
 		return contract.NewEncoder().Uint64(ctx.GetUint64("supply")).Bytes(), nil
@@ -87,54 +70,22 @@ func (e ERC20) Call(ctx *contract.Context, method string, args []byte) ([]byte, 
 		return contract.NewEncoder().String(string(ctx.Get(method))).Bytes(), nil
 
 	case "transfer":
-		to, err := dec.Address()
-		if err != nil {
-			return nil, contract.Revertf("transfer: %v", err)
-		}
-		amount, err := dec.Uint64()
-		if err != nil {
-			return nil, contract.Revertf("transfer: %v", err)
-		}
+		to, amount := in.Address(), in.Uint64()
 		return nil, e.move(ctx, ctx.Caller, to, amount)
 
 	case "approve":
-		spender, err := dec.Address()
-		if err != nil {
-			return nil, contract.Revertf("approve: %v", err)
-		}
-		amount, err := dec.Uint64()
-		if err != nil {
-			return nil, contract.Revertf("approve: %v", err)
-		}
+		spender, amount := in.Address(), in.Uint64()
 		ctx.SetUint64(allowKey(ctx.Caller, spender), amount)
 		ctx.Emit("Approval", contract.NewEncoder().
 			Address(ctx.Caller).Address(spender).Uint64(amount).Bytes())
 		return nil, nil
 
 	case "allowance":
-		owner, err := dec.Address()
-		if err != nil {
-			return nil, contract.Revertf("allowance: %v", err)
-		}
-		spender, err := dec.Address()
-		if err != nil {
-			return nil, contract.Revertf("allowance: %v", err)
-		}
+		owner, spender := in.Address(), in.Address()
 		return contract.NewEncoder().Uint64(ctx.GetUint64(allowKey(owner, spender))).Bytes(), nil
 
 	case "transferFrom":
-		from, err := dec.Address()
-		if err != nil {
-			return nil, contract.Revertf("transferFrom: %v", err)
-		}
-		to, err := dec.Address()
-		if err != nil {
-			return nil, contract.Revertf("transferFrom: %v", err)
-		}
-		amount, err := dec.Uint64()
-		if err != nil {
-			return nil, contract.Revertf("transferFrom: %v", err)
-		}
+		from, to, amount := in.Address(), in.Address(), in.Uint64()
 		allowance := ctx.GetUint64(allowKey(from, ctx.Caller))
 		if allowance < amount {
 			return nil, contract.Revertf("allowance %d < amount %d", allowance, amount)
@@ -143,14 +94,7 @@ func (e ERC20) Call(ctx *contract.Context, method string, args []byte) ([]byte, 
 		return nil, e.move(ctx, from, to, amount)
 
 	case "mint":
-		to, err := dec.Address()
-		if err != nil {
-			return nil, contract.Revertf("mint: %v", err)
-		}
-		amount, err := dec.Uint64()
-		if err != nil {
-			return nil, contract.Revertf("mint: %v", err)
-		}
+		to, amount := in.Address(), in.Uint64()
 		if string(ctx.Get("minter")) != string(ctx.Caller[:]) {
 			return nil, contract.Revertf("mint: caller is not the minter")
 		}
@@ -164,10 +108,7 @@ func (e ERC20) Call(ctx *contract.Context, method string, args []byte) ([]byte, 
 		return nil, nil
 
 	case "burn":
-		amount, err := dec.Uint64()
-		if err != nil {
-			return nil, contract.Revertf("burn: %v", err)
-		}
+		amount := in.Uint64()
 		bal := ctx.GetUint64(balKey(ctx.Caller))
 		if bal < amount {
 			return nil, contract.Revertf("burn: balance %d < amount %d", bal, amount)

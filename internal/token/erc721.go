@@ -27,14 +27,9 @@ type ERC721 struct{}
 
 // Init expects (name string).
 func (ERC721) Init(ctx *contract.Context, args []byte) error {
-	dec := contract.NewDecoder(args)
-	name, err := dec.String()
-	if err != nil {
-		return contract.Revertf("erc721 init: %v", err)
-	}
-	if err := dec.Done(); err != nil {
-		return contract.Revertf("erc721 init: %v", err)
-	}
+	in := ctx.Args("erc721 init", args)
+	name := in.String()
+	in.Done()
 	ctx.Set("name", []byte(name))
 	ctx.Set("minter", ctx.Caller[:])
 	return nil
@@ -50,24 +45,13 @@ func uriKey(id crypto.Digest) string { return "uri/" + id.Hex() }
 
 // Call dispatches the ERC-721 method set.
 func (e ERC721) Call(ctx *contract.Context, method string, args []byte) ([]byte, error) {
-	dec := contract.NewDecoder(args)
+	in := ctx.Args(method, args)
 	switch method {
 	case "name":
 		return contract.NewEncoder().String(string(ctx.Get("name"))).Bytes(), nil
 
 	case "mint":
-		to, err := dec.Address()
-		if err != nil {
-			return nil, contract.Revertf("mint: %v", err)
-		}
-		id, err := dec.Digest()
-		if err != nil {
-			return nil, contract.Revertf("mint: %v", err)
-		}
-		uri, err := dec.Blob()
-		if err != nil {
-			return nil, contract.Revertf("mint: %v", err)
-		}
+		to, id, uri := in.Address(), in.Digest(), in.Blob()
 		if string(ctx.Get("minter")) != string(ctx.Caller[:]) {
 			return nil, contract.Revertf("mint: caller is not the minter")
 		}
@@ -86,10 +70,7 @@ func (e ERC721) Call(ctx *contract.Context, method string, args []byte) ([]byte,
 	case "transferMinter":
 		// (newMinter) — hand the mint capability to another account or
 		// contract; used to let the platform registry mint data deeds.
-		newMinter, err := dec.Address()
-		if err != nil {
-			return nil, contract.Revertf("transferMinter: %v", err)
-		}
+		newMinter := in.Address()
 		if string(ctx.Get("minter")) != string(ctx.Caller[:]) {
 			return nil, contract.Revertf("transferMinter: caller is not the minter")
 		}
@@ -97,42 +78,24 @@ func (e ERC721) Call(ctx *contract.Context, method string, args []byte) ([]byte,
 		return nil, nil
 
 	case "ownerOf":
-		id, err := dec.Digest()
-		if err != nil {
-			return nil, contract.Revertf("ownerOf: %v", err)
-		}
-		owner, err := e.ownerOf(ctx, id)
+		owner, err := e.ownerOf(ctx, in.Digest())
 		if err != nil {
 			return nil, err
 		}
 		return contract.NewEncoder().Address(owner).Bytes(), nil
 
 	case "balanceOf":
-		addr, err := dec.Address()
-		if err != nil {
-			return nil, contract.Revertf("balanceOf: %v", err)
-		}
-		return contract.NewEncoder().Uint64(ctx.GetUint64(countKey(addr))).Bytes(), nil
+		return contract.NewEncoder().Uint64(ctx.GetUint64(countKey(in.Address()))).Bytes(), nil
 
 	case "tokenURI":
-		id, err := dec.Digest()
-		if err != nil {
-			return nil, contract.Revertf("tokenURI: %v", err)
-		}
+		id := in.Digest()
 		if _, err := e.ownerOf(ctx, id); err != nil {
 			return nil, err
 		}
 		return contract.NewEncoder().Blob(ctx.Get(uriKey(id))).Bytes(), nil
 
 	case "approve":
-		spender, err := dec.Address()
-		if err != nil {
-			return nil, contract.Revertf("approve: %v", err)
-		}
-		id, err := dec.Digest()
-		if err != nil {
-			return nil, contract.Revertf("approve: %v", err)
-		}
+		spender, id := in.Address(), in.Digest()
 		owner, err := e.ownerOf(ctx, id)
 		if err != nil {
 			return nil, err
@@ -144,34 +107,16 @@ func (e ERC721) Call(ctx *contract.Context, method string, args []byte) ([]byte,
 		return nil, nil
 
 	case "setApprovalForAll":
-		op, err := dec.Address()
-		if err != nil {
-			return nil, contract.Revertf("setApprovalForAll: %v", err)
-		}
-		approved, err := dec.Bool()
-		if err != nil {
-			return nil, contract.Revertf("setApprovalForAll: %v", err)
-		}
+		op := in.Address()
 		var v []byte
-		if approved {
+		if in.Bool() {
 			v = []byte{1}
 		}
 		ctx.Set(operatorKey(ctx.Caller, op), v)
 		return nil, nil
 
 	case "transferFrom":
-		from, err := dec.Address()
-		if err != nil {
-			return nil, contract.Revertf("transferFrom: %v", err)
-		}
-		to, err := dec.Address()
-		if err != nil {
-			return nil, contract.Revertf("transferFrom: %v", err)
-		}
-		id, err := dec.Digest()
-		if err != nil {
-			return nil, contract.Revertf("transferFrom: %v", err)
-		}
+		from, to, id := in.Address(), in.Address(), in.Digest()
 		owner, err := e.ownerOf(ctx, id)
 		if err != nil {
 			return nil, err

@@ -44,7 +44,7 @@ func TestERC20SelfTransferConservesSupply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s, _ := contract.NewDecoder(ret).Uint64(); s != 1_000 {
+	if s := contract.NewDecoder(ret).Uint64(); s != 1_000 {
 		t.Fatalf("supply drifted to %d", s)
 	}
 }
@@ -66,7 +66,7 @@ func TestERC721SelfTransferStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner, _ := contract.NewDecoder(ret).Address()
+	owner := contract.NewDecoder(ret).Address()
 	if owner != e.bob.Address() {
 		t.Fatalf("owner changed to %s", owner.Short())
 	}
@@ -75,7 +75,7 @@ func TestERC721SelfTransferStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cnt, _ := contract.NewDecoder(ret).Uint64(); cnt != 1 {
+	if cnt := contract.NewDecoder(ret).Uint64(); cnt != 1 {
 		t.Fatalf("owner count = %d, want 1", cnt)
 	}
 	// The transfer must have consumed carol's approval.

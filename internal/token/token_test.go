@@ -84,7 +84,7 @@ func (e *env) erc20Balance(t *testing.T, tok, who identity.Address) uint64 {
 	if err != nil {
 		t.Fatalf("balanceOf: %v", err)
 	}
-	v, _ := contract.NewDecoder(ret).Uint64()
+	v := contract.NewDecoder(ret).Uint64()
 	return v
 }
 
@@ -96,11 +96,11 @@ func TestERC20DeployAndMetadata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if name, _ := contract.NewDecoder(ret).String(); name != "Reward" {
+	if name := contract.NewDecoder(ret).String(); name != "Reward" {
 		t.Fatalf("name = %q", name)
 	}
 	ret, _ = e.rt.View(e.chain.State(), e.bob.Address(), tok, "totalSupply", nil)
-	if s, _ := contract.NewDecoder(ret).Uint64(); s != 1_000 {
+	if s := contract.NewDecoder(ret).Uint64(); s != 1_000 {
 		t.Fatalf("supply = %d", s)
 	}
 	if got := e.erc20Balance(t, tok, e.alice.Address()); got != 1_000 {
@@ -182,7 +182,7 @@ func TestERC20Burn(t *testing.T) {
 		t.Fatalf("alice = %d", got)
 	}
 	ret, _ := e.rt.View(e.chain.State(), e.alice.Address(), tok, "totalSupply", nil)
-	if s, _ := contract.NewDecoder(ret).Uint64(); s != 600 {
+	if s := contract.NewDecoder(ret).Uint64(); s != 600 {
 		t.Fatalf("supply = %d", s)
 	}
 	rcpt := e.send(t, e.alice, tok, ERC20BurnData(601))
@@ -202,7 +202,7 @@ func TestERC721MintOwnTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner, _ := contract.NewDecoder(ret).Address()
+	owner := contract.NewDecoder(ret).Address()
 	if owner != e.bob.Address() {
 		t.Fatalf("owner = %s", owner.Short())
 	}
@@ -210,7 +210,7 @@ func TestERC721MintOwnTransfer(t *testing.T) {
 	// Bob transfers to carol.
 	e.mustSend(t, e.bob, nft, ERC721TransferFromData(e.bob.Address(), e.carol.Address(), dataID))
 	ret, _ = e.rt.View(e.chain.State(), e.alice.Address(), nft, "ownerOf", ERC721OwnerArgs(dataID))
-	owner, _ = contract.NewDecoder(ret).Address()
+	owner = contract.NewDecoder(ret).Address()
 	if owner != e.carol.Address() {
 		t.Fatalf("owner after transfer = %s", owner.Short())
 	}
@@ -218,7 +218,7 @@ func TestERC721MintOwnTransfer(t *testing.T) {
 	// Balances updated.
 	ret, _ = e.rt.View(e.chain.State(), e.alice.Address(), nft, "balanceOf",
 		contract.NewEncoder().Address(e.carol.Address()).Bytes())
-	if cnt, _ := contract.NewDecoder(ret).Uint64(); cnt != 1 {
+	if cnt := contract.NewDecoder(ret).Uint64(); cnt != 1 {
 		t.Fatalf("carol count = %d", cnt)
 	}
 }
@@ -298,7 +298,7 @@ func TestERC721TokenURI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := contract.NewDecoder(ret).Blob()
+	got := contract.NewDecoder(ret).Blob()
 	if !bytes.Equal(got, meta) {
 		t.Fatalf("uri = %q", got)
 	}

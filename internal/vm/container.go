@@ -111,44 +111,38 @@ func (m *Module) Encode() []byte {
 	return append(body, sum[:]...)
 }
 
+// decoder reads the container's fields in order. It keeps its first
+// error: after a failed read every later read returns zero bytes and
+// consumes nothing, so Decode checks the error once, before any value
+// that a failed read would misreport.
 type decoder struct {
 	b   []byte
 	pos int
+	err error
 }
 
-func (d *decoder) take(n int) ([]byte, error) {
+func (d *decoder) take(n int) []byte {
+	if d.err != nil {
+		return nil
+	}
 	if n > len(d.b)-d.pos {
-		return nil, fmt.Errorf("vm: truncated artifact at byte %d", d.pos)
+		d.err = fmt.Errorf("vm: truncated artifact at byte %d", d.pos)
+		return nil
 	}
 	out := d.b[d.pos : d.pos+n]
 	d.pos += n
-	return out, nil
+	return out
 }
 
-func (d *decoder) u8() (int, error) {
-	b, err := d.take(1)
-	if err != nil {
-		return 0, err
+// uintN reads an n-byte big-endian unsigned integer. It stays unsigned:
+// callers bound a length prefix before converting it, so it cannot wrap
+// negative on a 32-bit int.
+func (d *decoder) uintN(n int) uint64 {
+	var v uint64
+	for _, b := range d.take(n) {
+		v = v<<8 | uint64(b)
 	}
-	return int(b[0]), nil
-}
-
-func (d *decoder) u16() (int, error) {
-	b, err := d.take(2)
-	if err != nil {
-		return 0, err
-	}
-	return int(b[0])<<8 | int(b[1]), nil
-}
-
-// u32 reads a length prefix. It stays unsigned: callers bound it before
-// converting, so it cannot wrap negative on a 32-bit int.
-func (d *decoder) u32() (uint32, error) {
-	b, err := d.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3]), nil
+	return v
 }
 
 // Decode parses and statically verifies a pds2/bytecode/v1 artifact.
@@ -163,93 +157,49 @@ func Decode(artifact []byte) (*Module, error) {
 	if sum := crypto.HashBytes(body); !bytes.Equal(sum[:], sumRaw) {
 		return nil, fmt.Errorf("vm: artifact checksum mismatch")
 	}
+	// The length check above guarantees the magic and version bytes.
 	d := &decoder{b: body}
-	mg, err := d.take(len(magic))
-	if err != nil {
-		return nil, err
-	}
-	if !bytes.Equal(mg, magic) {
+	if !bytes.Equal(d.take(len(magic)), magic) {
 		return nil, fmt.Errorf("vm: bad magic")
 	}
-	ver, err := d.u16()
-	if err != nil {
-		return nil, err
-	}
-	if ver != Version {
+	if ver := d.uintN(2); ver != Version {
 		return nil, fmt.Errorf("vm: unsupported bytecode version %d", ver)
 	}
-	m := &Module{}
-	if m.NumLocals, err = d.u8(); err != nil {
-		return nil, err
-	}
-	nconsts, err := d.u16()
-	if err != nil {
-		return nil, err
-	}
+	m := &Module{NumLocals: int(d.uintN(1))}
+	nconsts := d.uintN(2)
 	if nconsts > MaxConsts {
 		return nil, fmt.Errorf("vm: constant pool exceeds %d entries", MaxConsts)
 	}
 	m.Consts = make([]semantic.Value, nconsts)
 	for i := range m.Consts {
-		tag, err := d.u8()
-		if err != nil {
-			return nil, err
+		tag := d.uintN(1)
+		if d.err != nil {
+			return nil, d.err
 		}
 		switch tag {
 		case 1:
-			n, err := d.u16()
-			if err != nil {
-				return nil, err
-			}
-			s, err := d.take(n)
-			if err != nil {
-				return nil, err
-			}
-			m.Consts[i] = semantic.String(string(s))
+			m.Consts[i] = semantic.String(string(d.take(int(d.uintN(2)))))
 		case 2:
-			raw, err := d.take(8)
-			if err != nil {
-				return nil, err
-			}
-			var bits uint64
-			for _, b := range raw {
-				bits = bits<<8 | uint64(b)
-			}
-			m.Consts[i] = semantic.Number(math.Float64frombits(bits))
+			m.Consts[i] = semantic.Number(math.Float64frombits(d.uintN(8)))
 		case 3:
-			b, err := d.u8()
-			if err != nil {
-				return nil, err
-			}
-			m.Consts[i] = semantic.Bool(b != 0)
+			m.Consts[i] = semantic.Bool(d.uintN(1) != 0)
 		default:
 			return nil, fmt.Errorf("vm: unknown constant tag %d at byte %d", tag, d.pos-1)
 		}
 	}
-	codeLen, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
+	codeLen := d.uintN(4)
 	if codeLen > MaxCodeSize {
 		return nil, fmt.Errorf("vm: code exceeds %d bytes", MaxCodeSize)
 	}
-	code, err := d.take(int(codeLen))
-	if err != nil {
-		return nil, err
-	}
-	m.Code = code
-	srcLen, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
+	m.Code = d.take(int(codeLen))
+	srcLen := d.uintN(4)
 	if srcLen > MaxSrcSize {
 		return nil, fmt.Errorf("vm: source exceeds %d bytes", MaxSrcSize)
 	}
-	src, err := d.take(int(srcLen))
-	if err != nil {
-		return nil, err
+	m.Source = string(d.take(int(srcLen)))
+	if d.err != nil {
+		return nil, d.err
 	}
-	m.Source = string(src)
 	if d.pos != len(body) {
 		return nil, fmt.Errorf("vm: %d trailing bytes in artifact", len(body)-d.pos)
 	}
