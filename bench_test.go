@@ -14,6 +14,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/big"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -113,6 +115,44 @@ func BenchmarkLedgerTransfersPerBlock(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(txPerBlock), "tx/block")
+}
+
+// BenchmarkGenesisOpen measures what a node pays before it serves its
+// first request at 100k funded accounts: chainstore.Open and market.Open
+// on an empty directory, which compute the genesis state root and write
+// genesis.json. The addresses are hashes, as real ones are.
+func BenchmarkGenesisOpen(b *testing.B) {
+	const accounts = 100_000
+	alloc := make(map[identity.Address]uint64, accounts)
+	for i := uint64(0); i < accounts; i++ {
+		var a identity.Address
+		d := crypto.HashBytes(binary.BigEndian.AppendUint64(nil, i))
+		copy(a[:], d[:])
+		alloc[a] = 1_000_000
+	}
+	cfg := market.Config{Seed: 1, GenesisAlloc: alloc}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := filepath.Join(b.TempDir(), "store")
+		b.StartTimer()
+		store, err := chainstore.Open(dir, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := market.Open(cfg, store); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := store.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.RemoveAll(dir); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
 }
 
 // importBenchTxPerBlock is the block size of the import benchmarks.

@@ -838,3 +838,45 @@ func TestWriteGenesisAllocation(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteSnapshotAllocation is TestWriteGenesisAllocation's twin for a
+// snapshot of a 100k-account chain at genesis: its genesis allocation
+// and its balances, two address maps of 100k entries each, written once.
+func TestWriteSnapshotAllocation(t *testing.T) {
+	const accounts = 100_000
+	alloc := make(map[identity.Address]uint64, accounts)
+	for i := uint32(0); i < accounts; i++ {
+		var a identity.Address
+		binary.BigEndian.PutUint32(a[:], i*2654435761)
+		alloc[a] = 1_000_000_000 + uint64(i)
+	}
+	chain, err := ledger.NewChain(ledger.ChainConfig{
+		Authorities:  []identity.Address{testIdentity(100).Address()},
+		GenesisAlloc: alloc,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := chain.ExportSnapshot()
+	dir := t.TempDir()
+	st, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := st.WriteSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	fi, err := os.Stat(filepath.Join(st.snapshotDir(), snapshotName(snap.Height())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := after.TotalAlloc - before.TotalAlloc
+	t.Logf("allocated %d B for a %d B file (%.2fx)", allocated, fi.Size(), float64(allocated)/float64(fi.Size()))
+	if allocated > 2*uint64(fi.Size()) {
+		t.Fatalf("allocated %d B, more than twice the %d B file", allocated, fi.Size())
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"pds2/internal/crypto"
 	"pds2/internal/identity"
 )
 
@@ -353,5 +354,73 @@ func checkSnapshotReadBack(t *testing.T, snap, back *StateSnapshot) {
 	}
 	if !reflect.DeepEqual(back.Storage, wantStorage) {
 		t.Fatalf("storage changed across ReadSnapshot:\n got %q\nwant %q", back.Storage, wantStorage)
+	}
+}
+
+// crowdedAddrs returns n distinct addresses: mostly hashes, plus runs of
+// addresses that share their leading 16 bits and then differ only in
+// bytes 2–7, only in bytes 8–15 or only in bytes 16–19, so every part of
+// an address decides some order.
+func crowdedAddrs(n int) []identity.Address {
+	seen := make(map[identity.Address]bool, n)
+	addrs := make([]identity.Address, 0, n)
+	for i := uint64(0); len(addrs) < n; i++ {
+		d := crypto.HashBytes(binary.BigEndian.AppendUint64(nil, i))
+		var a identity.Address
+		copy(a[:], d[:])
+		if i%25 == 0 { // 4 % of the addresses, in 8 crowded prefixes
+			a[0], a[1] = 0xab, byte(i/25%8)
+			switch from := []int{2, 8, 16}[i/200%3]; from {
+			case 8:
+				copy(a[2:8], "crowd!")
+			case 16:
+				copy(a[2:16], "crowded prefix")
+			}
+		}
+		if !seen[a] {
+			seen[a] = true
+			addrs = append(addrs, a)
+		}
+	}
+	return addrs
+}
+
+// TestWriteLargeAmountsMatchesEncodingJSON checks the streaming writer
+// against encoding/json at 100k addresses, where its address sort works
+// on full prefix groups; FuzzSnapshotEncoding covers small maps.
+func TestWriteLargeAmountsMatchesEncodingJSON(t *testing.T) {
+	addrs := crowdedAddrs(100_000)
+	alloc := make(map[identity.Address]uint64, len(addrs))
+	nonces := make(map[identity.Address]uint64)
+	for i, a := range addrs {
+		alloc[a] = uint64(i) * 7919
+		if i%3 == 0 {
+			nonces[a] = uint64(i % 17)
+		}
+	}
+	alloc[addrs[1]] = ^uint64(0)
+	auth := []identity.Address{addrs[0]}
+
+	exp := ChainExport{Authorities: auth, BlockGasLimit: DefaultBlockGasLimit, GenesisAlloc: alloc}
+	var got bytes.Buffer
+	if err := WriteConfig(&got, exp); err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := json.MarshalIndent(exp, "", " "); !bytes.Equal(got.Bytes(), want) {
+		t.Fatal("WriteConfig differs from json.MarshalIndent at 100k addresses")
+	}
+
+	snap := &StateSnapshot{Authorities: auth, BlockGasLimit: DefaultBlockGasLimit, GenesisAlloc: alloc,
+		Head: &Block{}, Balances: alloc, Nonces: nonces}
+	got.Reset()
+	if err := WriteSnapshot(&got, snap); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("WriteSnapshot differs from encoding/json at 100k addresses")
 	}
 }
