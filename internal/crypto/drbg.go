@@ -4,6 +4,7 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
+	"hash"
 	"math"
 )
 
@@ -16,21 +17,20 @@ import (
 // A DRBG is not safe for concurrent use; create one per goroutine or
 // protect it externally.
 type DRBG struct {
-	key []byte
-	v   []byte
+	key [sha256.Size]byte
+	v   [sha256.Size]byte
+	mac hash.Hash // HMAC-SHA256 keyed with key
 }
 
 // NewDRBG creates a generator seeded with the given seed material and a
 // personalization label. Distinct labels yield independent streams from
 // the same seed.
 func NewDRBG(seed []byte, label string) *DRBG {
-	d := &DRBG{
-		key: make([]byte, sha256.Size),
-		v:   make([]byte, sha256.Size),
-	}
+	d := &DRBG{}
 	for i := range d.v {
 		d.v[i] = 0x01
 	}
+	d.rekey()
 	d.update(append(append([]byte{}, seed...), label...))
 	return d
 }
@@ -43,27 +43,32 @@ func NewDRBGFromUint64(seed uint64, label string) *DRBG {
 	return NewDRBG(b[:], label)
 }
 
+// rekey keys the HMAC with the current key; every HMAC under one key
+// reuses it.
+func (d *DRBG) rekey() { d.mac = hmac.New(sha256.New, d.key[:]) }
+
+// next advances V to HMAC(K, V).
+func (d *DRBG) next() {
+	d.mac.Reset()
+	d.mac.Write(d.v[:])
+	d.mac.Sum(d.v[:0])
+}
+
+// update is HMAC_DRBG's update function: K = HMAC(K, V || 0x00 ||
+// provided), V = HMAC(K, V), and with provided data a second round
+// separated by 0x01.
 func (d *DRBG) update(provided []byte) {
-	m := hmac.New(sha256.New, d.key)
-	m.Write(d.v)
-	m.Write([]byte{0x00})
-	m.Write(provided)
-	d.key = m.Sum(nil)
-
-	m = hmac.New(sha256.New, d.key)
-	m.Write(d.v)
-	d.v = m.Sum(nil)
-
-	if len(provided) > 0 {
-		m = hmac.New(sha256.New, d.key)
-		m.Write(d.v)
-		m.Write([]byte{0x01})
-		m.Write(provided)
-		d.key = m.Sum(nil)
-
-		m = hmac.New(sha256.New, d.key)
-		m.Write(d.v)
-		d.v = m.Sum(nil)
+	for _, sep := range []byte{0x00, 0x01} {
+		d.mac.Reset()
+		d.mac.Write(d.v[:])
+		d.mac.Write([]byte{sep})
+		d.mac.Write(provided)
+		d.mac.Sum(d.key[:0])
+		d.rekey()
+		d.next()
+		if len(provided) == 0 {
+			return
+		}
 	}
 }
 
@@ -72,10 +77,8 @@ func (d *DRBG) update(provided []byte) {
 func (d *DRBG) Read(p []byte) (int, error) {
 	n := 0
 	for n < len(p) {
-		m := hmac.New(sha256.New, d.key)
-		m.Write(d.v)
-		d.v = m.Sum(nil)
-		n += copy(p[n:], d.v)
+		d.next()
+		n += copy(p[n:], d.v[:])
 	}
 	d.update(nil)
 	return len(p), nil

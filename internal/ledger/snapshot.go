@@ -2,11 +2,13 @@ package ledger
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -177,16 +179,52 @@ func writeAmounts(w *bufio.Writer, member string, m map[identity.Address]uint64,
 		colon = ": "
 	}
 	w.WriteString(member + "{")
-	for i, a := range sortedAddrs(m) {
+	for i, e := range sortedAmounts(m) {
 		if i > 0 {
 			w.WriteByte(',')
 		}
 		w.WriteString(indent)
-		writeAddr(w, a)
+		writeAddr(w, e.addr)
 		w.WriteString(colon)
-		w.Write(strconv.AppendUint(w.AvailableBuffer(), m[a], 10))
+		w.Write(strconv.AppendUint(w.AvailableBuffer(), e.v, 10))
 	}
 	w.WriteString(strings.TrimSuffix(indent, " ") + "}")
+}
+
+// amountEntry is one entry of an address → amount map.
+type amountEntry struct {
+	addr identity.Address
+	v    uint64
+}
+
+// sortedAmounts returns m's entries in address order. Addresses are
+// hashes, so their leading bits spread evenly: a counting pass over the
+// top ≈ log₂ len(m) bits (16 at most) places every entry in the run of
+// its prefix, and only the entries that share a run are compared.
+func sortedAmounts(m map[identity.Address]uint64) []amountEntry {
+	shift := 16 - min(bits.Len(uint(len(m))), 16)
+	prefix := func(a identity.Address) int { return int(binary.BigEndian.Uint16(a[:]) >> shift) }
+	end := make([]int32, 1<<(16-shift)+1)
+	for a := range m {
+		end[prefix(a)+1]++
+	}
+	for p := 1; p < len(end); p++ {
+		end[p] += end[p-1] // for now the start of run p
+	}
+	out := make([]amountEntry, len(m))
+	for a, v := range m {
+		p := prefix(a)
+		out[end[p]] = amountEntry{a, v}
+		end[p]++
+	}
+	from := int32(0)
+	for _, to := range end[:len(end)-1] {
+		if to-from > 1 {
+			slices.SortFunc(out[from:to], func(x, y amountEntry) int { return compareAddr(x.addr, y.addr) })
+		}
+		from = to
+	}
+	return out
 }
 
 // writeAddr writes an address as Address.MarshalText spells it, quoted.

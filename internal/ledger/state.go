@@ -2,6 +2,8 @@ package ledger
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -176,13 +178,22 @@ func (s *State) SetStorage(contract identity.Address, key string, value []byte) 
 	mStateWrites.Inc()
 }
 
-// load writes a genesis allocation or a snapshot's records without the
-// undo journal: both loaders commit at once, so an undo record per
-// account would only hold memory, and Commit keeps the journal's backing
-// array for the life of the state.
+// load writes a genesis allocation or a snapshot's records into an empty
+// state without the undo journal: both loaders commit at once, so an
+// undo record per account would only hold memory, and Commit keeps the
+// journal's backing array for the life of the state. The maps and the
+// dirty list are sized for the records up front.
 func (s *State) load(balances, nonces map[identity.Address]uint64, storage map[identity.Address]map[string][]byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	records := len(balances) + len(nonces)
+	for _, slot := range storage {
+		records += len(slot)
+	}
+	s.balances = make(map[identity.Address]uint64, len(balances))
+	s.nonces = make(map[identity.Address]uint64, len(nonces))
+	s.storage = make(map[identity.Address]map[string][]byte, len(storage))
+	s.dirty = make([]recKey, 0, records)
 	for kind, m := range map[recKind]map[identity.Address]uint64{recBalance: balances, recNonce: nonces} {
 		for a, v := range m {
 			setU64(s.u64s(kind), a, v)
@@ -298,6 +309,16 @@ func (s *State) RevertTo(snap int) {
 // Commit discards undo information, making all mutations permanent.
 func (s *State) Commit() { s.journal = s.journal[:0] }
 
-func sortAddresses(addrs []identity.Address) {
-	slices.SortFunc(addrs, func(a, b identity.Address) int { return bytes.Compare(a[:], b[:]) })
+func sortAddresses(addrs []identity.Address) { slices.SortFunc(addrs, compareAddr) }
+
+// compareAddr orders addresses as bytes.Compare orders their bytes, as
+// two big-endian 64-bit words and one 32-bit word.
+func compareAddr(a, b identity.Address) int {
+	if c := cmp.Compare(binary.BigEndian.Uint64(a[:8]), binary.BigEndian.Uint64(b[:8])); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(binary.BigEndian.Uint64(a[8:16]), binary.BigEndian.Uint64(b[8:16])); c != 0 {
+		return c
+	}
+	return cmp.Compare(binary.BigEndian.Uint32(a[16:]), binary.BigEndian.Uint32(b[16:]))
 }

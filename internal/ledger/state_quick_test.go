@@ -2,6 +2,8 @@ package ledger
 
 import (
 	"bytes"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"pds2/internal/crypto"
@@ -117,4 +119,67 @@ func TestStateJournalAgainstReferenceModel(t *testing.T) {
 		}
 	}
 	check(st, cur, 3000)
+}
+
+// TestCompareAddrMatchesBytes checks that compareAddr, which compares an
+// address as three big-endian words, agrees with bytes.Compare on random
+// pairs, on pairs that differ in one byte at every position, and on
+// equal pairs.
+func TestCompareAddrMatchesBytes(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	random := func() (a identity.Address) {
+		for i := range a {
+			a[i] = byte(rng.Uint32())
+		}
+		return a
+	}
+	for i := 0; i < 100_000; i++ {
+		a, b := random(), random()
+		switch i % 3 {
+		case 1:
+			b = a
+			b[rng.IntN(len(b))] = byte(rng.Uint32())
+		case 2:
+			b = a
+		}
+		if got, want := compareAddr(a, b), bytes.Compare(a[:], b[:]); got != want {
+			t.Fatalf("compareAddr(%x, %x) = %d, bytes.Compare gives %d", a, b, got, want)
+		}
+	}
+}
+
+// TestSortedAmountsOrder checks the genesis writer's counting sort
+// against a comparison sort at sizes from one entry to past the 16-bit
+// prefix, with a third of the addresses crowded onto the lowest, the
+// highest and a middle prefix.
+func TestSortedAmountsOrder(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 5))
+	for _, n := range []int{1, 2, 3, 5, 17, 256, 1000, 70_000} {
+		m := make(map[identity.Address]uint64, n)
+		for len(m) < n {
+			var a identity.Address
+			for i := range a {
+				a[i] = byte(rng.Uint32())
+			}
+			if rng.IntN(3) == 0 {
+				p := []uint16{0x0000, 0xffff, 0x8000}[rng.IntN(3)]
+				a[0], a[1] = byte(p>>8), byte(p)
+			}
+			m[a] = rng.Uint64()
+		}
+		want := make([]identity.Address, 0, n)
+		for a := range m {
+			want = append(want, a)
+		}
+		slices.SortFunc(want, func(a, b identity.Address) int { return bytes.Compare(a[:], b[:]) })
+		got := sortedAmounts(m)
+		if len(got) != n {
+			t.Fatalf("n=%d: %d entries", n, len(got))
+		}
+		for i, e := range got {
+			if e.addr != want[i] || e.v != m[e.addr] {
+				t.Fatalf("n=%d: entry %d is %x=%d, want %x=%d", n, i, e.addr, e.v, want[i], m[want[i]])
+			}
+		}
+	}
 }
