@@ -153,37 +153,8 @@ func RunDetailed(s Scenario) (*Result, *market.Market, error) {
 		before[id.Address()] = m.Chain.State().Balance(id.Address())
 	}
 
-	workload, err := consumer.SubmitWorkload(spec, s.Budget)
+	workload, payload, err := market.RunLifecycle(consumer, spec, s.Budget, providers, executors)
 	if err != nil {
-		return nil, nil, err
-	}
-	for i, p := range providers {
-		refs, err := p.EligibleData(spec)
-		if err != nil {
-			return nil, nil, err
-		}
-		exec := executors[i%len(executors)]
-		auths, err := p.Authorize(workload, exec.ID.Address(), refs, spec.ExpiryHeight)
-		if err != nil {
-			return nil, nil, err
-		}
-		exec.Accept(workload, auths)
-	}
-	active := executors[:0:0]
-	for _, e := range executors {
-		if err := e.Register(workload); err != nil {
-			continue // executors without assignments skip this workload
-		}
-		active = append(active, e)
-	}
-	if err := consumer.Start(workload); err != nil {
-		return nil, nil, err
-	}
-	payload, err := market.RunWorkloadExecution(workload, active)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := consumer.Finalize(workload); err != nil {
 		return nil, nil, err
 	}
 

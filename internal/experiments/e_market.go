@@ -96,33 +96,8 @@ func newE13World(seed uint64, ownStorage, ownExecution bool) (*e13World, error) 
 
 // run drives the lifecycle with provider i assigned to executor i.
 func (w *e13World) run(budget uint64) (crypto.Digest, error) {
-	addr, err := w.consumer.SubmitWorkload(w.spec, budget)
+	addr, _, err := market.RunLifecycle(w.consumer, w.spec, budget, w.providers, w.executors)
 	if err != nil {
-		return crypto.ZeroDigest, err
-	}
-	for i, p := range w.providers {
-		refs, err := p.EligibleData(w.spec)
-		if err != nil {
-			return crypto.ZeroDigest, err
-		}
-		auths, err := p.Authorize(addr, w.executors[i].ID.Address(), refs, w.spec.ExpiryHeight)
-		if err != nil {
-			return crypto.ZeroDigest, err
-		}
-		w.executors[i].Accept(addr, auths)
-	}
-	for _, e := range w.executors {
-		if err := e.Register(addr); err != nil {
-			return crypto.ZeroDigest, err
-		}
-	}
-	if err := w.consumer.Start(addr); err != nil {
-		return crypto.ZeroDigest, err
-	}
-	if _, err := market.RunWorkloadExecution(addr, w.executors); err != nil {
-		return crypto.ZeroDigest, err
-	}
-	if err := w.consumer.Finalize(addr); err != nil {
 		return crypto.ZeroDigest, err
 	}
 	hash, _, err := w.m.WorkloadResultOf(addr)

@@ -97,34 +97,8 @@ func runPoisonedWorkload(aggregation string, poisoned int, quick bool) (market.W
 		QAPub:          m.QA.PublicKey(),
 		Params:         params.Encode(),
 	}
-	addr, err := consumer.SubmitWorkload(spec, 30_000)
+	addr, payload, err := market.RunLifecycle(consumer, spec, 30_000, providers, executors)
 	if err != nil {
-		return 0, 0, err
-	}
-	for i, p := range providers {
-		refs, err := p.EligibleData(spec)
-		if err != nil {
-			return 0, 0, err
-		}
-		auths, err := p.Authorize(addr, executors[i].ID.Address(), refs, spec.ExpiryHeight)
-		if err != nil {
-			return 0, 0, err
-		}
-		executors[i].Accept(addr, auths)
-	}
-	for _, e := range executors {
-		if err := e.Register(addr); err != nil {
-			return 0, 0, err
-		}
-	}
-	if err := consumer.Start(addr); err != nil {
-		return 0, 0, err
-	}
-	payload, err := market.RunWorkloadExecution(addr, executors)
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := consumer.Finalize(addr); err != nil {
 		return 0, 0, err
 	}
 	st, err := m.WorkloadStateOf(addr)

@@ -283,12 +283,9 @@ type Authorization struct {
 func (p *Provider) Authorize(workload identity.Address, executor identity.Address, refs []storage.DataRef, expiry uint64) ([]Authorization, error) {
 	wid := WorkloadIDFor(workload)
 	// Match-layer usage control: before any certificate is issued, every
-	// dataset's policy is enforced on-chain against the workload's class,
-	// purpose and guaranteed aggregation floor (spec.MinItems — the
-	// smallest set the workload may start with). Each decision for a
-	// policy-bearing dataset becomes a PolicyDecision chain event; a
-	// denial aborts the authorization with a typed error. Policy-free
-	// batches skip the transaction entirely.
+	// dataset's policy is enforced against the workload's guaranteed
+	// aggregation floor (spec.MinItems — the smallest set the workload
+	// may start with).
 	if len(refs) > 0 {
 		spec, err := p.Market.WorkloadSpecOf(workload)
 		if err != nil {
@@ -298,22 +295,8 @@ func (p *Provider) Authorize(workload identity.Address, executor identity.Addres
 		for i, ref := range refs {
 			ids[i] = ref.ID
 		}
-		bound, err := p.Market.anyPolicyBound(ids)
-		if err != nil {
+		if err := p.Market.enforce(p.ID, policy.LayerMatch, workload, spec, spec.MinItems, ids); err != nil {
 			return nil, err
-		}
-		if bound {
-			recs, err := p.Market.enforcePolicies(p.ID, policy.LayerMatch,
-				spec.ComputationClass(), spec.Purpose, spec.MinItems, ids)
-			if err != nil {
-				return nil, err
-			}
-			if err := denialFromRecords(recs); err != nil {
-				logMarket.Info("match-layer policy denial",
-					telemetry.Str("workload", workload.Hex()),
-					telemetry.Str("provider", p.ID.Address().Hex()), telemetry.Err(err))
-				return nil, err
-			}
 		}
 	}
 	out := make([]Authorization, 0, len(refs))
@@ -420,9 +403,6 @@ func (e *Executor) policyGuard(workload identity.Address, spec *Spec) tee.Guard 
 			return nil
 		}
 		auths := e.assignments[workload]
-		if len(auths) == 0 {
-			return nil
-		}
 		ids := make([]crypto.Digest, 0, len(auths))
 		seen := make(map[crypto.Digest]bool, len(auths))
 		for _, a := range auths {
@@ -431,25 +411,7 @@ func (e *Executor) policyGuard(workload identity.Address, spec *Spec) tee.Guard 
 				ids = append(ids, a.Grant.DataID)
 			}
 		}
-		bound, err := e.Market.anyPolicyBound(ids)
-		if err != nil {
-			return err
-		}
-		if !bound {
-			return nil
-		}
-		recs, err := e.Market.enforcePolicies(e.ID, policy.LayerEnclave,
-			spec.ComputationClass(), spec.Purpose, uint64(len(auths)), ids)
-		if err != nil {
-			return err
-		}
-		if err := denialFromRecords(recs); err != nil {
-			logMarket.Info("enclave-layer policy denial",
-				telemetry.Str("workload", workload.Hex()),
-				telemetry.Str("executor", e.ID.Address().Hex()), telemetry.Err(err))
-			return err
-		}
-		return nil
+		return e.Market.enforce(e.ID, policy.LayerEnclave, workload, spec, uint64(len(auths)), ids)
 	}
 }
 
@@ -707,4 +669,51 @@ func RunWorkloadExecution(workload identity.Address, executors []*Executor) ([]b
 		}
 	}
 	return executors[0].results[workload], nil
+}
+
+// RunLifecycle drives one workload through the whole Fig. 2 sequence:
+// submit; provider i checks eligibility and authorizes
+// executors[i%len(executors)]; every executor holding authorizations
+// registers (the others take no part); start; RunWorkloadExecution over
+// the registered executors; finalize. It returns the workload address
+// (also on an error after submission) and the first registered
+// executor's result payload.
+func RunLifecycle(consumer *Consumer, spec *Spec, budget uint64, providers []*Provider, executors []*Executor) (identity.Address, []byte, error) {
+	workload, err := consumer.SubmitWorkload(spec, budget)
+	if err != nil {
+		return identity.ZeroAddress, nil, err
+	}
+	for i, p := range providers {
+		refs, err := p.EligibleData(spec)
+		if err != nil {
+			return workload, nil, err
+		}
+		exec := executors[i%len(executors)]
+		auths, err := p.Authorize(workload, exec.ID.Address(), refs, spec.ExpiryHeight)
+		if err != nil {
+			return workload, nil, err
+		}
+		exec.Accept(workload, auths)
+	}
+	active := make([]*Executor, 0, len(executors))
+	for _, e := range executors {
+		if len(e.assignments[workload]) == 0 {
+			continue
+		}
+		if err := e.Register(workload); err != nil {
+			return workload, nil, err
+		}
+		active = append(active, e)
+	}
+	if err := consumer.Start(workload); err != nil {
+		return workload, nil, err
+	}
+	payload, err := RunWorkloadExecution(workload, active)
+	if err != nil {
+		return workload, nil, err
+	}
+	if err := consumer.Finalize(workload); err != nil {
+		return workload, nil, err
+	}
+	return workload, payload, nil
 }

@@ -3,6 +3,7 @@ package market
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -99,52 +100,75 @@ func newTestWorld(t *testing.T, seed uint64, nProviders, nExecutors int) *testWo
 // address and result payload.
 func (w *testWorld) runLifecycle(t *testing.T, budget uint64) (identity.Address, []byte) {
 	t.Helper()
-	addr, err := w.consumer.SubmitWorkload(w.spec, budget)
+	addr, result, err := RunLifecycle(w.consumer, w.spec, budget, w.providers, w.executors)
 	if err != nil {
-		t.Fatal(err)
-	}
-	// Providers discover the workload, check eligibility, and authorize
-	// executors round-robin.
-	for i, p := range w.providers {
-		refs, err := p.EligibleData(w.spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(refs) == 0 {
-			t.Fatalf("provider %d found no eligible data", i)
-		}
-		exec := w.executors[i%len(w.executors)]
-		auths, err := p.Authorize(addr, exec.ID.Address(), refs, w.spec.ExpiryHeight)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exec.Accept(addr, auths)
-	}
-	for _, e := range w.executors {
-		if len(e.assignments[addr]) == 0 {
-			continue
-		}
-		if err := e.Register(addr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.consumer.Start(addr); err != nil {
-		t.Fatal(err)
-	}
-	active := make([]*Executor, 0, len(w.executors))
-	for _, e := range w.executors {
-		if len(e.assignments[addr]) > 0 {
-			active = append(active, e)
-		}
-	}
-	result, err := RunWorkloadExecution(addr, active)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.consumer.Finalize(addr); err != nil {
 		t.Fatal(err)
 	}
 	return addr, result
+}
+
+// runExplicitLifecycle is the Fig. 2 sequence spelled out step by step,
+// as every driver wrote it before RunLifecycle: the reference that
+// TestRunLifecycleMatchesExplicitSteps holds the helper to.
+func (w *testWorld) runExplicitLifecycle(t *testing.T, budget uint64) (identity.Address, []byte) {
+	t.Helper()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	addr, err := w.consumer.SubmitWorkload(w.spec, budget)
+	must(err)
+	for i, p := range w.providers {
+		refs, err := p.EligibleData(w.spec)
+		must(err)
+		exec := w.executors[i%len(w.executors)]
+		auths, err := p.Authorize(addr, exec.ID.Address(), refs, w.spec.ExpiryHeight)
+		must(err)
+		exec.Accept(addr, auths)
+	}
+	var active []*Executor
+	for _, e := range w.executors {
+		if len(e.assignments[addr]) > 0 {
+			must(e.Register(addr))
+			active = append(active, e)
+		}
+	}
+	must(w.consumer.Start(addr))
+	result, err := RunWorkloadExecution(addr, active)
+	must(err)
+	must(w.consumer.Finalize(addr))
+	return addr, result
+}
+
+// TestRunLifecycleMatchesExplicitSteps runs two worlds from one seed,
+// one through the explicit steps and one through RunLifecycle, and
+// requires the same chain: head hash, state root, event log and result
+// payload. The 2 × 4 shape leaves two executors without authorizations.
+func TestRunLifecycleMatchesExplicitSteps(t *testing.T) {
+	for _, shape := range []struct{ providers, executors int }{{4, 2}, {2, 4}} {
+		ref := newTestWorld(t, 60, shape.providers, shape.executors)
+		refAddr, refResult := ref.runExplicitLifecycle(t, 100_000)
+		w := newTestWorld(t, 60, shape.providers, shape.executors)
+		addr, result := w.runLifecycle(t, 100_000)
+
+		if st, err := w.m.WorkloadStateOf(addr); err != nil || st != StateComplete {
+			t.Fatalf("%d×%d: state = %v, %v", shape.providers, shape.executors, st, err)
+		}
+		if addr != refAddr || !bytes.Equal(result, refResult) {
+			t.Fatalf("%d×%d: workload or result payload differs", shape.providers, shape.executors)
+		}
+		if got, want := w.m.Chain.Head().Hash(), ref.m.Chain.Head().Hash(); got != want {
+			t.Fatalf("%d×%d: head %s, want %s", shape.providers, shape.executors, got.Hex(), want.Hex())
+		}
+		if got, want := w.m.Chain.State().Root(), ref.m.Chain.State().Root(); got != want {
+			t.Fatalf("%d×%d: root %s, want %s", shape.providers, shape.executors, got.Hex(), want.Hex())
+		}
+		if !reflect.DeepEqual(w.m.Chain.Events(""), ref.m.Chain.Events("")) {
+			t.Fatalf("%d×%d: event logs differ", shape.providers, shape.executors)
+		}
+	}
 }
 
 func TestFullLifecycle(t *testing.T) {
@@ -260,31 +284,11 @@ func TestTamperedResultDisputedAndRefunded(t *testing.T) {
 	const budget = 50_000
 	consumerBefore := w.m.Chain.State().Balance(w.consumer.ID.Address())
 
-	addr, err := w.consumer.SubmitWorkload(w.spec, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range w.providers {
-		refs, _ := p.EligibleData(w.spec)
-		exec := w.executors[i%2]
-		auths, _ := p.Authorize(addr, exec.ID.Address(), refs, w.spec.ExpiryHeight)
-		exec.Accept(addr, auths)
-	}
-	for _, e := range w.executors {
-		if err := e.Register(addr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.consumer.Start(addr); err != nil {
-		t.Fatal(err)
-	}
 	// Execution: the tampering executor submits a divergent result; the
-	// second submission triggers the dispute.
-	_, err = RunWorkloadExecution(addr, w.executors)
+	// second submission triggers the dispute, so settlement fails.
+	addr, _, err := RunLifecycle(w.consumer, w.spec, budget, w.providers, w.executors)
 	if err == nil {
-		// The dispute path may also surface as a failed later submission,
-		// depending on order; in either case the state must be Disputed.
-		t.Log("execution completed; checking dispute state")
+		t.Fatal("a disputed workload settled")
 	}
 	st, err2 := w.m.WorkloadStateOf(addr)
 	if err2 != nil {
@@ -1109,39 +1113,8 @@ func TestMedianAggregationResistsPoisoning(t *testing.T) {
 		w.spec.Params = w.params.Encode()
 		w.executors[2].PoisonLocal = true
 
-		addr, err := w.consumer.SubmitWorkload(w.spec, 30_000)
+		addr, _, err := RunLifecycle(w.consumer, w.spec, 30_000, w.providers, w.executors)
 		if err != nil {
-			t.Fatal(err)
-		}
-		for i, p := range w.providers {
-			refs, _ := p.EligibleData(w.spec)
-			auths, _ := p.Authorize(addr, w.executors[i].ID.Address(), refs, w.spec.ExpiryHeight)
-			w.executors[i].Accept(addr, auths)
-		}
-		for _, e := range w.executors {
-			if err := e.Register(addr); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.consumer.Start(addr); err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range w.executors {
-			if err := e.TrainLocal(addr); err != nil {
-				t.Fatal(err)
-			}
-		}
-		shares := make([][]byte, 0, 3)
-		for _, e := range w.executors {
-			s, _ := e.LocalShare(addr)
-			shares = append(shares, s)
-		}
-		for _, e := range w.executors {
-			if err := e.Aggregate(addr, shares); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.consumer.Finalize(addr); err != nil {
 			t.Fatal(err)
 		}
 		st, _ := w.m.WorkloadStateOf(addr)

@@ -8,6 +8,7 @@ import (
 	"pds2/internal/identity"
 	"pds2/internal/ledger"
 	"pds2/internal/policy"
+	"pds2/internal/telemetry"
 )
 
 // PolicyDenialError is returned when a usage-control policy denies an
@@ -50,6 +51,31 @@ func (m *Market) enforcePolicies(from *identity.Identity, layer, class, purpose 
 		return nil, fmt.Errorf("market: policy enforcement: %w", err)
 	}
 	return recs, nil
+}
+
+// enforce is the market side of usage control at the match and enclave
+// layers. When any of the datasets carries a policy it sends one
+// enforcePolicy transaction from the given identity, so every decision
+// becomes a PolicyDecision chain event, and returns the first denial as
+// a *PolicyDenialError. Policy-free batches skip the transaction.
+func (m *Market) enforce(from *identity.Identity, layer string, workload identity.Address,
+	spec *Spec, agg uint64, ids []crypto.Digest) error {
+
+	bound, err := m.anyPolicyBound(ids)
+	if err != nil || !bound {
+		return err
+	}
+	recs, err := m.enforcePolicies(from, layer, spec.ComputationClass(), spec.Purpose, agg, ids)
+	if err != nil {
+		return err
+	}
+	if err := denialFromRecords(recs); err != nil {
+		logMarket.Info(layer+"-layer policy denial",
+			telemetry.Str("workload", workload.Hex()),
+			telemetry.Str("actor", from.Address().Hex()), telemetry.Err(err))
+		return err
+	}
+	return nil
 }
 
 // PolicyOf reads a dataset's usage-control policy from the registry;
