@@ -41,7 +41,11 @@ type Config struct {
 	// Seed drives all deterministic randomness (keys, nonces).
 	Seed uint64
 
-	// GenesisAlloc funds accounts at genesis, in native tokens.
+	// GenesisAlloc funds accounts at genesis, in native tokens. The
+	// market keeps the map: it funds any unfunded authority in it, and
+	// the chain's genesis configuration (exports, snapshots) refers to
+	// it for the chain's whole life, so the caller must not modify it
+	// afterwards.
 	GenesisAlloc map[identity.Address]uint64
 
 	// Authorities optionally overrides the PoA validator set; by default
@@ -130,9 +134,9 @@ func New(cfg Config) (*Market, error) {
 		authorities = []*identity.Identity{identity.New("governor", rng.Fork("governor"))}
 	}
 	addrs := make([]identity.Address, len(authorities))
-	alloc := make(map[identity.Address]uint64, len(cfg.GenesisAlloc)+len(authorities))
-	for a, v := range cfg.GenesisAlloc {
-		alloc[a] = v
+	alloc := cfg.GenesisAlloc
+	if alloc == nil {
+		alloc = make(map[identity.Address]uint64, len(authorities))
 	}
 	for i, auth := range authorities {
 		addrs[i] = auth.Address()
