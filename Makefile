@@ -132,16 +132,20 @@ pprof-smoke:
 	$(GO) test -race -count=1 ./internal/api/ -run 'TestPprof|TestMetricsHistory|TestMetricsAndTraceDisabled'
 	$(GO) test -race -count=1 ./internal/diag/
 
-# ci-fast is the inner-loop gate (target: under two minutes): static
-# checks, the full build, the race pass over the execution and seal-path
-# packages, the fixed-seed property-harness smoke with differential
-# replay, the usage-control policy smoke (three-layer enforcement,
-# on-chain decision events, offline replay, API round trips) and the
-# bytecode-VM smoke (differential oracle agreement, built-in-policy
-# bit-identical equivalence, deploy gates) under -race, and
+# ci-fast is the inner-loop gate (target: under two minutes): a gofmt
+# check over every Go source directory (not .bench_build/, which holds
+# copies), static checks, the full build, the race pass over the
+# execution and seal-path packages, the fixed-seed property-harness
+# smoke with differential replay, the usage-control policy smoke
+# (three-layer enforcement, on-chain decision events, offline replay,
+# API round trips) and the bytecode-VM smoke (differential oracle
+# agreement, built-in-policy bit-identical equivalence, deploy gates)
+# under -race, and
 # TestBenchmarkModule, which vets and tests the nested benchmark module
 # against this tree.
-ci-fast: vet build
+ci-fast:
+	test -z "$$(gofmt -l cmd internal examples benchmark *.go)"
+	$(MAKE) vet build
 	$(GO) test -count=1 -run TestBenchmarkModule .
 	$(MAKE) race-core
 	$(MAKE) proptest

@@ -195,6 +195,27 @@ func TestHealthzUnhealthyMempool(t *testing.T) {
 	}
 }
 
+// TestSetDraining pins the drain switch: /readyz answers 503 while the
+// server drains and 200 once it stops; /healthz answers 200 throughout.
+func TestSetDraining(t *testing.T) {
+	telemetry.Default().Reset()
+	market.ExecutorHeartbeat.Beat() // an executor has worked: the node is Healthy
+	srvURL, s := healthTestServer(t, 0)
+	for _, draining := range []bool{false, true, false} {
+		s.SetDraining(draining)
+		want := http.StatusOK
+		if draining {
+			want = http.StatusServiceUnavailable
+		}
+		if code := getJSON(t, srvURL+"/readyz", nil); code != want {
+			t.Fatalf("GET /readyz draining=%v: %d, want %d", draining, code, want)
+		}
+		if code := getJSON(t, srvURL+"/healthz", nil); code != http.StatusOK {
+			t.Fatalf("GET /healthz draining=%v: %d, want 200", draining, code)
+		}
+	}
+}
+
 // healthTestServer stands up a market with the given mempool bound
 // (0 = default) behind the API and, when bounded, fills the pool.
 func healthTestServer(t *testing.T, mempoolSize int) (string, *Server) {

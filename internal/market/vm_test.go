@@ -39,7 +39,8 @@ func runBuiltinEquivalenceWorld(t *testing.T, compiled bool) vmWorldOutcome {
 		MaxInvocations: 8,
 	}
 	expired := &policy.Policy{ExpiryHeight: 1} // registration heights are past 1
-	strict := &policy.Policy{ // class/purpose/aggregation denial probes
+	// strict probes class, purpose and aggregation denials.
+	strict := &policy.Policy{
 		AllowedClasses: []string{"stats"},
 		MinAggregation: 3,
 		Purposes:       []string{"research"},

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -302,6 +303,16 @@ func TestDifferentialBuiltinSource(t *testing.T) {
 	// Zero policy compiles to a bare allow.
 	if got := BuiltinPolicySource(&policy.Policy{}); got != "allow\n" {
 		t.Errorf("zero policy source = %q", got)
+	}
+	// CompilePolicy, the deploy path of declarative policies outside this
+	// package (the benchmark harness deploys through it), builds exactly
+	// that source into an artifact that decodes and verifies.
+	art, err := CompilePolicy(pol)
+	if want, _ := BuildSource(src); err != nil || !bytes.Equal(art, want) {
+		t.Fatalf("CompilePolicy differs from BuildSource(BuiltinPolicySource): %v", err)
+	}
+	if back, err := Decode(art); err != nil || VerifySource(back) != nil {
+		t.Fatalf("CompilePolicy artifact does not decode and verify: %v", err)
 	}
 }
 
