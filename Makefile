@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-core vet loc bench proptest fuzz covgate load-smoke bench-pair bench-module diag-selftest pprof-smoke policy-smoke vm-smoke ci-fast ci
+.PHONY: build test race race-core vet loc reach bench proptest fuzz covgate load-smoke bench-pair bench-module diag-selftest pprof-smoke policy-smoke vm-smoke ci-fast ci
 
 build:
 	$(GO) build ./...
@@ -35,9 +35,16 @@ vet:
 
 # loc prints non-test Go line counts for the directories ROADMAP aim 2
 # ("the same behaviour and the same numbers from the least code")
-# measures; quote it for parent and change when a PR claims a deletion.
+# measures, then the tree-wide non-test and test totals; quote it for
+# parent and change when a PR claims a deletion.
 loc:
 	./scripts/loc.sh
+
+# reach lists the internal/ functions that none of the shipped binaries
+# (five cmd/ mains, four examples, the benchmark harness) links, and
+# fails when their line count rises above the floor in scripts/reach.sh.
+reach:
+	./scripts/reach.sh
 
 bench:
 	$(GO) test -run NONE -bench . -benchmem ./...
@@ -165,7 +172,8 @@ ci-fast:
 # smoke under -race, the diag flight-recorder self-test (capture a
 # bundle from a live node and assert every artifact is present,
 # parseable and component-labeled), a 30-second open-loop load smoke
-# against a self-hosted node (SLO-gated), and the coverage ratchet.
+# against a self-hosted node (SLO-gated), the coverage ratchet and the
+# unreached-code ratchet.
 # (Benchmark regressions are judged by `make bench-pair`, which needs an
 # idle box and minutes, so it is not in ci.)
 ci: ci-fast
@@ -181,3 +189,4 @@ ci: ci-fast
 	$(MAKE) diag-selftest
 	$(MAKE) load-smoke
 	$(MAKE) covgate
+	$(MAKE) reach

@@ -130,6 +130,10 @@ func TestHealthEndpoints(t *testing.T) {
 	if rep.Components["ledger.mempool"].State != telemetry.Healthy {
 		t.Fatalf("fresh mempool not healthy: %+v", rep.Components["ledger.mempool"])
 	}
+	// A node that has not run an executor is ready.
+	if code := getJSON(t, srvURL+"/readyz", nil); code != http.StatusOK {
+		t.Fatalf("GET /readyz on a fresh node: %d, want 200", code)
+	}
 
 	// Stand up a small gossip overlay and register its connectivity
 	// check on this node.
@@ -199,7 +203,6 @@ func TestHealthzUnhealthyMempool(t *testing.T) {
 // server drains and 200 once it stops; /healthz answers 200 throughout.
 func TestSetDraining(t *testing.T) {
 	telemetry.Default().Reset()
-	market.ExecutorHeartbeat.Beat() // an executor has worked: the node is Healthy
 	srvURL, s := healthTestServer(t, 0)
 	for _, draining := range []bool{false, true, false} {
 		s.SetDraining(draining)

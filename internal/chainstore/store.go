@@ -146,9 +146,6 @@ func Open(dir string, opts *Options) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 func (s *Store) segmentDir() string  { return filepath.Join(s.dir, "segments") }
 func (s *Store) snapshotDir() string { return filepath.Join(s.dir, "snapshots") }
 

@@ -126,9 +126,6 @@ func (c *Context) Args(prefix string, args []byte) *Decoder {
 	return d
 }
 
-// GasLeft returns the remaining gas budget.
-func (c *Context) GasLeft() uint64 { return *c.gasLeft }
-
 // Get reads a key from the contract's own storage.
 func (c *Context) Get(key string) []byte {
 	c.UseGas(GasSload)

@@ -61,14 +61,6 @@ func FieldSub(a, b FieldElem) FieldElem {
 	return FieldElem(uint64(a) + FieldPrime - uint64(b))
 }
 
-// FieldNeg returns -a mod p.
-func FieldNeg(a FieldElem) FieldElem {
-	if a == 0 {
-		return 0
-	}
-	return FieldElem(FieldPrime - uint64(a))
-}
-
 // FieldMul returns a*b mod p using the Mersenne-prime folding reduction:
 // for p = 2^61-1, (hi*2^64 + lo) ≡ hi*8 + lo (mod p) after splitting lo
 // at bit 61.
@@ -83,35 +75,6 @@ func FieldMul(a, b FieldElem) FieldElem {
 		sum -= FieldPrime
 	}
 	return FieldElem(sum)
-}
-
-// FieldPow returns a^e mod p by square-and-multiply.
-func FieldPow(a FieldElem, e uint64) FieldElem {
-	result := FieldElem(1)
-	base := a
-	for e > 0 {
-		if e&1 == 1 {
-			result = FieldMul(result, base)
-		}
-		base = FieldMul(base, base)
-		e >>= 1
-	}
-	return result
-}
-
-// FieldInv returns the multiplicative inverse of a, using Fermat's little
-// theorem (a^(p-2) mod p). It panics on zero, which has no inverse; the
-// panic indicates a logic error in the caller, not bad external input.
-func FieldInv(a FieldElem) FieldElem {
-	if a == 0 {
-		panic("crypto: inverse of zero field element")
-	}
-	return FieldPow(a, FieldPrime-2)
-}
-
-// FieldDiv returns a/b mod p.
-func FieldDiv(a, b FieldElem) FieldElem {
-	return FieldMul(a, FieldInv(b))
 }
 
 // String implements fmt.Stringer.

@@ -72,55 +72,11 @@ func mulRef(a, b uint64) uint64 {
 	return acc
 }
 
-func TestFieldInv(t *testing.T) {
-	for _, v := range []uint64{1, 2, 3, 12345, FieldPrime - 1, 1 << 45} {
-		a := FieldElem(v)
-		if FieldMul(a, FieldInv(a)) != 1 {
-			t.Fatalf("a * a^-1 != 1 for a=%d", v)
-		}
-	}
-}
-
-func TestFieldInvZeroPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("FieldInv(0) did not panic")
-		}
-	}()
-	FieldInv(0)
-}
-
-func TestFieldPow(t *testing.T) {
-	if FieldPow(3, 0) != 1 {
-		t.Fatal("a^0 != 1")
-	}
-	if FieldPow(3, 1) != 3 {
-		t.Fatal("a^1 != a")
-	}
-	if FieldPow(2, 10) != 1024 {
-		t.Fatal("2^10 != 1024")
-	}
-	// Fermat: a^(p-1) = 1 for a != 0.
-	if FieldPow(987654321, FieldPrime-1) != 1 {
-		t.Fatal("Fermat's little theorem violated")
-	}
-}
-
 func TestFieldInt64RoundTrip(t *testing.T) {
 	for _, v := range []int64{0, 1, -1, 42, -42, 1 << 40, -(1 << 40)} {
 		if FieldFromInt64(v).Int64() != v {
 			t.Fatalf("Int64 round trip failed for %d", v)
 		}
-	}
-}
-
-func TestFieldNeg(t *testing.T) {
-	f := func(a uint64) bool {
-		x := NewFieldElem(a)
-		return FieldAdd(x, FieldNeg(x)) == 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

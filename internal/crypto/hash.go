@@ -69,17 +69,6 @@ func HashConcat(parts ...[]byte) Digest {
 	return d
 }
 
-// HashDigests hashes a sequence of digests into one, preserving order.
-func HashDigests(ds ...Digest) Digest {
-	h := sha256.New()
-	for _, d := range ds {
-		h.Write(d[:])
-	}
-	var out Digest
-	h.Sum(out[:0])
-	return out
-}
-
 // IsZero reports whether d is the zero digest.
 func (d Digest) IsZero() bool { return d == ZeroDigest }
 
@@ -124,13 +113,6 @@ func MAC(key, msg []byte) Digest {
 	var d Digest
 	m.Sum(d[:0])
 	return d
-}
-
-// VerifyMAC reports whether mac is a valid HMAC-SHA256 of msg under key,
-// in constant time with respect to the MAC value.
-func VerifyMAC(key, msg []byte, mac Digest) bool {
-	want := MAC(key, msg)
-	return hmac.Equal(want[:], mac[:])
 }
 
 // DeriveKey derives a labelled subkey from a master secret using an

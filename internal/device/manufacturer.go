@@ -1,7 +1,6 @@
 package device
 
 import (
-	"crypto/ed25519"
 	"errors"
 	"fmt"
 
@@ -55,9 +54,6 @@ func NewManufacturer(name string, rng *crypto.DRBG) *Manufacturer {
 
 // Address returns the manufacturer's identity address.
 func (m *Manufacturer) Address() identity.Address { return m.id.Address() }
-
-// PublicKey returns the manufacturer's verification key.
-func (m *Manufacturer) PublicKey() ed25519.PublicKey { return m.id.PublicKey() }
 
 // DeviceCert is the manufacturer's endorsement of one device key.
 type DeviceCert struct {

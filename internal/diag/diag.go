@@ -6,12 +6,9 @@
 // plus a manifest with a checksum per artifact so a bundle shipped
 // around for analysis can prove it is complete and uncorrupted.
 //
-// Capture comes in two flavors: CaptureRemote pulls everything over a
-// running node's HTTP API (the operator's "grab me a bundle from prod"
-// path), and CaptureLocal reads the process-local telemetry and runtime
-// profiles directly (the path for self-hosted harnesses like pds2-load,
-// where the node lives in the same process). Both produce the same
-// bundle layout, verified by Verify.
+// CaptureRemote pulls everything over a running node's HTTP API (the
+// operator's "grab me a bundle from prod" path); Verify checks the
+// bundle it writes.
 package diag
 
 import (
@@ -23,10 +20,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
-	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
@@ -64,7 +59,7 @@ type Artifact struct {
 type Manifest struct {
 	Schema     string              `json:"schema"`
 	CapturedNS int64               `json:"captured_unix_ns"`
-	Source     string              `json:"source"` // node URL, or "local"
+	Source     string              `json:"source"` // node URL
 	Node       string              `json:"node,omitempty"`
 	Build      telemetry.BuildInfo `json:"build"`
 	Artifacts  []Artifact          `json:"artifacts"`
@@ -217,65 +212,6 @@ func CaptureRemote(ctx context.Context, client *api.Client, opts Options) (strin
 	if opts.CPUSeconds > 0 {
 		data, err := client.Pprof(ctx, "profile", opts.CPUSeconds)
 		c.add("cpu_profile", "cpu.pprof", data, err)
-	}
-
-	m, err := c.finish()
-	return dir, m, err
-}
-
-// CaptureLocal reads the bundle out of the current process: the default
-// telemetry registry, history ring, log ring and tracer, plus runtime
-// profiles taken in-process. This is the self-hosted path — the load
-// harness and tests run node and capture in one process, no HTTP hop.
-func CaptureLocal(opts Options) (string, Manifest, error) {
-	dir, err := opts.outDir()
-	if err != nil {
-		return "", Manifest{}, err
-	}
-	reg := telemetry.Default()
-	c := &capture{dir: dir, manifest: Manifest{
-		Schema:     ManifestSchema,
-		CapturedNS: time.Now().UnixNano(),
-		Source:     "local",
-		Node:       reg.Node(),
-		Build:      telemetry.CollectBuildInfo(),
-	}}
-	c.addJSON("build", "build.json", c.manifest.Build, nil)
-
-	if !reg.Enabled() {
-		c.addJSON("metrics", "metrics.json", nil, fmt.Errorf("telemetry disabled"))
-	} else {
-		c.addJSON("metrics", "metrics.json", reg.Snapshot(), nil)
-	}
-	if h := telemetry.DefaultHistory(); h != nil {
-		h.Record() // up-to-the-instant tail sample
-		c.addJSON("metrics_history", "metrics_history.json", h.Dump(opts.Window), nil)
-	} else {
-		c.addJSON("metrics_history", "metrics_history.json", nil, fmt.Errorf("metrics history disabled"))
-	}
-	// The whole ring as one /v1/logs page: bundle consumers parse one
-	// format regardless of source.
-	c.addJSON("logs", "logs.json", api.LogPage(opts.LogComponent, 0, math.MaxInt), nil)
-	c.addJSON("health", "health.json", nil, fmt.Errorf("health checks live on the API server, not in local capture"))
-
-	trace := reg.Tracer().Export()
-	c.addJSON("trace", "trace.json", trace, nil)
-	chrome, cerr := trace.ChromeTraceJSON()
-	c.add("trace_chrome", "trace_chrome.json", chrome, cerr)
-
-	for _, p := range []string{"goroutine", "heap", "mutex", "block"} {
-		var buf bytes.Buffer
-		err := pprof.Lookup(p).WriteTo(&buf, 0)
-		c.add(p, p+".pprof", buf.Bytes(), err)
-	}
-	if opts.CPUSeconds > 0 {
-		var buf bytes.Buffer
-		err := pprof.StartCPUProfile(&buf)
-		if err == nil {
-			time.Sleep(time.Duration(opts.CPUSeconds) * time.Second)
-			pprof.StopCPUProfile()
-		}
-		c.add("cpu_profile", "cpu.pprof", buf.Bytes(), err)
 	}
 
 	m, err := c.finish()

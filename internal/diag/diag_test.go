@@ -28,60 +28,46 @@ func withTelemetry(t *testing.T) {
 	})
 }
 
-func TestCaptureLocalVerifyRoundTrip(t *testing.T) {
+// serveNode starts a node with pprof on and one sealed transfer, so a
+// bundle captured from it has content, and returns a client for it.
+func serveNode(t *testing.T) *api.Client {
+	t.Helper()
+	user := identity.New("user", crypto.NewDRBGFromUint64(1, "diag-test"))
+	m, err := market.New(market.Config{
+		Seed:         1,
+		GenesisAlloc: map[identity.Address]uint64{user.Address(): 1_000_000},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	apiSrv := api.NewServer(m, true)
+	apiSrv.SetPprof(true)
+	srv := httptest.NewServer(apiSrv)
+	t.Cleanup(srv.Close)
+
+	tx := m.SignedTx(user, identity.New("peer", crypto.NewDRBGFromUint64(2, "diag-test")).Address(), 100, nil)
+	if err := m.Submit(tx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.SealBlockAt(m.Timestamp() + 1); err != nil {
+		t.Fatal(err)
+	}
+	return api.NewClient(srv.URL)
+}
+
+// captureBundle captures a bundle from a fresh node into a temp dir.
+func captureBundle(t *testing.T) string {
+	t.Helper()
 	withTelemetry(t)
-	telemetry.G("ledger.mempool.depth").Set(3)
-	sp := telemetry.StartSpan("diag.test", telemetry.SpanContext{})
-	sp.End()
-	time.Sleep(10 * time.Millisecond) // a few history ticks
-
 	dir := t.TempDir()
-	got, m, err := CaptureLocal(Options{OutDir: dir})
-	if err != nil {
+	if _, _, err := CaptureRemote(context.Background(), serveNode(t), Options{OutDir: dir}); err != nil {
 		t.Fatal(err)
 	}
-	if got != dir {
-		t.Fatalf("bundle dir %q, want %q", got, dir)
-	}
-	if m.Schema != ManifestSchema || m.Source != "local" {
-		t.Fatalf("manifest header %+v", m)
-	}
-	// Local capture cannot serve health (no API server); everything else
-	// must have succeeded.
-	for _, name := range m.Failed() {
-		if name != "health" {
-			t.Fatalf("artifact %q failed in local capture", name)
-		}
-	}
-	vm, err := Verify(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vm.Artifacts) != len(m.Artifacts) {
-		t.Fatalf("verify read %d artifacts, capture wrote %d", len(vm.Artifacts), len(m.Artifacts))
-	}
-
-	// The history artifact actually carries the gauge series.
-	raw, err := os.ReadFile(filepath.Join(dir, "metrics_history.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dump telemetry.HistoryDump
-	if err := json.Unmarshal(raw, &dump); err != nil {
-		t.Fatal(err)
-	}
-	series := dump.Series("ledger.mempool.depth")
-	if len(series) == 0 || series[len(series)-1].Value != 3 {
-		t.Fatalf("mempool series in bundle = %+v", series)
-	}
+	return dir
 }
 
 func TestVerifyDetectsCorruption(t *testing.T) {
-	withTelemetry(t)
-	dir := t.TempDir()
-	if _, _, err := CaptureLocal(Options{OutDir: dir}); err != nil {
-		t.Fatal(err)
-	}
+	dir := captureBundle(t)
 	if _, err := Verify(dir); err != nil {
 		t.Fatalf("clean bundle failed verification: %v", err)
 	}
@@ -102,11 +88,7 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 }
 
 func TestVerifyDetectsTruncation(t *testing.T) {
-	withTelemetry(t)
-	dir := t.TempDir()
-	if _, _, err := CaptureLocal(Options{OutDir: dir}); err != nil {
-		t.Fatal(err)
-	}
+	dir := captureBundle(t)
 	path := filepath.Join(dir, "heap.pprof")
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -121,11 +103,7 @@ func TestVerifyDetectsTruncation(t *testing.T) {
 }
 
 func TestVerifyDetectsMissingRequiredArtifact(t *testing.T) {
-	withTelemetry(t)
-	dir := t.TempDir()
-	if _, _, err := CaptureLocal(Options{OutDir: dir}); err != nil {
-		t.Fatal(err)
-	}
+	dir := captureBundle(t)
 	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
 		t.Fatal(err)
@@ -154,34 +132,20 @@ func TestVerifyDetectsMissingRequiredArtifact(t *testing.T) {
 // over HTTP with pprof on, captured into a bundle that verifies.
 func TestCaptureRemote(t *testing.T) {
 	withTelemetry(t)
-	user := identity.New("user", crypto.NewDRBGFromUint64(1, "diag-test"))
-	m, err := market.New(market.Config{
-		Seed:         1,
-		GenesisAlloc: map[identity.Address]uint64{user.Address(): 1_000_000},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	apiSrv := api.NewServer(m, true)
-	apiSrv.SetPprof(true)
-	srv := httptest.NewServer(apiSrv)
-	defer srv.Close()
-
-	// Light traffic so the bundle has content.
-	tx := m.SignedTx(user, identity.New("peer", crypto.NewDRBGFromUint64(2, "diag-test")).Address(), 100, nil)
-	if err := m.Submit(tx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.SealBlockAt(m.Timestamp() + 1); err != nil {
-		t.Fatal(err)
-	}
+	cl := serveNode(t)
+	telemetry.G("ledger.mempool.depth").Set(3)
 	time.Sleep(10 * time.Millisecond) // history ticks
 
 	dir := t.TempDir()
-	cl := api.NewClient(srv.URL)
-	_, man, err := CaptureRemote(context.Background(), cl, Options{OutDir: dir})
+	got, man, err := CaptureRemote(context.Background(), cl, Options{OutDir: dir})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got != dir {
+		t.Fatalf("bundle dir %q, want %q", got, dir)
+	}
+	if man.Schema != ManifestSchema || man.Source != cl.BaseURL() {
+		t.Fatalf("manifest header %+v", man)
 	}
 	if failed := man.Failed(); len(failed) != 0 {
 		t.Fatalf("artifacts failed against a fully enabled node: %v", failed)
@@ -189,10 +153,14 @@ func TestCaptureRemote(t *testing.T) {
 	if man.Build.GoVersion == "" {
 		t.Fatal("manifest carries no build info")
 	}
-	if _, err := Verify(dir); err != nil {
+	vm, err := Verify(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Health came from the real /healthz this time.
+	if len(vm.Artifacts) != len(man.Artifacts) {
+		t.Fatalf("verify read %d artifacts, capture wrote %d", len(vm.Artifacts), len(man.Artifacts))
+	}
+	// Health came from the real /healthz.
 	raw, err := os.ReadFile(filepath.Join(dir, "health.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -203,6 +171,19 @@ func TestCaptureRemote(t *testing.T) {
 	}
 	if len(hr.Components) == 0 {
 		t.Fatal("health report has no components")
+	}
+	// The history artifact actually carries the gauge series.
+	raw, err = os.ReadFile(filepath.Join(dir, "metrics_history.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dump telemetry.HistoryDump
+	if err := json.Unmarshal(raw, &dump); err != nil {
+		t.Fatal(err)
+	}
+	series := dump.Series("ledger.mempool.depth")
+	if len(series) == 0 || series[len(series)-1].Value != 3 {
+		t.Fatalf("mempool series in bundle = %+v", series)
 	}
 }
 

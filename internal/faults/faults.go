@@ -201,9 +201,6 @@ func NewInjector(s Schedule) *Injector {
 	}
 }
 
-// Schedule returns the injector's schedule.
-func (i *Injector) Schedule() Schedule { return i.sched }
-
 // Decide evaluates every rule against one operation and returns the
 // combined verdict. Each call consumes one operation count.
 func (i *Injector) Decide(endpoint, peer string) Decision {

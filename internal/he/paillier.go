@@ -42,11 +42,6 @@ type Ciphertext struct {
 	C *big.Int
 }
 
-// Clone returns an independent copy.
-func (c *Ciphertext) Clone() *Ciphertext {
-	return &Ciphertext{C: new(big.Int).Set(c.C)}
-}
-
 // WireSize returns the serialized size in bytes.
 func (c *Ciphertext) WireSize() int { return (c.C.BitLen() + 7) / 8 }
 
@@ -140,26 +135,10 @@ func (pk *PublicKey) Add(c1, c2 *Ciphertext) *Ciphertext {
 	return &Ciphertext{C: c}
 }
 
-// AddPlain returns the encryption of m + k (mod n) for plaintext k >= 0.
-func (pk *PublicKey) AddPlain(c *Ciphertext, k *big.Int) *Ciphertext {
-	gk := new(big.Int).Mul(new(big.Int).Mod(k, pk.N), pk.N)
-	gk.Add(gk, big.NewInt(1))
-	gk.Mod(gk, pk.N2)
-	out := gk.Mul(gk, c.C)
-	out.Mod(out, pk.N2)
-	return &Ciphertext{C: out}
-}
-
 // MulPlain returns the encryption of m · k (mod n) for plaintext k.
 func (pk *PublicKey) MulPlain(c *Ciphertext, k *big.Int) *Ciphertext {
 	out := new(big.Int).Exp(c.C, new(big.Int).Mod(k, pk.N), pk.N2)
 	return &Ciphertext{C: out}
-}
-
-// EncryptZero returns a fresh encryption of zero, used for
-// re-randomization.
-func (pk *PublicKey) EncryptZero(rng *crypto.DRBG) (*Ciphertext, error) {
-	return pk.Encrypt(big.NewInt(0), rng)
 }
 
 // Fixed-point encoding of floats into the plaintext space. Negative

@@ -10,7 +10,6 @@ package identity
 import (
 	"crypto/ed25519"
 	"encoding/hex"
-	"errors"
 	"fmt"
 
 	"pds2/internal/crypto"
@@ -126,31 +125,6 @@ func Verify(pub ed25519.PublicKey, msg, sig []byte) bool {
 	return ed25519.Verify(pub, msg, sig)
 }
 
-// SignedMessage couples a payload with the signer's public key and
-// signature, the wire format used for off-chain messages between actors.
-type SignedMessage struct {
-	Payload []byte `json:"payload"`
-	Pub     []byte `json:"pub"`
-	Sig     []byte `json:"sig"`
-}
-
-// SignMessage wraps payload in a SignedMessage from id.
-func (id *Identity) SignMessage(payload []byte) SignedMessage {
-	return SignedMessage{
-		Payload: append([]byte(nil), payload...),
-		Pub:     id.PublicKey(),
-		Sig:     id.Sign(payload),
-	}
-}
-
-// Sender verifies the message and returns the signer's address.
-func (m SignedMessage) Sender() (Address, error) {
-	if !Verify(m.Pub, m.Payload, m.Sig) {
-		return ZeroAddress, errors.New("identity: invalid message signature")
-	}
-	return AddressFromPub(m.Pub), nil
-}
-
 // Registry maps addresses to public keys and declared roles. The
 // governance layer consults it when validating signatures on-chain.
 type Registry struct {
@@ -199,15 +173,3 @@ func (r *Registry) HasRole(addr Address, role Role) bool {
 
 // Len returns the number of registered actors.
 func (r *Registry) Len() int { return len(r.keys) }
-
-// VerifyFrom checks that msg was signed by the key registered for addr.
-func (r *Registry) VerifyFrom(addr Address, msg, sig []byte) error {
-	pub, ok := r.keys[addr]
-	if !ok {
-		return fmt.Errorf("identity: address %s not registered", addr.Short())
-	}
-	if !Verify(pub, msg, sig) {
-		return fmt.Errorf("identity: bad signature from %s", addr.Short())
-	}
-	return nil
-}

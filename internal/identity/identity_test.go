@@ -68,22 +68,6 @@ func TestAddressHexRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSignedMessageSender(t *testing.T) {
-	id := newTestIdentity(t, "alice", 1)
-	m := id.SignMessage([]byte("payload"))
-	from, err := m.Sender()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if from != id.Address() {
-		t.Fatal("sender mismatch")
-	}
-	m.Payload = []byte("tampered")
-	if _, err := m.Sender(); err == nil {
-		t.Fatal("tampered message accepted")
-	}
-}
-
 func TestRegistryRolesAndKeys(t *testing.T) {
 	r := NewRegistry()
 	alice := newTestIdentity(t, "alice", 1)
@@ -113,23 +97,5 @@ func TestRegistryRolesAndKeys(t *testing.T) {
 	key, ok := r.Key(addr)
 	if !ok || !key.Equal(alice.PublicKey()) {
 		t.Fatal("Key lookup failed")
-	}
-}
-
-func TestRegistryVerifyFrom(t *testing.T) {
-	r := NewRegistry()
-	alice := newTestIdentity(t, "alice", 1)
-	bob := newTestIdentity(t, "bob", 2)
-	r.Register(alice.PublicKey(), RoleProvider)
-
-	msg := []byte("on-chain action")
-	if err := r.VerifyFrom(alice.Address(), msg, alice.Sign(msg)); err != nil {
-		t.Fatalf("valid: %v", err)
-	}
-	if err := r.VerifyFrom(alice.Address(), msg, bob.Sign(msg)); err == nil {
-		t.Fatal("signature from wrong key accepted")
-	}
-	if err := r.VerifyFrom(bob.Address(), msg, bob.Sign(msg)); err == nil {
-		t.Fatal("unregistered address accepted")
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"pds2/internal/storage"
 	"pds2/internal/tee"
 	"pds2/internal/telemetry"
-	"pds2/internal/token"
 	"pds2/internal/vm"
 )
 
@@ -75,28 +74,6 @@ func (c *Consumer) SubmitWorkload(spec *Spec, budget uint64) (identity.Address, 
 	return addr, nil
 }
 
-// Fund escrows the ERC-20 budget of a token-denominated workload: it
-// approves the workload contract for the budget and triggers the pull
-// (Funding → Open).
-func (c *Consumer) Fund(workload identity.Address) error {
-	spec, err := c.Market.WorkloadSpecOf(workload)
-	if err != nil {
-		return err
-	}
-	if spec.RewardToken.IsZero() {
-		return errors.New("market: workload is native-denominated; nothing to fund")
-	}
-	if _, err := MustSucceed(c.Market.SendAndSeal(c.ID, spec.RewardToken, 0,
-		token.ERC20ApproveData(workload, spec.TokenBudget))); err != nil {
-		return fmt.Errorf("market: approve budget: %w", err)
-	}
-	if _, err := MustSucceed(c.Market.SendAndSeal(c.ID, workload, 0,
-		contract.CallData("fund", nil))); err != nil {
-		return fmt.Errorf("market: fund: %w", err)
-	}
-	return nil
-}
-
 // Start asks the governance layer to begin execution once conditions
 // are met.
 func (c *Consumer) Start(workload identity.Address) error {
@@ -119,16 +96,6 @@ func (c *Consumer) Finalize(workload identity.Address) error {
 		logMarket.Error("workload settlement failed",
 			telemetry.Str("workload", workload.Hex()), telemetry.Err(err))
 	}
-	c.Market.endLifecycle(workload)
-	return err
-}
-
-// Cancel reclaims the escrow after expiry. It closes the workload's
-// lifecycle span.
-func (c *Consumer) Cancel(workload identity.Address) error {
-	span := telemetry.StartSpan("workload.cancel", c.Market.lifecycleCtx(workload))
-	_, err := MustSucceed(c.Market.SendAndSeal(c.ID, workload, 0, contract.CallData("cancel", nil)))
-	span.End()
 	c.Market.endLifecycle(workload)
 	return err
 }

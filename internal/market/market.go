@@ -192,16 +192,6 @@ func New(cfg Config) (*Market, error) {
 	return m, nil
 }
 
-// DeedOwner returns the current holder of a dataset's ERC-721 deed.
-func (m *Market) DeedOwner(dataID crypto.Digest) (identity.Address, error) {
-	raw, err := m.View(identity.ZeroAddress, m.Deeds, "ownerOf", token.ERC721OwnerArgs(dataID))
-	if err != nil {
-		return identity.ZeroAddress, err
-	}
-	d := contract.NewDecoder(raw)
-	return d.Address(), d.Err()
-}
-
 // Rng returns the market's deterministic randomness source.
 func (m *Market) Rng() *crypto.DRBG { return m.rng }
 

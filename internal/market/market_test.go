@@ -417,6 +417,13 @@ func TestStartRequiresConditions(t *testing.T) {
 	}
 }
 
+// cancel sends the consumer's cancel call, which reclaims the escrow
+// after expiry.
+func (w *testWorld) cancel(workload identity.Address) error {
+	_, err := MustSucceed(w.m.SendAndSeal(w.consumer.ID, workload, 0, contract.CallData("cancel", nil)))
+	return err
+}
+
 func TestCancelAfterExpiryRefunds(t *testing.T) {
 	w := newTestWorld(t, 9, 1, 1)
 	w.spec.ExpiryHeight = w.m.Height() + 3
@@ -426,7 +433,7 @@ func TestCancelAfterExpiryRefunds(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cancel too early fails.
-	if err := w.consumer.Cancel(addr); err == nil {
+	if err := w.cancel(addr); err == nil {
 		t.Fatal("cancelled before expiry")
 	}
 	// Advance past expiry with empty blocks.
@@ -435,7 +442,7 @@ func TestCancelAfterExpiryRefunds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.consumer.Cancel(addr); err != nil {
+	if err := w.cancel(addr); err != nil {
 		t.Fatal(err)
 	}
 	st, _ := w.m.WorkloadStateOf(addr)
@@ -596,16 +603,27 @@ func TestMempoolBatchingMultipleTxPerBlock(t *testing.T) {
 	}
 }
 
+// deedOwner returns the current holder of a dataset's ERC-721 deed.
+func deedOwner(t *testing.T, m *Market, dataID crypto.Digest) identity.Address {
+	t.Helper()
+	raw, err := m.View(identity.ZeroAddress, m.Deeds, "ownerOf", token.ERC721OwnerArgs(dataID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := contract.NewDecoder(raw)
+	owner := d.Address()
+	if err := d.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return owner
+}
+
 func TestDataDeedMintedOnRegistration(t *testing.T) {
 	// §III-A: every registered dataset is deeded as an ERC-721 token
 	// owned by its provider, transferable like any NFT.
 	w := newTestWorld(t, 17, 2, 1)
 	ref := w.refs[0][0]
-	owner, err := w.m.DeedOwner(ref.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if owner != w.providers[0].ID.Address() {
+	if owner := deedOwner(t, w.m, ref.ID); owner != w.providers[0].ID.Address() {
 		t.Fatalf("deed owner = %s, want provider", owner.Short())
 	}
 	// The deed is transferable: provider 0 sells it to provider 1.
@@ -613,8 +631,7 @@ func TestDataDeedMintedOnRegistration(t *testing.T) {
 		token.ERC721TransferFromData(w.providers[0].ID.Address(), w.providers[1].ID.Address(), ref.ID))); err != nil {
 		t.Fatal(err)
 	}
-	owner, _ = w.m.DeedOwner(ref.ID)
-	if owner != w.providers[1].ID.Address() {
+	if owner := deedOwner(t, w.m, ref.ID); owner != w.providers[1].ID.Address() {
 		t.Fatalf("deed owner after sale = %s", owner.Short())
 	}
 }
@@ -636,8 +653,7 @@ func TestDeedMintBlockedForDuplicateContent(t *testing.T) {
 	if rcpt.Succeeded() {
 		t.Fatal("second registration minted a second deed")
 	}
-	owner, _ := w.m.DeedOwner(id)
-	if owner != w.providers[0].ID.Address() {
+	if deedOwner(t, w.m, id) != w.providers[0].ID.Address() {
 		t.Fatal("deed not held by first registrant")
 	}
 }
@@ -790,7 +806,7 @@ func TestCancelRunningWorkloadAfterExpiry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.consumer.Cancel(addr); err != nil {
+	if err := w.cancel(addr); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.m.Chain.State().Balance(w.consumer.ID.Address()); got != before {
@@ -945,6 +961,21 @@ func (w *testWorld) deployRewardToken(t *testing.T, supply uint64) identity.Addr
 	return addr
 }
 
+// fund escrows a token-denominated workload's budget: the consumer
+// approves the workload for it, then triggers the pull (Funding → Open).
+func (w *testWorld) fund(workload identity.Address) error {
+	spec, err := w.m.WorkloadSpecOf(workload)
+	if err != nil {
+		return err
+	}
+	if _, err := MustSucceed(w.m.SendAndSeal(w.consumer.ID, spec.RewardToken, 0,
+		token.ERC20ApproveData(workload, spec.TokenBudget))); err != nil {
+		return err
+	}
+	_, err = MustSucceed(w.m.SendAndSeal(w.consumer.ID, workload, 0, contract.CallData("fund", nil)))
+	return err
+}
+
 func (w *testWorld) erc20Balance(t *testing.T, tok, who identity.Address) uint64 {
 	t.Helper()
 	ret, err := w.m.View(who, tok, "balanceOf", token.ERC20BalanceArgs(who))
@@ -979,7 +1010,7 @@ func TestTokenDenominatedLifecycle(t *testing.T) {
 		t.Fatal("registration accepted before funding")
 	}
 
-	if err := w.consumer.Fund(addr); err != nil {
+	if err := w.fund(addr); err != nil {
 		t.Fatal(err)
 	}
 	st, _ = w.m.WorkloadStateOf(addr)
@@ -1066,7 +1097,7 @@ func TestTokenWorkloadDisputeRefundsTokens(t *testing.T) {
 	w.executors[1].TamperResult = true
 
 	addr, _ := w.consumer.SubmitWorkload(w.spec, 0)
-	if err := w.consumer.Fund(addr); err != nil {
+	if err := w.fund(addr); err != nil {
 		t.Fatal(err)
 	}
 	for i, p := range w.providers {

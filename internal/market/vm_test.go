@@ -395,3 +395,61 @@ allow
 	}
 	replayClean(t, w)
 }
+
+// TestVMPolicyEvaluateHostCall runs the production evaluate() host call
+// (vm.ContextHost.EvalBuiltin) through on-chain enforcePolicy
+// transactions: a program that delegates to the built-in evaluator must
+// decide as policy.Evaluate does, pay the GasEvalBuiltin surcharge, and
+// leave its decision as a PolicyDecision event on the chain.
+func TestVMPolicyEvaluateHostCall(t *testing.T) {
+	w := newTestWorld(t, 78, 3, 1)
+	cases := []struct {
+		source  string
+		classes []string // the policy the evaluate() arguments spell; nil: no host call
+		allowed bool
+		gas     uint64 // pinned gas of the enforcePolicy transaction
+	}{
+		{`let c = evaluate("train", 1, 0, "", 0) deny c clauseof(c)`, []string{"train"}, false, 25_661},
+		{`let c = evaluate("train,stats", 1, 0, "", 0) deny c clauseof(c)`, []string{"train", "stats"}, true, 25_437},
+		// The first program's decision spelled out, without the host call.
+		{`deny "class_forbidden" "allowed_classes"`, nil, false, 25_145},
+	}
+	for i, c := range cases {
+		prov, id := w.providers[i], w.refs[i][0].ID
+		if err := prov.DeployPolicy(id, c.source); err != nil {
+			t.Fatalf("deploy %d: %v", i, err)
+		}
+		before := len(w.m.Chain.Events(policy.EvPolicyDecision))
+		rcpt, err := MustSucceed(w.m.SendAndSeal(prov.ID, w.m.Registry, 0,
+			EnforcePolicyData(policy.LayerMatch, "stats", "", 1, id)))
+		if err != nil {
+			t.Fatalf("enforce %d: %v", i, err)
+		}
+		recs, err := policy.DecodeDecisionRecords(rcpt.Return)
+		if err != nil || len(recs) != 1 {
+			t.Fatalf("enforce %d: %d records, %v", i, len(recs), err)
+		}
+		rec := recs[0]
+		if rec.Allowed() != c.allowed {
+			t.Errorf("case %d: allowed = %v (%s/%s)", i, rec.Allowed(), rec.Code, rec.Clause)
+		}
+		if c.classes != nil {
+			want := policy.Evaluate(&policy.Policy{AllowedClasses: c.classes, MinAggregation: 1}, rec.Request())
+			if rec.Code != want.Code || rec.Clause != want.Clause {
+				t.Errorf("case %d: decision %s/%s, policy.Evaluate says %s/%s", i, rec.Code, rec.Clause, want.Code, want.Clause)
+			}
+		}
+		evs := w.m.Chain.Events(policy.EvPolicyDecision)
+		if len(evs) != before+1 || !bytes.Equal(evs[len(evs)-1].Data, rec.Encode()) {
+			t.Errorf("case %d: decision event not on chain (%d -> %d events)", i, before, len(evs))
+		}
+		if rcpt.GasUsed != c.gas {
+			t.Errorf("case %d: gas used %d, pinned %d", i, rcpt.GasUsed, c.gas)
+		}
+	}
+	// Same record, same event: the host call alone costs the surcharge
+	// plus the instructions that push its arguments.
+	if d := cases[0].gas - cases[2].gas; d < vm.GasEvalBuiltin {
+		t.Errorf("evaluate() added %d gas, less than the %d surcharge", d, vm.GasEvalBuiltin)
+	}
+}

@@ -7,8 +7,7 @@ import (
 	"pds2/internal/crypto"
 )
 
-// Dataset is a dense supervised dataset. For classification, labels are
-// ±1; for regression they are real-valued.
+// Dataset is a dense supervised classification dataset; labels are ±1.
 type Dataset struct {
 	X [][]float64
 	Y []float64
@@ -23,11 +22,6 @@ func (d *Dataset) Dim() int {
 		return 0
 	}
 	return len(d.X[0])
-}
-
-// Slice returns a view of examples [lo, hi).
-func (d *Dataset) Slice(lo, hi int) *Dataset {
-	return &Dataset{X: d.X[lo:hi], Y: d.Y[lo:hi]}
 }
 
 // Subset returns a view containing the examples at the given indices.
@@ -49,14 +43,6 @@ func Concat(parts ...*Dataset) *Dataset {
 		out.Y = append(out.Y, p.Y...)
 	}
 	return out
-}
-
-// Shuffle permutes the dataset in place, deterministically from rng.
-func (d *Dataset) Shuffle(rng *crypto.DRBG) {
-	rng.Shuffle(d.Len(), func(i, j int) {
-		d.X[i], d.X[j] = d.X[j], d.X[i]
-		d.Y[i], d.Y[j] = d.Y[j], d.Y[i]
-	})
 }
 
 // Hash returns a content digest of the dataset, the identifier under
@@ -115,25 +101,6 @@ func GenerateClassification(cfg SyntheticConfig, rng *crypto.DRBG) (*Dataset, []
 		}
 		d.X[i] = x
 		d.Y[i] = y
-	}
-	return d, truth
-}
-
-// GenerateRegression samples a linear-regression dataset with Gaussian
-// feature and observation noise. It returns the dataset and ground truth.
-func GenerateRegression(n, dim int, noise float64, rng *crypto.DRBG) (*Dataset, []float64) {
-	truth := make([]float64, dim)
-	for i := range truth {
-		truth[i] = rng.NormFloat64()
-	}
-	d := &Dataset{X: make([][]float64, n), Y: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		x := make([]float64, dim)
-		for j := range x {
-			x[j] = rng.NormFloat64()
-		}
-		d.X[i] = x
-		d.Y[i] = Dot(truth, x) + noise*rng.NormFloat64()
 	}
 	return d, truth
 }

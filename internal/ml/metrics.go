@@ -1,7 +1,5 @@
 package ml
 
-import "math"
-
 // Predictor is anything that maps a feature vector to a decision value;
 // both Model implementations and oblivious-execution backends satisfy it.
 type Predictor interface {
@@ -30,39 +28,6 @@ func ZeroOneError(p Predictor, d *Dataset) float64 {
 // Accuracy is 1 - ZeroOneError.
 func Accuracy(p Predictor, d *Dataset) float64 {
 	return 1 - ZeroOneError(p, d)
-}
-
-// MSE returns the mean squared error of p on d (real-valued labels).
-func MSE(p Predictor, d *Dataset) float64 {
-	if d.Len() == 0 {
-		return 0
-	}
-	var s float64
-	for i := range d.X {
-		e := p.Predict(d.X[i]) - d.Y[i]
-		s += e * e
-	}
-	return s / float64(d.Len())
-}
-
-// LogLoss returns the mean negative log-likelihood of a logistic
-// predictor on d (labels ±1).
-func LogLoss(p Predictor, d *Dataset) float64 {
-	if d.Len() == 0 {
-		return 0
-	}
-	var s float64
-	for i := range d.X {
-		z := p.Predict(d.X[i])
-		// -log sigmoid(y*z), computed stably.
-		m := d.Y[i] * z
-		if m > 0 {
-			s += math.Log1p(math.Exp(-m))
-		} else {
-			s += -m + math.Log1p(math.Exp(m))
-		}
-	}
-	return s / float64(d.Len())
 }
 
 // TrainEpochs runs SGD over the dataset for the given number of epochs,

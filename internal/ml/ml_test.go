@@ -75,33 +75,6 @@ func TestLogisticLearnsSeparableData(t *testing.T) {
 	}
 }
 
-func TestPegasosLearnsSeparableData(t *testing.T) {
-	rng := crypto.NewDRBGFromUint64(2, "ml")
-	data, _ := GenerateClassification(SyntheticConfig{N: 2000, Dim: 10, LabelNoise: 0}, rng)
-	train, test := data.TrainTestSplit(0.25, rng)
-
-	m := NewPegasosSVM(10, 1e-3)
-	TrainEpochs(m, train, 5)
-	if acc := Accuracy(m, test); acc < 0.9 {
-		t.Fatalf("pegasos accuracy = %v", acc)
-	}
-}
-
-func TestLinearRegressionRecoversTruth(t *testing.T) {
-	rng := crypto.NewDRBGFromUint64(3, "ml")
-	data, truth := GenerateRegression(5000, 5, 0.01, rng)
-	m := NewLinearRegression(5, 0.1)
-	TrainEpochs(m, data, 3)
-	for i := range truth {
-		if math.Abs(m.W[i]-truth[i]) > 0.1 {
-			t.Fatalf("weight %d = %v, truth %v", i, m.W[i], truth[i])
-		}
-	}
-	if mse := MSE(m, data); mse > 0.05 {
-		t.Fatalf("mse = %v", mse)
-	}
-}
-
 func TestModelAgeCountsUpdates(t *testing.T) {
 	m := NewLogisticModel(3, 0)
 	x := []float64{1, 0, 0}
@@ -131,13 +104,13 @@ func TestMergeConvexCombination(t *testing.T) {
 	}
 }
 
+// otherModel is a Model of another type; merging it must fail before
+// any of its methods is called.
+type otherModel struct{ Model }
+
 func TestMergeTypeMismatch(t *testing.T) {
 	a := NewLogisticModel(2, 1e-4)
-	b := NewPegasosSVM(2, 1e-4)
-	if err := a.MergeFrom(b, 0.5, 0.5); err == nil {
-		t.Fatal("cross-type merge accepted")
-	}
-	if err := b.MergeFrom(a, 0.5, 0.5); err == nil {
+	if err := a.MergeFrom(otherModel{}, 0.5, 0.5); err == nil {
 		t.Fatal("cross-type merge accepted")
 	}
 }
@@ -255,20 +228,8 @@ func TestDatasetHashSensitive(t *testing.T) {
 func TestMetricsEdgeCases(t *testing.T) {
 	m := NewLogisticModel(2, 1e-4)
 	empty := &Dataset{}
-	if ZeroOneError(m, empty) != 0 || MSE(m, empty) != 0 || LogLoss(m, empty) != 0 {
+	if ZeroOneError(m, empty) != 0 {
 		t.Fatal("empty dataset metrics not zero")
-	}
-}
-
-func TestLogLossDecreasesWithTraining(t *testing.T) {
-	rng := crypto.NewDRBGFromUint64(10, "ml")
-	d, _ := GenerateClassification(SyntheticConfig{N: 1000, Dim: 5}, rng)
-	m := NewLogisticModel(5, 1e-3)
-	before := LogLoss(m, d)
-	TrainEpochs(m, d, 3)
-	after := LogLoss(m, d)
-	if after >= before {
-		t.Fatalf("log loss did not decrease: %v -> %v", before, after)
 	}
 }
 
@@ -303,26 +264,10 @@ func TestSubsetAndConcat(t *testing.T) {
 	if s.Len() != 2 || s.X[1][0] != 3 {
 		t.Fatalf("subset: %+v", s)
 	}
-	c := Concat(s, d.Slice(3, 4))
+	c := Concat(s, d.Subset([]int{3}))
 	if c.Len() != 3 || c.Y[2] != -1 {
 		t.Fatalf("concat: %+v", c)
 	}
-}
-
-func TestLerp(t *testing.T) {
-	a := []float64{0, 10}
-	b := []float64{10, 20}
-	dst := make([]float64, 2)
-	Lerp(dst, a, b, 0.25)
-	if dst[0] != 2.5 || dst[1] != 12.5 {
-		t.Fatalf("lerp = %v", dst)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched lerp did not panic")
-		}
-	}()
-	Lerp(dst, a, []float64{1}, 0.5)
 }
 
 func TestIntercept(t *testing.T) {
@@ -330,15 +275,5 @@ func TestIntercept(t *testing.T) {
 	lm.SetIntercept(1.5)
 	if lm.Intercept() != 1.5 {
 		t.Fatal("logistic intercept")
-	}
-	svm := NewPegasosSVM(2, 1e-3)
-	svm.SetIntercept(9)
-	if svm.Intercept() != 0 {
-		t.Fatal("svm intercept should stay 0")
-	}
-	lr := NewLinearRegression(2, 0.1)
-	lr.SetIntercept(-2)
-	if lr.Intercept() != -2 {
-		t.Fatal("regression intercept")
 	}
 }

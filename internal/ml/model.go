@@ -6,8 +6,8 @@ import (
 )
 
 // Model is the training-state abstraction shared by gossip learning,
-// federated learning and the oblivious-execution backends. All PDS²
-// linear models implement it.
+// federated learning and the oblivious-execution backends;
+// LogisticModel implements it.
 //
 // Age counts the total number of SGD examples a model has absorbed; the
 // gossip-learning merge rule weighs models by age so that a model that
@@ -32,11 +32,10 @@ type Model interface {
 	// Weights exposes the parameter vector (shared slice, not a copy).
 	Weights() []float64
 
-	// Intercept returns the bias term (zero for models without one).
+	// Intercept returns the bias term.
 	Intercept() float64
 
-	// SetIntercept overrides the bias term; a no-op for models without
-	// one.
+	// SetIntercept overrides the bias term.
 	SetIntercept(b float64)
 
 	// WireSize returns the serialized size in bytes, used by the network
@@ -77,11 +76,6 @@ func (m *LogisticModel) Update(x []float64, y float64) {
 // Predict implements Model.
 func (m *LogisticModel) Predict(x []float64) float64 {
 	return Dot(m.W, x) + m.Bias
-}
-
-// PredictProb returns P(y=+1 | x).
-func (m *LogisticModel) PredictProb(x []float64) float64 {
-	return Sigmoid(m.Predict(x))
 }
 
 // Age implements Model.
@@ -126,137 +120,3 @@ func (m *LogisticModel) SetIntercept(b float64) { m.Bias = b }
 
 // WireSize implements Model: 8 bytes per weight plus bias and age.
 func (m *LogisticModel) WireSize() int { return 8*len(m.W) + 8 + 8 }
-
-// PegasosSVM is a linear SVM trained with the Pegasos algorithm, the
-// model of the original gossip-learning paper [22].
-type PegasosSVM struct {
-	W      []float64
-	Lambda float64
-	age    uint64
-}
-
-// NewPegasosSVM creates a zero-initialized SVM for dim features.
-func NewPegasosSVM(dim int, lambda float64) *PegasosSVM {
-	if lambda <= 0 {
-		lambda = 1e-4
-	}
-	return &PegasosSVM{W: make([]float64, dim), Lambda: lambda}
-}
-
-// Update implements Model. y must be ±1.
-func (m *PegasosSVM) Update(x []float64, y float64) {
-	m.age++
-	lr := 1 / (m.Lambda * float64(m.age+1))
-	Scale(1-lr*m.Lambda, m.W)
-	if y*Dot(m.W, x) < 1 { // hinge-loss subgradient active
-		Axpy(lr*y, x, m.W)
-	}
-}
-
-// Predict implements Model.
-func (m *PegasosSVM) Predict(x []float64) float64 { return Dot(m.W, x) }
-
-// Age implements Model.
-func (m *PegasosSVM) Age() uint64 { return m.age }
-
-// Clone implements Model.
-func (m *PegasosSVM) Clone() Model {
-	return &PegasosSVM{W: CloneVec(m.W), Lambda: m.Lambda, age: m.age}
-}
-
-// MergeFrom implements Model.
-func (m *PegasosSVM) MergeFrom(other Model, selfWeight, otherWeight float64) error {
-	o, ok := other.(*PegasosSVM)
-	if !ok {
-		return fmt.Errorf("ml: cannot merge %T into PegasosSVM", other)
-	}
-	if len(o.W) != len(m.W) {
-		return fmt.Errorf("ml: merge dimension mismatch: %d vs %d", len(o.W), len(m.W))
-	}
-	for i := range m.W {
-		m.W[i] = selfWeight*m.W[i] + otherWeight*o.W[i]
-	}
-	m.age = uint64(math.Round(selfWeight*float64(m.age) + otherWeight*float64(o.age)))
-	return nil
-}
-
-// Weights implements Model.
-func (m *PegasosSVM) Weights() []float64 { return m.W }
-
-// Intercept implements Model (Pegasos has no bias term).
-func (m *PegasosSVM) Intercept() float64 { return 0 }
-
-// SetIntercept implements Model; a no-op for the bias-free SVM.
-func (m *PegasosSVM) SetIntercept(float64) {}
-
-// WireSize implements Model.
-func (m *PegasosSVM) WireSize() int { return 8*len(m.W) + 8 }
-
-// LinearRegression is ordinary least squares trained by SGD, used by the
-// pricing and Shapley experiments where a real-valued target is needed.
-type LinearRegression struct {
-	W    []float64
-	Bias float64
-	LR   float64
-	age  uint64
-}
-
-// NewLinearRegression creates a zero-initialized regressor.
-func NewLinearRegression(dim int, lr float64) *LinearRegression {
-	if lr <= 0 {
-		lr = 0.01
-	}
-	return &LinearRegression{W: make([]float64, dim), LR: lr}
-}
-
-// Update performs one SGD step on squared loss; y is the real target.
-func (m *LinearRegression) Update(x []float64, y float64) {
-	m.age++
-	pred := Dot(m.W, x) + m.Bias
-	g := pred - y
-	lr := m.LR / math.Sqrt(float64(m.age))
-	Axpy(-lr*g, x, m.W)
-	m.Bias -= lr * g
-}
-
-// Predict returns the regression estimate for x.
-func (m *LinearRegression) Predict(x []float64) float64 {
-	return Dot(m.W, x) + m.Bias
-}
-
-// Age implements Model.
-func (m *LinearRegression) Age() uint64 { return m.age }
-
-// Clone implements Model.
-func (m *LinearRegression) Clone() Model {
-	return &LinearRegression{W: CloneVec(m.W), Bias: m.Bias, LR: m.LR, age: m.age}
-}
-
-// MergeFrom implements Model.
-func (m *LinearRegression) MergeFrom(other Model, selfWeight, otherWeight float64) error {
-	o, ok := other.(*LinearRegression)
-	if !ok {
-		return fmt.Errorf("ml: cannot merge %T into LinearRegression", other)
-	}
-	if len(o.W) != len(m.W) {
-		return fmt.Errorf("ml: merge dimension mismatch: %d vs %d", len(o.W), len(m.W))
-	}
-	for i := range m.W {
-		m.W[i] = selfWeight*m.W[i] + otherWeight*o.W[i]
-	}
-	m.Bias = selfWeight*m.Bias + otherWeight*o.Bias
-	m.age = uint64(math.Round(selfWeight*float64(m.age) + otherWeight*float64(o.age)))
-	return nil
-}
-
-// Weights implements Model.
-func (m *LinearRegression) Weights() []float64 { return m.W }
-
-// Intercept implements Model.
-func (m *LinearRegression) Intercept() float64 { return m.Bias }
-
-// SetIntercept implements Model.
-func (m *LinearRegression) SetIntercept(b float64) { m.Bias = b }
-
-// WireSize implements Model.
-func (m *LinearRegression) WireSize() int { return 8*len(m.W) + 16 }

@@ -1,8 +1,8 @@
 // Package ml is the machine-learning substrate of PDS². The paper's
 // workloads of interest are "ML training tasks … one of the most relevant
 // and valuable data aggregation workloads" (§I); this package provides
-// the models those workloads train — logistic regression and Pegasos SVM,
-// the models used throughout the gossip-learning literature the paper
+// the model those workloads train — logistic regression with the
+// Pegasos-style schedule of the gossip-learning literature the paper
 // builds on [22][25] — together with dense vector kernels, synthetic
 // dataset generators with controllable non-IID partitioning, and
 // evaluation metrics.
@@ -55,16 +55,6 @@ func Norm2(x []float64) float64 {
 // CloneVec returns a copy of x.
 func CloneVec(x []float64) []float64 {
 	return append([]float64(nil), x...)
-}
-
-// Lerp overwrites dst with (1-t)*a + t*b.
-func Lerp(dst, a, b []float64, t float64) {
-	if len(a) != len(b) || len(dst) != len(a) {
-		panic("ml: lerp of mismatched lengths")
-	}
-	for i := range dst {
-		dst[i] = (1-t)*a[i] + t*b[i]
-	}
 }
 
 // Sigmoid is the logistic function, computed in a numerically stable way

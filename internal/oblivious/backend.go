@@ -33,14 +33,6 @@ type Cost struct {
 	Virtual simnet.Time
 }
 
-// Add accumulates another cost into c.
-func (c *Cost) Add(o Cost) {
-	c.CPU += o.CPU
-	c.CommBytes += o.CommBytes
-	c.CommRounds += o.CommRounds
-	c.Virtual += o.Virtual
-}
-
 // Link models the network between the participants of a backend protocol
 // (provider ↔ executor for HE, party ↔ party for SMC).
 type Link struct {
@@ -67,10 +59,6 @@ type Backend interface {
 
 	// LinearPredict computes w·x + bias for every row of X.
 	LinearPredict(w []float64, bias float64, X [][]float64) ([]float64, Cost, error)
-
-	// SecureSum aggregates the element-wise sum of the providers'
-	// vectors without revealing any individual vector.
-	SecureSum(vectors [][]float64) ([]float64, Cost, error)
 }
 
 // validateLinear checks common preconditions for LinearPredict.
@@ -78,19 +66,6 @@ func validateLinear(w []float64, X [][]float64) error {
 	for i, row := range X {
 		if len(row) != len(w) {
 			return fmt.Errorf("oblivious: row %d has %d features, model has %d", i, len(row), len(w))
-		}
-	}
-	return nil
-}
-
-// validateSum checks common preconditions for SecureSum.
-func validateSum(vectors [][]float64) error {
-	if len(vectors) == 0 {
-		return fmt.Errorf("oblivious: no vectors to aggregate")
-	}
-	for i, v := range vectors {
-		if len(v) != len(vectors[0]) {
-			return fmt.Errorf("oblivious: vector %d has length %d, expected %d", i, len(v), len(vectors[0]))
 		}
 	}
 	return nil
@@ -116,22 +91,6 @@ func (Plain) LinearPredict(w []float64, bias float64, X [][]float64) ([]float64,
 			s += v * w[j]
 		}
 		out[i] = s
-	}
-	cpu := time.Since(start)
-	return out, Cost{CPU: cpu, Virtual: simnet.Time(cpu.Microseconds())}, nil
-}
-
-// SecureSum implements Backend (not actually secure; it is the baseline).
-func (Plain) SecureSum(vectors [][]float64) ([]float64, Cost, error) {
-	if err := validateSum(vectors); err != nil {
-		return nil, Cost{}, err
-	}
-	start := time.Now()
-	out := make([]float64, len(vectors[0]))
-	for _, v := range vectors {
-		for j, x := range v {
-			out[j] += x
-		}
 	}
 	cpu := time.Since(start)
 	return out, Cost{CPU: cpu, Virtual: simnet.Time(cpu.Microseconds())}, nil

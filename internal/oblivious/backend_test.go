@@ -71,36 +71,10 @@ func TestAllBackendsAgreeOnLinearPredict(t *testing.T) {
 	}
 }
 
-func TestAllBackendsAgreeOnSecureSum(t *testing.T) {
-	vectors := [][]float64{
-		{1, 2, 3},
-		{0.5, -1, 4},
-		{-0.25, 0, 1},
-	}
-	want := []float64{1.25, 1, 8}
-	for _, b := range testBackends(t) {
-		got, _, err := b.SecureSum(vectors)
-		if err != nil {
-			t.Fatalf("%s: %v", b.Name(), err)
-		}
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-3 {
-				t.Fatalf("%s: sum[%d] = %v, want %v", b.Name(), i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestBackendsRejectBadShapes(t *testing.T) {
 	for _, b := range testBackends(t) {
 		if _, _, err := b.LinearPredict([]float64{1, 2}, 0, [][]float64{{1}}); err == nil {
 			t.Fatalf("%s: shape mismatch accepted", b.Name())
-		}
-		if _, _, err := b.SecureSum(nil); err == nil {
-			t.Fatalf("%s: empty aggregation accepted", b.Name())
-		}
-		if _, _, err := b.SecureSum([][]float64{{1}, {1, 2}}); err == nil {
-			t.Fatalf("%s: ragged aggregation accepted", b.Name())
 		}
 	}
 }
@@ -188,14 +162,6 @@ func TestWireFormatRejectsTruncation(t *testing.T) {
 	}
 	if _, err := decodeFloats([]byte{1, 2}); err == nil {
 		t.Fatal("truncated floats accepted")
-	}
-}
-
-func TestCostAdd(t *testing.T) {
-	a := Cost{CPU: 1, CommBytes: 10, CommRounds: 1, Virtual: 100}
-	a.Add(Cost{CPU: 2, CommBytes: 20, CommRounds: 2, Virtual: 200})
-	if a.CPU != 3 || a.CommBytes != 30 || a.CommRounds != 3 || a.Virtual != 300 {
-		t.Fatalf("cost = %+v", a)
 	}
 }
 

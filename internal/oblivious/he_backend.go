@@ -69,51 +69,3 @@ func (h *HE) LinearPredict(w []float64, bias float64, X [][]float64) ([]float64,
 	}
 	return out, cost, nil
 }
-
-// SecureSum implements Backend: each provider encrypts its vector; the
-// executor adds ciphertexts component-wise; the key holder decrypts the
-// aggregate only — individual vectors stay hidden (the additively-
-// homomorphic aggregation used by private federated averaging).
-func (h *HE) SecureSum(vectors [][]float64) ([]float64, Cost, error) {
-	if err := validateSum(vectors); err != nil {
-		return nil, Cost{}, err
-	}
-	start := time.Now()
-	dim := len(vectors[0])
-	var commBytes int64
-	acc := make([]*he.Ciphertext, dim)
-	for _, v := range vectors {
-		for j, x := range v {
-			c, err := h.key.EncryptFloat(x, he.DefaultScale, h.rng)
-			if err != nil {
-				return nil, Cost{}, err
-			}
-			commBytes += int64(c.WireSize())
-			if acc[j] == nil {
-				acc[j] = c
-			} else {
-				acc[j] = h.key.Add(acc[j], c)
-			}
-		}
-	}
-	out := make([]float64, dim)
-	for j, c := range acc {
-		v, err := h.key.DecryptFloat(c, he.DefaultScale)
-		if err != nil {
-			return nil, Cost{}, err
-		}
-		out[j] = v
-		commBytes += int64(c.WireSize())
-	}
-	cpu := time.Since(start)
-	cost := Cost{
-		CPU:        cpu,
-		CommBytes:  commBytes,
-		CommRounds: 2,
-		Virtual:    simnet.Time(cpu.Microseconds()) + h.Link.TransferTime(commBytes, 2),
-	}
-	return out, cost, nil
-}
-
-// KeyBits reports the modulus size, for experiment labels.
-func (h *HE) KeyBits() int { return h.key.N.BitLen() }

@@ -62,33 +62,3 @@ func (s *SMC) LinearPredict(w []float64, bias float64, X [][]float64) ([]float64
 	}
 	return out, cost, nil
 }
-
-// SecureSum implements Backend: sharing makes addition free; the only
-// communication is input sharing and the final opening.
-func (s *SMC) SecureSum(vectors [][]float64) ([]float64, Cost, error) {
-	if err := validateSum(vectors); err != nil {
-		return nil, Cost{}, err
-	}
-	start := time.Now()
-	engine, err := smc.NewEngine(s.NumParties, crypto.NewDRBGFromUint64(s.seed, "smc-backend"))
-	if err != nil {
-		return nil, Cost{}, err
-	}
-	acc := engine.Share(vectors[0], smc.FixedScale)
-	for _, v := range vectors[1:] {
-		sv := engine.Share(v, smc.FixedScale)
-		acc, err = engine.Add(acc, sv)
-		if err != nil {
-			return nil, Cost{}, err
-		}
-	}
-	out := engine.Open(acc)
-	cpu := time.Since(start)
-	cost := Cost{
-		CPU:        cpu,
-		CommBytes:  engine.BytesSent,
-		CommRounds: engine.Rounds,
-		Virtual:    simnet.Time(cpu.Microseconds()) + engine.VirtualTime(s.Link.Latency, s.Link.Bandwidth),
-	}
-	return out, cost, nil
-}

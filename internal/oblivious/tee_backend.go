@@ -30,12 +30,8 @@ func NewTEE(platform *tee.Platform, upload Link) *TEE {
 func (*TEE) Name() string { return "tee" }
 
 // Enclave programs are self-describing: the code bytes identify the
-// computation, so the measurement distinguishes linear prediction from
-// aggregation (and any parameter changes to either).
-var (
-	linearProgramCode = []byte("pds2/enclave/linear-predict/v1")
-	sumProgramCode    = []byte("pds2/enclave/secure-sum/v1")
-)
+// computation, so the measurement changes with any change to it.
+var linearProgramCode = []byte("pds2/enclave/linear-predict/v1")
 
 // LinearPredictMeasurement is the expected measurement of the linear-
 // prediction enclave, which providers and the governance layer pin when
@@ -73,34 +69,6 @@ func (t *TEE) LinearPredict(w []float64, bias float64, X [][]float64) ([]float64
 	return out, cost, nil
 }
 
-// SecureSum implements Backend.
-func (t *TEE) SecureSum(vectors [][]float64) ([]float64, Cost, error) {
-	if err := validateSum(vectors); err != nil {
-		return nil, Cost{}, err
-	}
-	enclave, err := t.platform.Launch(tee.Program{Code: sumProgramCode, Fn: runSecureSum})
-	if err != nil {
-		return nil, Cost{}, err
-	}
-	input := encodeMatrix(vectors)
-	res, err := enclave.Call(input, int64(len(input)))
-	if err != nil {
-		return nil, Cost{}, err
-	}
-	out, err := decodeFloats(res.Output)
-	if err != nil {
-		return nil, Cost{}, err
-	}
-	cost := Cost{
-		CPU:        res.Elapsed,
-		CommBytes:  int64(len(input)),
-		CommRounds: 1,
-		Virtual: enclave.LaunchCost() + res.Virtual +
-			t.UploadLink.TransferTime(int64(len(input)), 1),
-	}
-	return out, cost, nil
-}
-
 // Enclave entry points. They speak the ecall wire format below; real SGX
 // enclaves would additionally unseal the inputs, which the cost model
 // folds into BaseOverhead.
@@ -117,23 +85,6 @@ func runLinearPredict(input []byte) ([]byte, error) {
 			s += v * w[j]
 		}
 		out[i] = s
-	}
-	return encodeFloats(out), nil
-}
-
-func runSecureSum(input []byte) ([]byte, error) {
-	vectors, err := decodeMatrix(input)
-	if err != nil {
-		return nil, err
-	}
-	if len(vectors) == 0 {
-		return nil, fmt.Errorf("empty aggregation input")
-	}
-	out := make([]float64, len(vectors[0]))
-	for _, v := range vectors {
-		for j, x := range v {
-			out[j] += x
-		}
 	}
 	return encodeFloats(out), nil
 }

@@ -1,7 +1,7 @@
-// Package privacy implements the §IV-D leakage defences: differential-
-// privacy mechanisms (Laplace and Gaussian), a privacy-budget ledger
-// with additive composition, differentially-private model release via
-// clipping plus Gaussian output perturbation, and a membership-inference
+// Package privacy implements the §IV-D leakage defences: a privacy-budget
+// ledger with additive composition, differentially-private model release
+// via clipping plus Gaussian output perturbation (noise scale from the
+// analytic Gaussian mechanism bound), and a membership-inference
 // attack harness that *measures* how much a released model leaks about
 // its training data — the "previous works have measured the extent of
 // this issue" [36] side of the section, which experiment E12 reproduces
@@ -17,30 +17,6 @@ import (
 	"pds2/internal/ml"
 )
 
-// LaplaceNoise draws Laplace(0, scale) noise via inverse-CDF sampling.
-func LaplaceNoise(scale float64, rng *crypto.DRBG) float64 {
-	u := rng.Float64() - 0.5
-	// Inverse CDF: -scale * sign(u) * ln(1 - 2|u|)
-	return -scale * sign(u) * math.Log(1-2*math.Abs(u))
-}
-
-func sign(x float64) float64 {
-	if x < 0 {
-		return -1
-	}
-	return 1
-}
-
-// LaplaceMechanism releases value + Laplace(sensitivity/epsilon), which
-// is (epsilon, 0)-differentially private for a query with the given L1
-// sensitivity.
-func LaplaceMechanism(value, sensitivity, epsilon float64, rng *crypto.DRBG) (float64, error) {
-	if epsilon <= 0 || sensitivity < 0 {
-		return 0, fmt.Errorf("privacy: invalid parameters eps=%v sens=%v", epsilon, sensitivity)
-	}
-	return value + LaplaceNoise(sensitivity/epsilon, rng), nil
-}
-
 // GaussianSigma returns the noise standard deviation of the analytic
 // Gaussian mechanism bound σ = √(2 ln(1.25/δ)) · sensitivity / ε, valid
 // for ε ≤ 1 and commonly used beyond.
@@ -49,16 +25,6 @@ func GaussianSigma(sensitivity, epsilon, delta float64) (float64, error) {
 		return 0, fmt.Errorf("privacy: invalid parameters eps=%v delta=%v sens=%v", epsilon, delta, sensitivity)
 	}
 	return math.Sqrt(2*math.Log(1.25/delta)) * sensitivity / epsilon, nil
-}
-
-// GaussianMechanism releases value + N(0, σ²) with σ from GaussianSigma;
-// (epsilon, delta)-differentially private for L2 sensitivity.
-func GaussianMechanism(value, sensitivity, epsilon, delta float64, rng *crypto.DRBG) (float64, error) {
-	sigma, err := GaussianSigma(sensitivity, epsilon, delta)
-	if err != nil {
-		return 0, err
-	}
-	return value + sigma*rng.NormFloat64(), nil
 }
 
 // Ledger tracks a privacy budget under basic (additive) composition:

@@ -9,38 +9,6 @@ import (
 	"pds2/internal/ml"
 )
 
-func TestLaplaceNoiseMoments(t *testing.T) {
-	rng := crypto.NewDRBGFromUint64(1, "dp")
-	const n = 30000
-	scale := 2.0
-	var sum, sumAbs float64
-	for i := 0; i < n; i++ {
-		v := LaplaceNoise(scale, rng)
-		sum += v
-		sumAbs += math.Abs(v)
-	}
-	if mean := sum / n; math.Abs(mean) > 0.1 {
-		t.Fatalf("laplace mean = %v", mean)
-	}
-	// E|X| = scale for Laplace.
-	if meanAbs := sumAbs / n; math.Abs(meanAbs-scale) > 0.1 {
-		t.Fatalf("laplace E|X| = %v, want %v", meanAbs, scale)
-	}
-}
-
-func TestLaplaceMechanismValidation(t *testing.T) {
-	rng := crypto.NewDRBGFromUint64(2, "dp")
-	if _, err := LaplaceMechanism(1, 1, 0, rng); err == nil {
-		t.Fatal("eps=0 accepted")
-	}
-	if _, err := LaplaceMechanism(1, -1, 1, rng); err == nil {
-		t.Fatal("negative sensitivity accepted")
-	}
-	if _, err := LaplaceMechanism(1, 1, 1, rng); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestGaussianSigmaScaling(t *testing.T) {
 	s1, err := GaussianSigma(1, 1, 1e-5)
 	if err != nil {
@@ -56,24 +24,6 @@ func TestGaussianSigmaScaling(t *testing.T) {
 	}
 	if _, err := GaussianSigma(1, 1, 1.5); err == nil {
 		t.Fatal("delta >= 1 accepted")
-	}
-}
-
-func TestGaussianMechanismNoiseLevel(t *testing.T) {
-	rng := crypto.NewDRBGFromUint64(3, "dp")
-	const n = 20000
-	sigma, _ := GaussianSigma(1, 1, 1e-5)
-	var sumSq float64
-	for i := 0; i < n; i++ {
-		v, err := GaussianMechanism(0, 1, 1, 1e-5, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sumSq += v * v
-	}
-	empirical := math.Sqrt(sumSq / n)
-	if math.Abs(empirical-sigma)/sigma > 0.05 {
-		t.Fatalf("empirical sigma %v, want %v", empirical, sigma)
 	}
 }
 

@@ -1,6 +1,7 @@
 package refinterp
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -121,18 +122,9 @@ func TestRunProgramStateAndEvents(t *testing.T) {
 	if len(h.events) != 2 {
 		t.Fatalf("events = %d, want 2", len(h.events))
 	}
-	vals, err := semantic.DecodeEventData(h.events[1].data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []semantic.Value{semantic.String("train"), semantic.Number(2), semantic.Number(1)}
-	if len(vals) != len(want) {
-		t.Fatalf("event args = %v", vals)
-	}
-	for i := range want {
-		if !vals[i].Equal(want[i]) {
-			t.Errorf("event arg %d = %v, want %v", i, vals[i], want[i])
-		}
+	want := semantic.EncodeEventData([]semantic.Value{semantic.String("train"), semantic.Number(2), semantic.Number(1)})
+	if !bytes.Equal(h.events[1].data, want) {
+		t.Fatalf("event data = %x, want %x", h.events[1].data, want)
 	}
 }
 

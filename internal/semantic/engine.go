@@ -269,28 +269,6 @@ func EncodeEventData(args []Value) []byte {
 	return out
 }
 
-// DecodeEventData reverses EncodeEventData.
-func DecodeEventData(b []byte) ([]Value, error) {
-	var out []Value
-	for len(b) > 0 {
-		if len(b) < 2 {
-			return nil, fmt.Errorf("program: truncated event frame")
-		}
-		n := int(b[0])<<8 | int(b[1])
-		b = b[2:]
-		if len(b) < n {
-			return nil, fmt.Errorf("program: truncated event frame")
-		}
-		v, err := DecodeValue(b[:n])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-		b = b[n:]
-	}
-	return out, nil
-}
-
 // --- shared host-call plumbing ---
 
 func stateKey(key Value) (string, error) {

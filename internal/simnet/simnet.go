@@ -35,9 +35,6 @@ const (
 // Duration converts the virtual time to a time.Duration for reporting.
 func (t Time) Duration() time.Duration { return time.Duration(t) * time.Microsecond }
 
-// Seconds returns the virtual time in seconds.
-func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
 // String implements fmt.Stringer.
 func (t Time) String() string { return t.Duration().String() }
 
@@ -199,9 +196,6 @@ func (n *Network) AddNode(h Handler) NodeID {
 	n.perNode = append(n.perNode, Stats{})
 	return id
 }
-
-// NumNodes returns the number of registered nodes.
-func (n *Network) NumNodes() int { return len(n.handlers) }
 
 // SetOnline marks a node up or down. Messages to or from an offline node
 // are dropped; scheduled timers on offline nodes still fire (the protocol

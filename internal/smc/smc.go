@@ -1,6 +1,6 @@
 // Package smc implements passively-secure multiparty computation over
-// additive secret shares in GF(2^61-1): input sharing, opening, local
-// addition, Beaver-triple multiplication and dot products, with explicit
+// additive secret shares in GF(2^61-1): input sharing, opening,
+// Beaver-triple multiplication and dot products, with explicit
 // accounting of communication rounds and bytes.
 //
 // The paper (§III-B) observes that SMC "reduce[s] the overhead in
@@ -167,24 +167,6 @@ func (e *Engine) Open(sv *SharedVector) []float64 {
 	return out
 }
 
-// Add returns the element-wise sum; purely local, no communication.
-func (e *Engine) Add(a, b *SharedVector) (*SharedVector, error) {
-	if a.Len() != b.Len() {
-		return nil, fmt.Errorf("smc: add of lengths %d and %d", a.Len(), b.Len())
-	}
-	if a.Scale != b.Scale {
-		return nil, fmt.Errorf("smc: add of scales %d and %d", a.Scale, b.Scale)
-	}
-	out := &SharedVector{Scale: a.Scale, Shares: make([][]crypto.FieldElem, e.NumParties)}
-	for p := 0; p < e.NumParties; p++ {
-		out.Shares[p] = make([]crypto.FieldElem, a.Len())
-		for i := range out.Shares[p] {
-			out.Shares[p][i] = crypto.FieldAdd(a.Shares[p][i], b.Shares[p][i])
-		}
-	}
-	return out, nil
-}
-
 // Mul returns the element-wise product via Beaver triples: the parties
 // open the masked differences d = x-a and f = y-b (one batched round),
 // then combine locally. The result's scale is the product of the input
@@ -250,19 +232,6 @@ func (e *Engine) Dot(x, y *SharedVector) (*SharedVector, error) {
 	return out, nil
 }
 
-// ScaleByPlain multiplies every element by a public constant; local.
-func (e *Engine) ScaleByPlain(x *SharedVector, k float64, kScale int64) *SharedVector {
-	ke := Encode(k, kScale)
-	out := &SharedVector{Scale: x.Scale * kScale, Shares: make([][]crypto.FieldElem, e.NumParties)}
-	for p := 0; p < e.NumParties; p++ {
-		out.Shares[p] = make([]crypto.FieldElem, x.Len())
-		for i := range out.Shares[p] {
-			out.Shares[p][i] = crypto.FieldMul(x.Shares[p][i], ke)
-		}
-	}
-	return out
-}
-
 // VirtualTime converts the accumulated communication cost into simulated
 // wall-clock time under a latency/bandwidth model: every round pays one
 // latency, and all bytes stream at the given bandwidth.
@@ -272,11 +241,4 @@ func (e *Engine) VirtualTime(latency simnet.Time, bandwidthBytesPerSec int64) si
 		t += simnet.Time(e.BytesSent * int64(simnet.Second) / bandwidthBytesPerSec)
 	}
 	return t
-}
-
-// ResetCost zeroes the communication counters (e.g. between experiment
-// phases); shares and triples are unaffected.
-func (e *Engine) ResetCost() {
-	e.Rounds = 0
-	e.BytesSent = 0
 }

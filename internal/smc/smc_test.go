@@ -53,39 +53,6 @@ func TestSharesIndividuallyUseless(t *testing.T) {
 	}
 }
 
-func TestAddLocalAndCorrect(t *testing.T) {
-	e := newEngine(t, 3, 3)
-	a := e.Share([]float64{1, 2, 3}, FixedScale)
-	b := e.Share([]float64{10, 20, 30}, FixedScale)
-	rounds, bytes := e.Rounds, e.BytesSent
-	sum, err := e.Add(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Rounds != rounds || e.BytesSent != bytes {
-		t.Fatal("addition consumed communication")
-	}
-	got := e.Open(sum)
-	for i, want := range []float64{11, 22, 33} {
-		if math.Abs(got[i]-want) > 1e-3 {
-			t.Fatalf("sum[%d] = %v", i, got[i])
-		}
-	}
-}
-
-func TestAddValidation(t *testing.T) {
-	e := newEngine(t, 3, 4)
-	a := e.Share([]float64{1}, FixedScale)
-	b := e.Share([]float64{1, 2}, FixedScale)
-	if _, err := e.Add(a, b); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	c := e.Share([]float64{1}, FixedScale*2)
-	if _, err := e.Add(a, c); err == nil {
-		t.Fatal("scale mismatch accepted")
-	}
-}
-
 func TestMulBeaverCorrect(t *testing.T) {
 	e := newEngine(t, 3, 5)
 	e.DealTriples(10)
@@ -154,16 +121,6 @@ func TestMulPropertyQuick(t *testing.T) {
 	}
 }
 
-func TestScaleByPlain(t *testing.T) {
-	e := newEngine(t, 3, 9)
-	x := e.Share([]float64{2, -4}, FixedScale)
-	y := e.ScaleByPlain(x, 0.5, FixedScale)
-	got := e.Open(y)
-	if math.Abs(got[0]-1) > 1e-3 || math.Abs(got[1]+2) > 1e-3 {
-		t.Fatalf("scaled = %v", got)
-	}
-}
-
 func TestCommunicationAccounting(t *testing.T) {
 	e := newEngine(t, 3, 10)
 	e.DealTriples(10)
@@ -179,10 +136,6 @@ func TestCommunicationAccounting(t *testing.T) {
 	}
 	if e.BytesSent == 0 {
 		t.Fatal("no bytes accounted")
-	}
-	e.ResetCost()
-	if e.Rounds != 0 || e.BytesSent != 0 {
-		t.Fatal("ResetCost did not zero counters")
 	}
 }
 

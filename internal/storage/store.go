@@ -14,8 +14,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"pds2/internal/crypto"
@@ -30,13 +28,6 @@ type BlobStore interface {
 
 	// Get returns the blob stored under key.
 	Get(key crypto.Digest) ([]byte, error)
-
-	// Has reports whether a blob exists under key.
-	Has(key crypto.Digest) bool
-
-	// Delete removes the blob under key; deleting a missing key is a
-	// no-op, making deletes idempotent.
-	Delete(key crypto.Digest) error
 }
 
 // ErrNotFound is returned by Get for missing blobs.
@@ -72,87 +63,9 @@ func (s *MemStore) Get(key crypto.Digest) ([]byte, error) {
 	return append([]byte(nil), b...), nil
 }
 
-// Has implements BlobStore.
-func (s *MemStore) Has(key crypto.Digest) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.blobs[key]
-	return ok
-}
-
-// Delete implements BlobStore.
-func (s *MemStore) Delete(key crypto.Digest) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.blobs, key)
-	return nil
-}
-
 // Len returns the number of stored blobs.
 func (s *MemStore) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.blobs)
-}
-
-// DirStore is a filesystem-backed BlobStore, one file per blob, sharded
-// by digest prefix — the "own hardware" storage option of Fig. 3.
-type DirStore struct {
-	root string
-	mu   sync.Mutex
-}
-
-// NewDirStore creates (if needed) and opens a store rooted at dir.
-func NewDirStore(dir string) (*DirStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("storage: create root: %w", err)
-	}
-	return &DirStore{root: dir}, nil
-}
-
-func (s *DirStore) path(key crypto.Digest) string {
-	hex := key.Hex()
-	return filepath.Join(s.root, hex[:2], hex)
-}
-
-// Put implements BlobStore.
-func (s *DirStore) Put(key crypto.Digest, blob []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p := s.path(key)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return fmt.Errorf("storage: shard dir: %w", err)
-	}
-	tmp := p + ".tmp"
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
-		return fmt.Errorf("storage: write: %w", err)
-	}
-	return os.Rename(tmp, p)
-}
-
-// Get implements BlobStore.
-func (s *DirStore) Get(key crypto.Digest) ([]byte, error) {
-	b, err := os.ReadFile(s.path(key))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, key.Short())
-	}
-	if err != nil {
-		return nil, fmt.Errorf("storage: read: %w", err)
-	}
-	return b, nil
-}
-
-// Has implements BlobStore.
-func (s *DirStore) Has(key crypto.Digest) bool {
-	_, err := os.Stat(s.path(key))
-	return err == nil
-}
-
-// Delete implements BlobStore.
-func (s *DirStore) Delete(key crypto.Digest) error {
-	err := os.Remove(s.path(key))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	return err
 }

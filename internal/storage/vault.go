@@ -44,9 +44,6 @@ func NewVault(owner *identity.Identity, store BlobStore, rng *crypto.DRBG) *Vaul
 	}
 }
 
-// Owner returns the vault owner's address.
-func (v *Vault) Owner() identity.Address { return v.owner.Address() }
-
 func (v *Vault) itemKey(id crypto.Digest) []byte {
 	return crypto.DeriveKey(v.root, "item/"+id.Hex())
 }

@@ -1,9 +1,7 @@
 // Package tee simulates trusted execution environments, the oblivious-
 // computation technology PDS² selects (§III-B): enclaves with code
-// measurement, remote attestation through a quoting authority, sealed
-// storage bound to (platform, measurement), an SGX-style EPC paging cost
-// model, and the oblivious primitives the paper cites as the defence
-// against side channels [12].
+// measurement, remote attestation through a quoting authority and an
+// SGX-style EPC paging cost model.
 //
 // The simulation substitutes for Intel SGX hardware as follows: the
 // *trust chain* (measurement → quote → authority) is implemented with
@@ -92,12 +90,10 @@ func (m CostModel) OverheadFactor(workingSetBytes int64) float64 {
 }
 
 // Platform is a TEE-capable machine: it holds the hardware attestation
-// key (certified by the quoting authority at "manufacturing" time) and a
-// device secret from which sealing keys derive.
+// key (certified by the quoting authority at "manufacturing" time).
 type Platform struct {
 	key      *identity.Identity // platform attestation key
 	cert     PlatformCert       // authority's endorsement of that key
-	sealRoot []byte             // device secret for sealing-key derivation
 	cost     CostModel
 	enclaves int
 }
@@ -106,12 +102,12 @@ type Platform struct {
 // attestation key, standing in for Intel's provisioning service.
 func NewPlatform(authority *QuotingAuthority, cost CostModel, rng *crypto.DRBG) *Platform {
 	key := identity.New("tee-platform", rng)
-	return &Platform{
-		key:      key,
-		cert:     authority.CertifyPlatform(key.PublicKey()),
-		sealRoot: rng.Bytes(32),
-		cost:     cost,
-	}
+	cert := authority.CertifyPlatform(key.PublicKey())
+	// A 32-byte device secret is drawn and dropped: no enclave keeps
+	// state between calls, and the draws after it (and every figure
+	// derived from them) stay where the goldens pin them.
+	rng.Bytes(32)
+	return &Platform{key: key, cert: cert, cost: cost}
 }
 
 // Cost returns the platform's cost model.

@@ -3,9 +3,7 @@ package tee
 import (
 	"bytes"
 	"errors"
-	"sort"
 	"testing"
-	"testing/quick"
 
 	"pds2/internal/crypto"
 	"pds2/internal/simnet"
@@ -166,61 +164,6 @@ func TestQuoteCounterMonotonic(t *testing.T) {
 	}
 }
 
-func TestSealUnsealRoundTrip(t *testing.T) {
-	_, p := testPlatform(t, 9)
-	rng := crypto.NewDRBGFromUint64(9, "seal")
-	e, _ := p.Launch(testProgram("a"))
-	secret := []byte("model checkpoint")
-	blob, err := e.Seal(secret, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(blob, secret) {
-		t.Fatal("sealed blob contains plaintext")
-	}
-	got, err := e.Unseal(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, secret) {
-		t.Fatalf("unsealed %q", got)
-	}
-}
-
-func TestSealBoundToMeasurement(t *testing.T) {
-	_, p := testPlatform(t, 10)
-	rng := crypto.NewDRBGFromUint64(10, "seal")
-	e1, _ := p.Launch(testProgram("a"))
-	e2, _ := p.Launch(testProgram("b")) // different code, same platform
-	blob, _ := e1.Seal([]byte("secret"), rng)
-	if _, err := e2.Unseal(blob); err == nil {
-		t.Fatal("different measurement unsealed the blob")
-	}
-}
-
-func TestSealBoundToPlatform(t *testing.T) {
-	qa, p1 := testPlatform(t, 11)
-	rng := crypto.NewDRBGFromUint64(11, "seal")
-	p2 := NewPlatform(qa, DefaultCostModel(), rng)
-	e1, _ := p1.Launch(testProgram("a"))
-	e2, _ := p2.Launch(testProgram("a")) // same code, different platform
-	blob, _ := e1.Seal([]byte("secret"), rng)
-	if _, err := e2.Unseal(blob); err == nil {
-		t.Fatal("different platform unsealed the blob")
-	}
-}
-
-func TestSealTamperDetected(t *testing.T) {
-	_, p := testPlatform(t, 12)
-	rng := crypto.NewDRBGFromUint64(12, "seal")
-	e, _ := p.Launch(testProgram("a"))
-	blob, _ := e.Seal([]byte("secret"), rng)
-	blob[len(blob)-1] ^= 0xff
-	if _, err := e.Unseal(blob); err == nil {
-		t.Fatal("tampered blob unsealed")
-	}
-}
-
 func TestOverheadFactorShape(t *testing.T) {
 	m := DefaultCostModel()
 	inEPC := m.OverheadFactor(1 << 20)
@@ -283,60 +226,6 @@ func TestEnclaveCallError(t *testing.T) {
 	e, _ := p.Launch(boom)
 	if _, err := e.Call(nil, 0); err == nil {
 		t.Fatal("error swallowed")
-	}
-}
-
-func TestOSelect(t *testing.T) {
-	if OSelect(1, 7, 9) != 7 || OSelect(0, 7, 9) != 9 {
-		t.Fatal("OSelect wrong")
-	}
-	if OSelectFloat(1, 1.5, 2.5) != 1.5 || OSelectFloat(0, 1.5, 2.5) != 2.5 {
-		t.Fatal("OSelectFloat wrong")
-	}
-}
-
-func TestOLess(t *testing.T) {
-	cases := []struct {
-		a, b int64
-		want uint64
-	}{{1, 2, 1}, {2, 1, 0}, {0, 0, 0}, {-5, 3, 1}, {3, -5, 0}, {-2, -1, 1}}
-	for _, c := range cases {
-		if got := OLess(c.a, c.b); got != c.want {
-			t.Fatalf("OLess(%d,%d) = %d", c.a, c.b, got)
-		}
-	}
-}
-
-func TestOSwap(t *testing.T) {
-	a, b := uint64(3), uint64(9)
-	OSwap(0, &a, &b)
-	if a != 3 || b != 9 {
-		t.Fatal("OSwap(0) swapped")
-	}
-	OSwap(1, &a, &b)
-	if a != 9 || b != 3 {
-		t.Fatal("OSwap(1) did not swap")
-	}
-}
-
-func TestOSortInt64(t *testing.T) {
-	f := func(raw []int16) bool {
-		v := make([]int64, len(raw))
-		for i, x := range raw {
-			v[i] = int64(x)
-		}
-		want := append([]int64(nil), v...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		OSortInt64(v)
-		for i := range v {
-			if v[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

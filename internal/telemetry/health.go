@@ -151,9 +151,10 @@ func (h *Health) Evaluate() HealthReport {
 
 // Heartbeat is a liveness signal for components that do work in bursts
 // (executors, sealers): the worked path calls Beat, and the health
-// check degrades when no beat arrived within MaxAge. The zero beat
-// state reports Degraded ("no beat yet"), never Unhealthy, so a node
-// that simply has not been asked to work is not flagged for restart.
+// check degrades when the last beat is older than MaxAge. A heartbeat
+// that has never beaten reports OK ("no beat yet"): a node that has not
+// been asked to work yet (a governance node that hosts no executor) is
+// ready, and only a component that worked and then went quiet degrades.
 type Heartbeat struct {
 	maxAge time.Duration
 	now    func() time.Time // injectable for tests
@@ -186,7 +187,7 @@ func (hb *Heartbeat) Beats() uint64 { return hb.beats.Load() }
 func (hb *Heartbeat) Check() CheckResult {
 	n := hb.beats.Load()
 	if n == 0 {
-		return DegradedResult("no beat yet")
+		return OK("no beat yet")
 	}
 	age := hb.now().Sub(time.Unix(0, hb.last.Load()))
 	if age > hb.maxAge {

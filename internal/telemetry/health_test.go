@@ -72,7 +72,7 @@ func TestHeartbeat(t *testing.T) {
 	now := time.Unix(1000, 0)
 	hb.SetClock(func() time.Time { return now })
 
-	if res := hb.Check(); res.State != Degraded {
+	if res := hb.Check(); res.State != Healthy {
 		t.Fatalf("no-beat state: %+v", res)
 	}
 	hb.Beat()
