@@ -128,24 +128,61 @@ func TestVerifyDetectsMissingRequiredArtifact(t *testing.T) {
 	}
 }
 
-// TestCaptureRemote drives the full operator path: a real node served
-// over HTTP with pprof on, captured into a bundle that verifies.
-func TestCaptureRemote(t *testing.T) {
+// TestCaptureRemoteVerifyRoundTrip captures a bundle and reads it back:
+// the bundle lands where asked, its manifest header names the node, Verify
+// sees every artifact the capture wrote, and the history artifact carries
+// the gauge series set before capture.
+func TestCaptureRemoteVerifyRoundTrip(t *testing.T) {
 	withTelemetry(t)
 	cl := serveNode(t)
 	telemetry.G("ledger.mempool.depth").Set(3)
-	time.Sleep(10 * time.Millisecond) // history ticks
+	time.Sleep(10 * time.Millisecond) // a few history ticks
 
 	dir := t.TempDir()
-	got, man, err := CaptureRemote(context.Background(), cl, Options{OutDir: dir})
+	got, m, err := CaptureRemote(context.Background(), cl, Options{OutDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != dir {
 		t.Fatalf("bundle dir %q, want %q", got, dir)
 	}
-	if man.Schema != ManifestSchema || man.Source != cl.BaseURL() {
-		t.Fatalf("manifest header %+v", man)
+	if m.Schema != ManifestSchema || m.Source != cl.BaseURL() {
+		t.Fatalf("manifest header %+v", m)
+	}
+	vm, err := Verify(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vm.Artifacts) != len(m.Artifacts) {
+		t.Fatalf("verify read %d artifacts, capture wrote %d", len(vm.Artifacts), len(m.Artifacts))
+	}
+
+	// The history artifact actually carries the gauge series.
+	raw, err := os.ReadFile(filepath.Join(dir, "metrics_history.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dump telemetry.HistoryDump
+	if err := json.Unmarshal(raw, &dump); err != nil {
+		t.Fatal(err)
+	}
+	series := dump.Series("ledger.mempool.depth")
+	if len(series) == 0 || series[len(series)-1].Value != 3 {
+		t.Fatalf("mempool series in bundle = %+v", series)
+	}
+}
+
+// TestCaptureRemote drives the full operator path: a real node served
+// over HTTP with pprof on, captured into a bundle that verifies.
+func TestCaptureRemote(t *testing.T) {
+	withTelemetry(t)
+	cl := serveNode(t)
+	time.Sleep(10 * time.Millisecond) // history ticks
+
+	dir := t.TempDir()
+	_, man, err := CaptureRemote(context.Background(), cl, Options{OutDir: dir})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if failed := man.Failed(); len(failed) != 0 {
 		t.Fatalf("artifacts failed against a fully enabled node: %v", failed)
@@ -153,12 +190,8 @@ func TestCaptureRemote(t *testing.T) {
 	if man.Build.GoVersion == "" {
 		t.Fatal("manifest carries no build info")
 	}
-	vm, err := Verify(dir)
-	if err != nil {
+	if _, err := Verify(dir); err != nil {
 		t.Fatal(err)
-	}
-	if len(vm.Artifacts) != len(man.Artifacts) {
-		t.Fatalf("verify read %d artifacts, capture wrote %d", len(vm.Artifacts), len(man.Artifacts))
 	}
 	// Health came from the real /healthz.
 	raw, err := os.ReadFile(filepath.Join(dir, "health.json"))
@@ -171,19 +204,6 @@ func TestCaptureRemote(t *testing.T) {
 	}
 	if len(hr.Components) == 0 {
 		t.Fatal("health report has no components")
-	}
-	// The history artifact actually carries the gauge series.
-	raw, err = os.ReadFile(filepath.Join(dir, "metrics_history.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dump telemetry.HistoryDump
-	if err := json.Unmarshal(raw, &dump); err != nil {
-		t.Fatal(err)
-	}
-	series := dump.Series("ledger.mempool.depth")
-	if len(series) == 0 || series[len(series)-1].Value != 3 {
-		t.Fatalf("mempool series in bundle = %+v", series)
 	}
 }
 
